@@ -32,12 +32,10 @@ from .errors import (
     ConvergenceError,
     DegenerateSampleError,
     NumericError,
-    StationaryPointReached,
 )
-from .halfstep import HalfStepResult, lambda_step, solve_half_step_p1, solve_half_step_p2
+from .halfstep import HalfStepResult, solve_half_step_p1, solve_half_step_p2
 from .problems import (
     OperatorMode,
-    Point,
     ProblemSpec,
     builtin,
     eval_jacobian,
@@ -67,10 +65,8 @@ __all__ = [
     "IterateRecord",
     "NumericError",
     "OperatorMode",
-    "Point",
     "ProblemSpec",
     "SolverConfig",
-    "StationaryPointReached",
     "TaylorModel",
     "TrajectoryLog",
     "builtin",
@@ -89,7 +85,6 @@ __all__ = [
     "eval_operator",
     "f_alpha_jacobian",
     "fit_rate",
-    "lambda_step",
     "normalized_field",
     "phi",
     "problem_names",

@@ -10,13 +10,12 @@ with n samples for the same seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .competitive import eval_f_alpha
+from .competitive import resolve_operator
 from .errors import DegenerateSampleError
 from .problems import OperatorMode, ProblemSpec, eval_operator
 from .solver import TrajectoryLog
@@ -52,6 +51,27 @@ def _stream_start(seed: int) -> int:
     return 1 + (int(seed) * 7919) % 104729
 
 
+def _halton_box(box: np.ndarray, n: int, seed: int, copies: int = 1) -> np.ndarray:
+    """n low-discrepancy samples, each made of `copies` points of the box side by side.
+
+    Column j of the (n, copies * d) result is the radical inverse in base
+    _PRIMES[j], so the points of one sample are mutually independent.
+    """
+    d = box.shape[0]
+    max_d = len(_PRIMES) // copies
+    if d > max_d:
+        raise ValueError(f"Halton sampling of {copies} point(s) per sample supports "
+                         f"dimension d <= {max_d}, got d = {d}")
+    lo = np.tile(box[:, 0], copies)
+    width = np.tile(box[:, 1] - box[:, 0], copies)
+    start = _stream_start(seed)
+    idx = np.arange(start, start + n, dtype=np.int64)
+    pts = np.empty((n, copies * d))
+    for j in range(copies * d):
+        pts[:, j] = lo[j] + width[j] * _halton(idx, _PRIMES[j])
+    return pts
+
+
 def sample_points(box: np.ndarray, n: int, seed: int, z_star=None) -> np.ndarray:
     """Low-discrepancy points in the box, with a shrinking-ball tier at z_star.
 
@@ -60,16 +80,11 @@ def sample_points(box: np.ndarray, n: int, seed: int, z_star=None) -> np.ndarray
     """
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
-    lo, width = box[:, 0], box[:, 1] - box[:, 0]
-    start = _stream_start(seed)
-    idx = np.arange(start, start + n, dtype=np.int64)
-    pts = np.empty((n, d))
-    for j in range(d):
-        pts[:, j] = lo[j] + width[j] * _halton(idx, _PRIMES[j])
+    pts = _halton_box(box, n, seed)
     if z_star is not None:
         z_star = np.asarray(z_star, dtype=float)
         rng = np.random.default_rng(seed)
-        base_radius = 0.5 * float(width.max())
+        base_radius = 0.5 * float((box[:, 1] - box[:, 0]).max())
         ball_positions = np.arange(_BALL_EVERY - 1, n, _BALL_EVERY)
         for j, i in enumerate(ball_positions):
             direction = rng.standard_normal(d)
@@ -83,16 +98,10 @@ def sample_pairs(box: np.ndarray, n: int, seed: int):
     """Pairs (z_a, z_b) in the box; odd indices are short pairs probing local slopes."""
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
-    lo, width = box[:, 0], box[:, 1] - box[:, 0]
-    start = _stream_start(seed)
-    idx = np.arange(start, start + n, dtype=np.int64)
-    a = np.empty((n, d))
-    b = np.empty((n, d))
-    for j in range(d):
-        a[:, j] = lo[j] + width[j] * _halton(idx, _PRIMES[j])
-        b[:, j] = lo[j] + width[j] * _halton(idx, _PRIMES[d + j])
+    pts = _halton_box(box, n, seed, copies=2)
+    a, b = pts[:, :d], pts[:, d:]
     rng = np.random.default_rng(seed)
-    base_radius = 0.1 * float(width.max())
+    base_radius = 0.1 * float((box[:, 1] - box[:, 0]).max())
     short_positions = np.arange(1, n, 2)
     for j, i in enumerate(short_positions):
         direction = rng.standard_normal(d)
@@ -100,12 +109,6 @@ def sample_pairs(box: np.ndarray, n: int, seed: int):
         radius = base_radius * 0.5 ** min(j // _BALL_TIER, 13) * (0.1 + 0.9 * rng.random())
         b[i] = np.clip(a[i] + radius * direction, box[:, 0], box[:, 1])
     return a, b
-
-
-def _operator_fn(problem: ProblemSpec, mode: Optional[OperatorMode]) -> Callable:
-    if mode is None or mode.kind == "standard":
-        return lambda z: eval_operator(problem, z)
-    return lambda z: eval_f_alpha(problem, z, mode.alpha)
 
 
 @dataclass(frozen=True)
@@ -116,53 +119,36 @@ class RhoScan:
 
 
 def _rho_scan(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
-              mode: Optional[OperatorMode] = None, workers: int = 1) -> RhoScan:
+              mode: Optional[OperatorMode] = None) -> RhoScan:
     z_star = np.asarray(z_star, dtype=float)
-    operator = _operator_fn(problem, mode)
-    pts = sample_points(problem.sample_box, n_samples, seed, z_star)
-
-    def chunk_best(chunk):
-        best, best_z, used = -np.inf, None, 0
-        for z in chunk:
-            F = operator(z)
-            norm = float(np.linalg.norm(F))
-            if norm < SKIP_NORM:
-                continue
-            used += 1
-            # elementwise product + sum keeps exact cancellation for skew fields
-            inner = float(np.sum(F * (z - z_star)))
-            ratio = -2.0 * inner / norm**q
-            if ratio > best:
-                best, best_z = ratio, z
-        return best, best_z, used
-
-    chunks = np.array_split(pts, max(1, workers))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(chunk_best, chunks))
-    else:
-        results = [chunk_best(c) for c in chunks]
-
+    operator = resolve_operator(problem, mode)[0]
     best, best_z, used = -np.inf, None, 0
-    for value, z, n_used in results:  # chunk order fixes tie-breaking
-        used += n_used
-        if value > best:
-            best, best_z = value, z
+    for z in sample_points(problem.sample_box, n_samples, seed, z_star):
+        F = operator(z)
+        norm = float(np.linalg.norm(F))
+        if norm < SKIP_NORM:
+            continue
+        used += 1
+        # elementwise product + sum keeps exact cancellation for skew fields
+        inner = float(np.sum(F * (z - z_star)))
+        ratio = -2.0 * inner / norm**q
+        if ratio > best:
+            best, best_z = ratio, z
     if used == 0:
         raise DegenerateSampleError("every sample fell inside the zero-norm skip region")
     return RhoScan(best, best_z, used)
 
 
 def estimate_q_rho(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
-                   mode: Optional[OperatorMode] = None, workers: int = 1) -> float:
+                   mode: Optional[OperatorMode] = None) -> float:
     """Largest sampled violation of <F(z), z - z*> >= -(rho/2) ||F(z)||^q."""
-    return _rho_scan(problem, z_star, q, n_samples, seed, mode, workers).value
+    return _rho_scan(problem, z_star, q, n_samples, seed, mode).value
 
 
 def estimate_weak_mvi_rho(problem: ProblemSpec, z_star, p: int, n_samples: int, seed: int,
-                          mode: Optional[OperatorMode] = None, workers: int = 1) -> float:
+                          mode: Optional[OperatorMode] = None) -> float:
     """Order-p variant: exponent (p+1)/p on the operator norm."""
-    return estimate_q_rho(problem, z_star, (p + 1) / p, n_samples, seed, mode, workers)
+    return estimate_q_rho(problem, z_star, (p + 1) / p, n_samples, seed, mode)
 
 
 def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
@@ -172,8 +158,7 @@ def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
     return rho <= (15.0 / 16.0) * (math.factorial(p) / Lp) ** ((p + 1) / p)
 
 
-def estimate_smoothness(problem: ProblemSpec, p: int, n_pairs: int, seed: int,
-                        fd_step: float = 1e-5) -> float:
+def estimate_smoothness(problem: ProblemSpec, p: int, n_pairs: int, seed: int) -> float:
     """Sampled L_p: p! times the sup of ||F(z_b) - tau(z_b, z_a)|| / ||z_b - z_a||^p."""
     a, b = sample_pairs(problem.sample_box, n_pairs, seed)
     best = 0.0
@@ -181,7 +166,7 @@ def estimate_smoothness(problem: ProblemSpec, p: int, n_pairs: int, seed: int,
         gap = float(np.linalg.norm(z_b - z_a))
         if gap < 1e-12:
             continue
-        model = taylor_model(problem, z_a, p, 0.0, fd_step)
+        model = taylor_model(problem, z_a, p, 0.0)
         err = float(np.linalg.norm(eval_operator(problem, z_b) - tau(model, z_b)))
         best = max(best, err / gap**p)
     return math.factorial(p) * best
@@ -236,15 +221,14 @@ class CertReport:
 
 def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
                     mode: Optional[OperatorMode] = None, n_samples: int = 10000,
-                    seed: int = 0, workers: int = 1,
-                    rate_slope: Optional[float] = None) -> CertReport:
+                    seed: int = 0, rate_slope: Optional[float] = None) -> CertReport:
     """Estimate the assumption constants of a problem and check the rho threshold."""
     if problem.z_star is None:
         raise ValueError(f"{problem.name!r} has no known stationary point to certify against")
     if q is None:
         q = (p + 1) / p
-    scan_p = _rho_scan(problem, problem.z_star, (p + 1) / p, n_samples, seed, mode, workers)
-    scan_q = _rho_scan(problem, problem.z_star, q, n_samples, seed, mode, workers)
+    scan_p = _rho_scan(problem, problem.z_star, (p + 1) / p, n_samples, seed, mode)
+    scan_q = _rho_scan(problem, problem.z_star, q, n_samples, seed, mode)
     L_hat = {1: estimate_smoothness(problem, 1, max(200, n_samples // 10), seed)}
     if problem.operator_jacobian is not None:
         L_hat[2] = estimate_smoothness(problem, 2, max(200, n_samples // 10), seed)
@@ -271,8 +255,7 @@ def fit_rate(log: TrajectoryLog) -> float:
     """Log-log slope of the running minimum of ||F(z_half)||^2 over the run's second half."""
     if len(log.records) < 20:
         raise ValueError("need at least 20 records to fit a rate")
-    norms_sq = np.array([rec.op_norm_half for rec in log.records]) ** 2
-    running_min = np.minimum.accumulate(norms_sq)
+    running_min = log.running_min_sq()
     if np.any(running_min == 0.0):
         cutoff = int(np.argmax(running_min == 0.0))
         running_min = running_min[:cutoff]
@@ -301,7 +284,7 @@ def check_potential_inequality(problem: ProblemSpec, log: TrajectoryLog, z_star,
     ||z* - z0||^2 - POTENTIAL_COEF * sum of squared displacements.
     """
     z_star = np.asarray(z_star, dtype=float)
-    operator = _operator_fn(problem, mode)
+    operator = resolve_operator(problem, mode)[0]
     if not log.records:
         return PrefixReport(True, None, math.inf, 0.0)
     z0 = log.records[0].z

@@ -20,9 +20,9 @@ from . import certify as cert
 from .dynamics import ContinuousConfig, simulate
 from .errors import ConvergenceError, NumericError
 from .problems import OperatorMode, builtin, problem_names
-from .recipes import RECIPES, run_recipe
+from .recipes import RECIPES, min_opnorm_svg, run_recipe
 from .solver import SolverConfig, TrajectoryLog, run
-from .svgplot import line_plot_svg, trajectory_plot_svg
+from .svgplot import trajectory_plot_svg
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -97,18 +97,21 @@ class RunConfig:
         return cls(**raw)
 
 
+def _write_csv(path: str, header, rows) -> None:
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def _write_run_csv(path: str, log: TrajectoryLog) -> None:
     d = log.records[0].z.size
     header = (["k"] + [f"z_{i}" for i in range(d)] + [f"zhalf_{i}" for i in range(d)]
               + ["lambda", "r", "opnorm", "residual"])
-    lines = [",".join(header)]
-    for rec in log.records:
-        row = ([str(rec.k)] + [_fmt(v) for v in rec.z] + [_fmt(v) for v in rec.z_half]
-               + [_fmt(rec.lambda_k), _fmt(rec.displacement_norm),
-                  _fmt(rec.op_norm_half), _fmt(rec.subproblem_residual)])
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(path, header, (
+        [str(rec.k)] + [_fmt(v) for v in rec.z] + [_fmt(v) for v in rec.z_half]
+        + [_fmt(rec.lambda_k), _fmt(rec.displacement_norm),
+           _fmt(rec.op_norm_half), _fmt(rec.subproblem_residual)]
+        for rec in log.records))
 
 
 def _run_summary(config: RunConfig, log: TrajectoryLog) -> dict:
@@ -131,15 +134,11 @@ def _run_summary(config: RunConfig, log: TrajectoryLog) -> dict:
 
 
 def _write_run_svg(path: str, log: TrajectoryLog) -> None:
-    norms = np.array([rec.op_norm_half for rec in log.records]) ** 2
-    running = np.maximum(np.minimum.accumulate(norms), 1e-300)
-    ks = np.arange(1, len(running) + 1)
     if log.records[0].z.size == 2:
         base, ext = os.path.splitext(path)
         trajectory_plot_svg(base + "_trajectory" + ext,
                             [("iterates", [rec.z for rec in log.records])])
-    line_plot_svg(path, [("min ||F||^2", ks, running)],
-                  xlabel="k+1", ylabel="min ||F||^2", logx=True, logy=True)
+    min_opnorm_svg(path, [("min ||F||^2", log)])
 
 
 def _cmd_run(args) -> int:
@@ -193,13 +192,10 @@ def _cmd_simulate(args) -> int:
         d = log.z.shape[1]
         header = (["t"] + [f"z_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)]
                   + ["opnorm", "energy", "integral"])
-        lines = [",".join(header)]
-        for i in range(len(log.t)):
-            row = ([_fmt(log.t[i])] + [_fmt(v) for v in log.z[i]] + [_fmt(v) for v in log.v[i]]
-                   + [_fmt(log.op_norm[i]), _fmt(log.energy[i]), _fmt(log.running_integral[i])])
-            lines.append(",".join(row))
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write_csv(args.csv, header, (
+            [_fmt(log.t[i])] + [_fmt(v) for v in log.z[i]] + [_fmt(v) for v in log.v[i]]
+            + [_fmt(log.op_norm[i]), _fmt(log.energy[i]), _fmt(log.running_integral[i])]
+            for i in range(len(log.t))))
     print(json.dumps({
         "problem": args.problem, "p": args.p, "t_end": args.t_end, "dt": args.dt,
         "final_opnorm": float(log.op_norm[-1]),
@@ -215,7 +211,7 @@ def _cmd_certify(args) -> int:
     mode = None if args.alpha is None else OperatorMode.competitive(args.alpha)
     report = cert.certify_problem(
         problem, args.p, q=args.q, mode=mode,
-        n_samples=args.samples, seed=seed, workers=args.workers,
+        n_samples=args.samples, seed=seed,
     )
     payload = report.to_dict()
     if args.q is not None:
@@ -299,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     cfy.add_argument("--alpha", type=float, default=None)
     cfy.add_argument("--samples", type=int, default=10000)
     cfy.add_argument("--seed", type=int, default=0)
-    cfy.add_argument("--workers", type=int, default=1)
     cfy.add_argument("--Lp", type=float, default=None)
     cfy.add_argument("--K", type=int, default=2000)
     cfy.add_argument("--z0", type=_parse_vector, default=np.array([0.5, -0.5]))

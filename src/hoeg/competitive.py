@@ -8,34 +8,16 @@ F_alpha and F share their zero set exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import CapabilityError
-from .problems import ProblemSpec, eval_operator
+from .problems import OperatorMode, ProblemSpec, central_difference, eval_jacobian, eval_operator
 
 
-@dataclass(frozen=True)
-class CompetitiveSystem:
-    """The block system defining one competitive-operator evaluation."""
-
-    alpha: float
-    B: np.ndarray
-    g: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        d_x, d_y = self.B.shape
-        M = np.eye(d_x + d_y)
-        M[:d_x, d_x:] = self.alpha * self.B
-        M[d_x:, :d_x] = -self.alpha * self.B.T
-        return M
-
-    def solve(self) -> np.ndarray:
-        return np.linalg.solve(self.matrix(), self.g)
-
-
-def competitive_system(problem: ProblemSpec, z, alpha: float) -> CompetitiveSystem:
+def competitive_system(problem: ProblemSpec, z, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The block matrix M and right-hand side F(z) of one competitive-operator evaluation."""
     if problem.mixed_hessian is None:
         raise CapabilityError(f"{problem.name!r} has no mixed Hessian; competitive mode unavailable")
     if not alpha >= 0:
@@ -44,24 +26,40 @@ def competitive_system(problem: ProblemSpec, z, alpha: float) -> CompetitiveSyst
     B = np.asarray(problem.mixed_hessian(z), dtype=float)
     if B.shape != (problem.d_x, problem.d_y):
         raise ValueError(f"mixed Hessian of {problem.name!r} has shape {B.shape}")
-    return CompetitiveSystem(float(alpha), B, eval_operator(problem, z))
+    alpha = float(alpha)
+    d_x = problem.d_x
+    M = np.eye(problem.d)
+    M[:d_x, d_x:] = alpha * B
+    M[d_x:, :d_x] = -alpha * B.T
+    return M, eval_operator(problem, z)
 
 
 def eval_f_alpha(problem: ProblemSpec, z, alpha: float) -> np.ndarray:
     """Evaluate the competitive operator at z."""
-    return competitive_system(problem, z, alpha).solve()
+    M, g = competitive_system(problem, z, alpha)
+    return np.linalg.solve(M, g)
 
 
-def f_alpha_jacobian(problem: ProblemSpec, z, alpha: float, fd_step: float = 1e-5) -> np.ndarray:
+def f_alpha_jacobian(problem: ProblemSpec, z, alpha: float) -> np.ndarray:
     """Central-difference Jacobian of the competitive operator."""
     z = np.asarray(z, dtype=float)
-    d = problem.d
-    jac = np.empty((d, d))
-    for j in range(d):
-        step = np.zeros(d)
-        step[j] = fd_step
-        jac[:, j] = (eval_f_alpha(problem, z + step, alpha) - eval_f_alpha(problem, z - step, alpha)) / (2 * fd_step)
-    return jac
+    return central_difference(lambda zz: eval_f_alpha(problem, zz, alpha), z)
+
+
+def resolve_operator(problem: ProblemSpec,
+                     mode: Optional[OperatorMode] = None) -> Tuple[Callable, Callable]:
+    """Field and Jacobian callables of the operator mode: F by default, F_alpha when competitive."""
+    if mode is None or mode.kind == "standard":
+        return (
+            lambda z: eval_operator(problem, z),
+            lambda z: eval_jacobian(problem, z),
+        )
+    alpha = mode.alpha
+    # no analytic third derivatives: the competitive Jacobian is differenced
+    return (
+        lambda z: eval_f_alpha(problem, z, alpha),
+        lambda z: f_alpha_jacobian(problem, z, alpha),
+    )
 
 
 def stationary_equivalence_check(problem: ProblemSpec, z, alpha: float, tol: float) -> bool:
@@ -71,8 +69,8 @@ def stationary_equivalence_check(problem: ProblemSpec, z, alpha: float, tol: flo
     condition number of the block matrix, so the F_alpha test uses the
     tolerance scaled by that bound.
     """
-    system = competitive_system(problem, z, alpha)
-    kappa = float(np.linalg.cond(system.matrix()))
-    zero_f = float(np.linalg.norm(system.g)) <= tol
-    zero_fa = float(np.linalg.norm(system.solve())) <= tol * kappa
+    M, g = competitive_system(problem, z, alpha)
+    kappa = float(np.linalg.cond(M))
+    zero_f = float(np.linalg.norm(g)) <= tol
+    zero_fa = float(np.linalg.norm(np.linalg.solve(M, g))) <= tol * kappa
     return zero_f == zero_fa

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .problems import ProblemSpec, eval_operator
+from .problems import ProblemSpec, central_difference, eval_operator
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ def resolvent_solve(v, problem: ProblemSpec, p: int, tol: float = 1e-10,
         raise ValueError("tol must be positive")
     v = np.asarray(v, dtype=float)
     z = v.copy() if z_init is None else np.asarray(z_init, dtype=float).copy()
-    d = v.size
     scale = tol * max(1.0, float(np.linalg.norm(v)))
 
     def field(zz):
@@ -106,12 +105,7 @@ def resolvent_solve(v, problem: ProblemSpec, p: int, tol: float = 1e-10,
         best_norm = min(best_norm, r)
         if r <= scale:
             return z
-        jac = np.empty((d, d))
-        eps = 1e-6
-        for j in range(d):
-            step = np.zeros(d)
-            step[j] = eps
-            jac[:, j] = (residual(z + step) - residual(z - step)) / (2 * eps)
+        jac = central_difference(residual, z, 1e-6)
         try:
             dz = np.linalg.solve(jac, -h)
         except np.linalg.LinAlgError:
@@ -148,10 +142,7 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     v = config.z0.copy()
     ts, zs, vs, norms, integ = [], [], [], [], []
     failed_at = None
-    try:
-        z = solve(v, None)
-    except ConvergenceError:
-        raise  # nothing integrated yet; surface the failure
+    z = solve(v, None)  # a failure here has nothing integrated yet, so it propagates
 
     ts.append(0.0)
     zs.append(z.copy())

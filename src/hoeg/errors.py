@@ -23,7 +23,3 @@ class ConvergenceError(RuntimeError):
 
 class DegenerateSampleError(ValueError):
     """Every drawn sample was skipped, leaving nothing to estimate from."""
-
-
-class StationaryPointReached(Exception):
-    """Signal raised when a zero displacement certifies an exact stationary point."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, StationaryPointReached
+from .errors import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,3 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k, tol: float = 1e-10, max_iter: i
             residual=best_res,
         )
     return HalfStepResult(z_k + best_d, float(np.linalg.norm(best_d)), best_res, steps + expansions)
-
-
-def lambda_step(p: int, displacement_norm: float) -> float:
-    """Step size 0.5 * r^(1-p); a zero radius at p >= 2 certifies stationarity."""
-    if p < 1:
-        raise ValueError("order must be >= 1")
-    if p == 1:
-        return 0.5
-    if displacement_norm <= 0.0:
-        raise StationaryPointReached("zero half-step displacement: F(z_k) = 0")
-    return 0.5 * displacement_norm ** (1 - p)

@@ -17,38 +17,7 @@ from .errors import NumericError
 
 Vector = np.ndarray
 
-
-@dataclass(frozen=True)
-class Point:
-    """A point in the joint space R^d with a block split after the first d_x coordinates."""
-
-    coords: Vector
-    d_x: int
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", coords)
-        if coords.ndim != 1:
-            raise ValueError("coords must be a flat vector")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("coords must be finite")
-        if not 1 <= self.d_x <= coords.size - 1:
-            raise ValueError("block split must leave at least one coordinate per side")
-
-    @property
-    def d(self) -> int:
-        return self.coords.size
-
-    @property
-    def x(self) -> Vector:
-        return self.coords[: self.d_x]
-
-    @property
-    def y(self) -> Vector:
-        return self.coords[self.d_x :]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coords, dtype=dtype)
+FD_STEP = 1e-5  # central-difference step of every differenced operator Jacobian
 
 
 @dataclass(frozen=True)
@@ -114,9 +83,6 @@ class ProblemSpec:
     def d(self) -> int:
         return self.d_x + self.d_y
 
-    def point(self, coords) -> Point:
-        return Point(np.asarray(coords, dtype=float), self.d_x)
-
 
 def _coords(problem: ProblemSpec, z) -> Vector:
     z = np.asarray(z, dtype=float)
@@ -134,20 +100,24 @@ def eval_operator(problem: ProblemSpec, z) -> Vector:
     return out
 
 
-def eval_jacobian(problem: ProblemSpec, z, fd_step: float = 1e-5) -> np.ndarray:
+def central_difference(fn: Callable[[Vector], Vector], z: Vector, h: float = FD_STEP) -> np.ndarray:
+    """Jacobian of fn at z by central differences with step h in each coordinate."""
+    d = z.size
+    jac = np.empty((d, d))
+    for j in range(d):
+        step = np.zeros(d)
+        step[j] = h
+        jac[:, j] = (fn(z + step) - fn(z - step)) / (2 * h)
+    return jac
+
+
+def eval_jacobian(problem: ProblemSpec, z) -> np.ndarray:
     """Jacobian of F at z: analytic when provided, else central differences."""
     z = _coords(problem, z)
     if problem.operator_jacobian is not None:
         jac = np.asarray(problem.operator_jacobian(z), dtype=float)
     else:
-        if fd_step <= 0:
-            raise ValueError("fd_step must be positive for the finite-difference fallback")
-        d = problem.d
-        jac = np.empty((d, d))
-        for j in range(d):
-            step = np.zeros(d)
-            step[j] = fd_step
-            jac[:, j] = (eval_operator(problem, z + step) - eval_operator(problem, z - step)) / (2 * fd_step)
+        jac = central_difference(lambda zz: eval_operator(problem, zz), z)
     if not np.all(np.isfinite(jac)):
         raise NumericError(f"non-finite Jacobian for {problem.name!r} at {z}")
     return jac

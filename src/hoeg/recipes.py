@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .problems import OperatorMode, builtin
-from .solver import SolverConfig, detect_cycling, run
+from .solver import SolverConfig, TrajectoryLog, detect_cycling, run
 from .svgplot import line_plot_svg, trajectory_plot_svg
 
 GRID5 = ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (0.5, -0.5))
@@ -95,6 +95,15 @@ RECIPES = {
 }
 
 
+def min_opnorm_svg(path: str, runs: Sequence[Tuple[str, TrajectoryLog]], title: str = "") -> None:
+    """Log-log plot of each run's running minimum of ||F(z_half)||^2 against k+1."""
+    series = []
+    for label, log in runs:
+        running = np.maximum(log.running_min_sq(), 1e-300)
+        series.append((label, np.arange(1, len(running) + 1), running))
+    line_plot_svg(path, series, title=title, xlabel="k+1", ylabel="min ||F||^2", logx=True, logy=True)
+
+
 def _verdict(recipe: FigureRecipe, problem, logs) -> dict:
     if recipe.verdict_kind == "converge_to_star":
         dists = [float(np.linalg.norm(log.z_out - problem.z_star)) for log in logs]
@@ -136,10 +145,7 @@ def run_recipe(name: str, out_dir: str) -> dict:
         raise KeyError(f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}") from None
     os.makedirs(out_dir, exist_ok=True)
     problem = builtin(recipe.runs[0].problem)
-    logs = []
-    for preset in recipe.runs:
-        log = run(problem, preset.config())
-        logs.append(log)
+    logs = [run(problem, preset.config()) for preset in recipe.runs]
 
     by_order = {}
     for preset, log in zip(recipe.runs, logs):
@@ -150,17 +156,8 @@ def run_recipe(name: str, out_dir: str) -> dict:
             os.path.join(out_dir, f"{name}_p{p}_trajectories.svg"),
             traj, title=f"{name} (order {p})",
         )
-    series = []
-    for preset, log in zip(recipe.runs, logs):
-        norms = np.array([rec.op_norm_half for rec in log.records]) ** 2
-        running = np.minimum.accumulate(norms)
-        ks = np.arange(1, len(running) + 1)
-        series.append((preset.label, ks, np.maximum(running, 1e-300)))
-    line_plot_svg(
-        os.path.join(out_dir, f"{name}_min_opnorm.svg"),
-        series, title=name, xlabel="k+1", ylabel="min ||F||^2",
-        logx=True, logy=True,
-    )
+    min_opnorm_svg(os.path.join(out_dir, f"{name}_min_opnorm.svg"),
+                   [(preset.label, log) for preset, log in zip(recipe.runs, logs)], title=name)
 
     verdict = {"recipe": name, **_verdict(recipe, problem, logs)}
     with open(os.path.join(out_dir, f"{name}_verdict.json"), "w", encoding="utf-8") as handle:

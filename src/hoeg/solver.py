@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .competitive import eval_f_alpha, f_alpha_jacobian
+from .competitive import resolve_operator
 from .errors import ConvergenceError, NumericError
 from .halfstep import solve_half_step_p1, solve_half_step_p2
-from .problems import OperatorMode, ProblemSpec, eval_jacobian, eval_operator
+from .problems import OperatorMode, ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
 TERM_EPSILON = "epsilon_reached"
@@ -36,7 +36,6 @@ class SolverConfig:
     subproblem_tol: float = 1e-10
     subproblem_max_iter: int = 200
     stop_norm: float = 0.0
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.order_p not in (1, 2):
@@ -45,7 +44,7 @@ class SolverConfig:
             raise ValueError("lipschitz must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.subproblem_tol > 0 and self.fd_step > 0 and self.stop_norm >= 0):
+        if not (self.subproblem_tol > 0 and self.stop_norm >= 0):
             raise ValueError("tolerances must be positive (stop_norm may be 0 to disable)")
         object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))
 
@@ -69,20 +68,9 @@ class TrajectoryLog:
     out_index: int
     termination: str
 
-
-def resolve_operator(problem: ProblemSpec, mode: OperatorMode, fd_step: float) -> Tuple[Callable, Callable]:
-    """Field and Jacobian callables for the configured operator mode."""
-    if mode.kind == "standard":
-        return (
-            lambda z: eval_operator(problem, z),
-            lambda z: eval_jacobian(problem, z, fd_step),
-        )
-    alpha = mode.alpha
-    # no analytic third derivatives: the competitive Jacobian is differenced
-    return (
-        lambda z: eval_f_alpha(problem, z, alpha),
-        lambda z: f_alpha_jacobian(problem, z, alpha, fd_step),
-    )
+    def running_min_sq(self) -> np.ndarray:
+        """Running minimum of ||F(z_half)||^2 over the records."""
+        return np.minimum.accumulate(np.array([rec.op_norm_half for rec in self.records]) ** 2)
 
 
 def select_output(records: List[IterateRecord]) -> Tuple[np.ndarray, int]:
@@ -95,7 +83,7 @@ def select_output(records: List[IterateRecord]) -> Tuple[np.ndarray, int]:
 
 def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     """Run the iteration for k = 0..K and return the full trajectory."""
-    operator, jacobian = resolve_operator(problem, config.operator_mode, config.fd_step)
+    operator, jacobian = resolve_operator(problem, config.operator_mode)
     p = config.order_p
     L = config.lipschitz
     full_step_coef = math.factorial(p) / (2.0 * L)
@@ -125,19 +113,15 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
         r = half.displacement_norm
         F_half = operator(half.z_half)
         op_norm = float(np.linalg.norm(F_half))
-
-        if r == 0.0:
-            # z is an exact stationary point; lambda is 0.5 for p=1 and
-            # conventionally 0 otherwise (its limit contribution vanishes)
-            lam = 0.5 if p == 1 else 0.0
-            records.append(IterateRecord(k, z.copy(), half.z_half, lam, r, op_norm,
-                                         half.residual_norm, half.iterations_used))
-            termination = TERM_STATIONARY
-            break
-
-        lam = 0.5 * r ** (1 - p)
+        # step size 0.5 * r^(1-p); r = 0 means z is an exact stationary point,
+        # where lambda is 0.5 for p=1 and conventionally 0 otherwise (its
+        # limit contribution vanishes)
+        lam = 0.5 * r ** (1 - p) if r > 0.0 or p == 1 else 0.0
         records.append(IterateRecord(k, z.copy(), half.z_half, lam, r, op_norm,
                                      half.residual_norm, half.iterations_used))
+        if r == 0.0:
+            termination = TERM_STATIONARY
+            break
         if config.stop_norm > 0 and op_norm <= config.stop_norm:
             termination = TERM_EPSILON
             break

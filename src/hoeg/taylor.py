@@ -43,10 +43,10 @@ class TaylorModel:
             raise ValueError("lipschitz constant must be >= 0")
 
 
-def taylor_model(problem: ProblemSpec, z_a, order_p: int, lipschitz: float, fd_step: float = 1e-5) -> TaylorModel:
+def taylor_model(problem: ProblemSpec, z_a, order_p: int, lipschitz: float) -> TaylorModel:
     """Build the order-p model of the problem operator centered at z_a."""
     z_a = np.asarray(z_a, dtype=float)
-    jac = eval_jacobian(problem, z_a, fd_step) if order_p >= 2 else None
+    jac = eval_jacobian(problem, z_a) if order_p >= 2 else None
     return TaylorModel(order_p, z_a, eval_operator(problem, z_a), jac, lipschitz)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hoeg import (
     DegenerateSampleError,
     OperatorMode,
+    ProblemSpec,
     SolverConfig,
     builtin,
     certify_problem,
@@ -20,7 +21,7 @@ from hoeg import (
     fit_rate,
     run,
 )
-from hoeg.certify import POTENTIAL_COEF, decoupled_threshold_report
+from hoeg.certify import POTENTIAL_COEF, decoupled_threshold_report, sample_points
 from hoeg.solver import IterateRecord, TrajectoryLog
 
 
@@ -95,12 +96,6 @@ class TestRhoEstimates:
                 best = max(best, -2.0 * float(np.sum(F * (z - z_star))) / norm**2)
         sampled = estimate_q_rho(p, z_star, 2.0, 20000, seed=7)
         assert abs(sampled - best) <= 0.05 * abs(best)
-
-    def test_workers_do_not_change_the_answer(self):
-        p = builtin("forsaken")
-        serial = estimate_weak_mvi_rho(p, p.z_star, 1, 4000, seed=9, workers=1)
-        threaded = estimate_weak_mvi_rho(p, p.z_star, 1, 4000, seed=9, workers=4)
-        assert serial == threaded
 
 
 class TestRhoThreshold:
@@ -230,3 +225,28 @@ def test_decoupled_report_fields():
     assert report["rho_hat_q"] > 0
     assert isinstance(report["ok"], bool)
     assert "threshold_reading" in report
+
+
+def _quadratic(d_half):
+    """Monotone quadratic 0.5 ||x||^2 - 0.5 ||y||^2 with d_x = d_y = d_half."""
+    return ProblemSpec(
+        name=f"quadratic_{2 * d_half}d", d_x=d_half, d_y=d_half,
+        f=lambda z: 0.5 * float(z[:d_half] @ z[:d_half] - z[d_half:] @ z[d_half:]),
+        grad_x=lambda z: z[:d_half].copy(),
+        grad_y=lambda z: -z[d_half:],
+        operator_jacobian=lambda z: np.eye(2 * d_half),
+        z_star=np.zeros(2 * d_half),
+        sample_box=np.tile([-1.0, 1.0], (2 * d_half, 1)),
+    )
+
+
+def test_certify_states_the_dimension_limit():
+    # pairs draw two independent points per sample from the ten Halton bases
+    with pytest.raises(ValueError, match=r"d <= 5, got d = 6"):
+        certify_problem(_quadratic(3), 1, n_samples=200, seed=0)
+    report = certify_problem(_quadratic(2), 1, n_samples=200, seed=0)
+    assert report.rho_hat_p <= 0.0
+    box = np.tile([-1.0, 1.0], (11, 1))
+    with pytest.raises(ValueError, match=r"d <= 10, got d = 11"):
+        sample_points(box, 10, seed=0)
+    assert sample_points(box[:10], 10, seed=0).shape == (10, 10)

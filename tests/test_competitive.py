@@ -99,6 +99,6 @@ def test_differenced_jacobian_tracks_alpha_zero_limit():
 
 def test_competitive_system_shapes():
     p = builtin("x2y")
-    system = competitive_system(p, [1.0, 1.0], 2.0)
-    assert system.matrix().shape == (2, 2)
-    assert np.allclose(system.matrix(), [[1.0, 4.0], [-4.0, 1.0]])
+    M, g = competitive_system(p, [1.0, 1.0], 2.0)
+    assert M.shape == (2, 2)
+    assert np.allclose(M, [[1.0, 4.0], [-4.0, 1.0]])

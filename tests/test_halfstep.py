@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from hoeg import (
-    StationaryPointReached,
     TaylorModel,
     builtin,
     eval_operator,
-    lambda_step,
     phi,
     solve_half_step_p1,
     solve_half_step_p2,
@@ -85,19 +83,3 @@ class TestOrder2:
         res = solve_half_step_p2(F, J, 2.0, np.zeros(2))
         model = TaylorModel(2, np.zeros(2), F, J, lipschitz=2.0)
         assert np.linalg.norm(phi(model, res.z_half)) <= 1e-10
-
-
-class TestLambdaStep:
-    def test_order1_is_constant_half(self):
-        assert lambda_step(1, 0.0) == 0.5
-        assert lambda_step(1, 123.4) == 0.5
-
-    def test_order2_reciprocal(self):
-        assert lambda_step(2, 0.61803) == pytest.approx(0.80902, abs=1e-5)
-
-    def test_order3_power(self):
-        assert lambda_step(3, 2.0) == pytest.approx(0.125)
-
-    def test_zero_radius_signals_stationary(self):
-        with pytest.raises(StationaryPointReached):
-            lambda_step(2, 0.0)

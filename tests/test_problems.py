@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hoeg import NumericError, Point, ProblemSpec, builtin, eval_jacobian, eval_operator, problem_names
+from hoeg import NumericError, ProblemSpec, builtin, eval_jacobian, eval_operator, problem_names
 
 ALL_NAMES = ["bilinear", "comonotone_toy", "forsaken", "modified_forsaken", "quadratic_monotone", "x2y"]
 
@@ -59,7 +59,7 @@ def test_finite_difference_matches_analytic_jacobian():
         for _ in range(100):
             z = lo + (hi - lo) * rng.random(p.d)
             analytic = eval_jacobian(p, z)
-            fd = eval_jacobian(stripped, z, fd_step=1e-5)
+            fd = eval_jacobian(stripped, z)
             assert np.max(np.abs(fd - analytic)) <= 1e-5
 
 
@@ -100,26 +100,6 @@ def test_comonotone_toy_constant():
         dF = eval_operator(p, a) - eval_operator(p, b)
         ratio = np.dot(dF, a - b) / np.dot(dF, dF)
         assert ratio == pytest.approx(expected, abs=1e-12)
-
-
-class TestPoint:
-    def test_blocks_partition_coords(self):
-        pt = Point(np.array([1.0, 2.0, 3.0]), d_x=2)
-        assert np.array_equal(np.concatenate([pt.x, pt.y]), pt.coords)
-        assert pt.d == 3
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Point(np.array([np.nan, 1.0]), d_x=1)
-
-    def test_rejects_empty_block(self):
-        with pytest.raises(ValueError):
-            Point(np.array([1.0, 2.0]), d_x=2)
-
-    def test_usable_as_array(self):
-        p = builtin("x2y")
-        pt = p.point([1.0, 1.0])
-        assert np.allclose(eval_operator(p, pt), [2.0, -1.0])
 
 
 def test_published_constants():

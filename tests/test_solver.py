@@ -34,6 +34,7 @@ def test_stationary_start_terminates_immediately():
         assert log.termination == "exact_stationary"
         assert len(log.records) == 1
         assert np.array_equal(log.z_out, [0.0, 2.0])
+        assert log.records[0].lambda_k == (0.5 if p == 1 else 0.0)
 
 
 def test_modified_forsaken_reaches_stationary_point():
@@ -57,6 +58,17 @@ def test_order1_step_relations_hold_exactly():
         F_half = eval_operator(p, rec.z_half)
         assert np.array_equal(nxt.z, rec.z - F_half / 80.0)
         assert rec.lambda_k == 0.5
+
+
+def test_order2_step_relations_hold_exactly():
+    p = builtin("modified_forsaken")
+    L = 50000.0
+    log = run(p, config(p=2, L=L, K=50, z0=(0.5, -0.5)))
+    for rec, nxt in zip(log.records, log.records[1:]):
+        assert rec.displacement_norm > 0.0
+        assert rec.lambda_k == 0.5 / rec.displacement_norm
+        F_half = eval_operator(p, rec.z_half)
+        assert np.array_equal(nxt.z, rec.z - (2.0 / (2.0 * L) * rec.lambda_k) * F_half)
 
 
 def test_early_stop_on_operator_norm():
