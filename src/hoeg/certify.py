@@ -51,6 +51,19 @@ def _stream_start(seed: int) -> int:
     return 1 + (int(seed) * 7919) % 104729
 
 
+def _check_halton_dimension(d: int, copies: int) -> None:
+    max_d = len(_PRIMES) // copies
+    if d > max_d:
+        raise ValueError(f"Halton sampling of {copies} point(s) per sample supports "
+                         f"dimension d <= {max_d}, got d = {d}")
+
+
+def _sample_box(problem: ProblemSpec) -> np.ndarray:
+    if problem.sample_box is None:
+        raise ValueError(f"{problem.name!r} has no sample_box to draw certification samples from")
+    return problem.sample_box
+
+
 def _halton_box(box: np.ndarray, n: int, seed: int, copies: int = 1) -> np.ndarray:
     """n low-discrepancy samples, each made of `copies` points of the box side by side.
 
@@ -58,10 +71,7 @@ def _halton_box(box: np.ndarray, n: int, seed: int, copies: int = 1) -> np.ndarr
     _PRIMES[j], so the points of one sample are mutually independent.
     """
     d = box.shape[0]
-    max_d = len(_PRIMES) // copies
-    if d > max_d:
-        raise ValueError(f"Halton sampling of {copies} point(s) per sample supports "
-                         f"dimension d <= {max_d}, got d = {d}")
+    _check_halton_dimension(d, copies)
     lo = np.tile(box[:, 0], copies)
     width = np.tile(box[:, 1] - box[:, 0], copies)
     start = _stream_start(seed)
@@ -123,7 +133,7 @@ def _rho_scan(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
     z_star = np.asarray(z_star, dtype=float)
     operator = resolve_operator(problem, mode)[0]
     best, best_z, used = -np.inf, None, 0
-    for z in sample_points(problem.sample_box, n_samples, seed, z_star):
+    for z in sample_points(_sample_box(problem), n_samples, seed, z_star):
         F = operator(z)
         norm = float(np.linalg.norm(F))
         if norm < SKIP_NORM:
@@ -160,7 +170,7 @@ def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
 
 def estimate_smoothness(problem: ProblemSpec, p: int, n_pairs: int, seed: int) -> float:
     """Sampled L_p: p! times the sup of ||F(z_b) - tau(z_b, z_a)|| / ||z_b - z_a||^p."""
-    a, b = sample_pairs(problem.sample_box, n_pairs, seed)
+    a, b = sample_pairs(_sample_box(problem), n_pairs, seed)
     best = 0.0
     for z_a, z_b in zip(a, b):
         gap = float(np.linalg.norm(z_b - z_a))
@@ -174,7 +184,7 @@ def estimate_smoothness(problem: ProblemSpec, p: int, n_pairs: int, seed: int) -
 
 def estimate_comonotonicity(problem: ProblemSpec, n_pairs: int, seed: int) -> float:
     """Largest c with <F(a)-F(b), a-b> >= c ||F(a)-F(b)||^2 on sampled pairs."""
-    a, b = sample_pairs(problem.sample_box, n_pairs, seed)
+    a, b = sample_pairs(_sample_box(problem), n_pairs, seed)
     worst = np.inf
     for z_a, z_b in zip(a, b):
         dF = eval_operator(problem, z_a) - eval_operator(problem, z_b)
@@ -225,6 +235,8 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
     """Estimate the assumption constants of a problem and check the rho threshold."""
     if problem.z_star is None:
         raise ValueError(f"{problem.name!r} has no known stationary point to certify against")
+    # the smoothness and comonotonicity checks sample pairs; fail before any F evaluation
+    _check_halton_dimension(_sample_box(problem).shape[0], copies=2)
     if q is None:
         q = (p + 1) / p
     scan_p = _rho_scan(problem, problem.z_star, (p + 1) / p, n_samples, seed, mode)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -250,3 +251,28 @@ def test_certify_states_the_dimension_limit():
     with pytest.raises(ValueError, match=r"d <= 10, got d = 11"):
         sample_points(box, 10, seed=0)
     assert sample_points(box[:10], 10, seed=0).shape == (10, 10)
+
+
+def _counting(problem):
+    """The problem with grad_x wrapped to count F evaluations; the count starts at 0."""
+    calls = []
+
+    def grad_x(z):
+        calls.append(1)
+        return problem.grad_x(z)
+
+    counted = dataclasses.replace(problem, grad_x=grad_x)
+    calls.clear()  # ProblemSpec checks z_star with one evaluation
+    return counted, calls
+
+
+def test_certify_validates_before_sampling():
+    problem, calls = _counting(dataclasses.replace(_quadratic(1), name="boxless", sample_box=None))
+    with pytest.raises(ValueError, match=r"'boxless' has no sample_box"):
+        certify_problem(problem, 1, n_samples=200, seed=0)
+    assert not calls
+    problem, calls = _counting(_quadratic(3))
+    with pytest.raises(ValueError, match=r"d <= 5, got d = 6"):
+        certify_problem(problem, 1, n_samples=200, seed=0)
+    assert not calls
+

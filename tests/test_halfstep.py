@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hoeg import (
+    ConvergenceError,
+    SolverConfig,
     TaylorModel,
     builtin,
     eval_operator,
     phi,
+    run,
     solve_half_step_p1,
     solve_half_step_p2,
 )
@@ -83,3 +90,114 @@ class TestOrder2:
         res = solve_half_step_p2(F, J, 2.0, np.zeros(2))
         model = TaylorModel(2, np.zeros(2), F, J, lipschitz=2.0)
         assert np.linalg.norm(phi(model, res.z_half)) <= 1e-10
+
+    def test_failures_are_typed_and_carry_the_residual(self, monkeypatch):
+        F, J = np.array([1.0, 0.0]), np.eye(2)
+        with pytest.raises(ConvergenceError) as no_convergence:
+            solve_half_step_p2(F, J, 1.0, np.zeros(2), max_iter=1)
+        assert 1e-10 < no_convergence.value.residual < np.inf
+
+        with pytest.raises(ConvergenceError, match="not finite"):
+            solve_half_step_p2(np.array([np.nan, 1.0]), J, 1.0, np.zeros(2))
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConvergenceError, match="60 doublings") as no_bracket:
+            solve_half_step_p2(F, J, 1.0, np.zeros(2))
+        assert no_bracket.value.residual == np.inf
+
+    @pytest.mark.parametrize("F, J, pole", [
+        ((2.0, 0.0), ((0.0, 0.0), (1e-6, -2.0)), 2.0),
+        ((1.0, 1.7e-12), ((0.0, 1.0), (0.0, -1.0)), 1.0),
+    ])
+    def test_steep_root_between_adjacent_radii(self, F, J, pole):
+        # J has eigenvalue -pole = -L2 * hi0 (up to 1e-12), and its weak coupling
+        # puts the bracket's root within 1e-6 of that pole, where g jumps by
+        # 2e-9 to 1e-4 between adjacent doubles; the chord between them solves the model
+        F, J = np.array(F), np.array(J)
+        res = solve_half_step_p2(F, J, 1.0, np.zeros(2))
+        assert pole < res.displacement_norm < pole + 1e-6
+        d = res.z_half
+        assert np.linalg.norm(F + J @ d + np.linalg.norm(d) * d) <= 1e-10
+
+    def test_solve_count_on_modified_forsaken(self):
+        # the Newton radius search needs a handful of solves where bisection needed ~41
+        config = SolverConfig(2, 50000.0, 300, np.array([0.5, -0.5]))
+        log = run(builtin("modified_forsaken"), config)
+        assert len(log.records) == 301
+        assert np.mean([rec.subproblem_iters for rec in log.records]) <= 8
+
+
+# Random order-2 models for the radius-root properties: J with arbitrary
+# (often indefinite) symmetric part, and J = B B^T + skew with PSD symmetric part.
+# Subnormal entries carry too few digits for a 1e-10 relative radius.
+_coord = st.floats(-2.0, 2.0, allow_subnormal=False)
+_entry = st.floats(-3.0, 3.0, allow_subnormal=False)
+_fields = st.tuples(_coord, _coord).map(np.array)
+_matrices = st.tuples(_entry, _entry, _entry, _entry).map(lambda v: np.reshape(v, (2, 2)))
+_monotone = st.tuples(_matrices, _entry).map(
+    lambda m: m[0] @ m[0].T + m[1] * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+_lipschitz = st.floats(-0.5, 1.5).map(lambda e: 10.0**e)
+_property = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _norm(v):
+    # np.linalg.norm squares the entries and returns 0 below ~1e-154
+    return math.hypot(*v)
+
+
+def _gap(F, J, L2, r):
+    """||d(r)|| - r, with a singular shift counting as a positive gap."""
+    try:
+        return _norm(np.linalg.solve(J + L2 * r * np.eye(2), -F)) - r
+    except np.linalg.LinAlgError:
+        return np.inf
+
+
+def _first_doubling_bracket(F, J, L2):
+    lo, hi = 0.0, _norm(F) / L2 + 1e-12
+    while _gap(F, J, L2, hi) > 0:
+        lo, hi = hi, 2.0 * hi
+    return lo, hi
+
+
+class TestOrder2RadiusRoot:
+    @_property
+    @given(_fields, _matrices, _lipschitz)
+    def test_certificate_and_radius_gap(self, F, J, L2):
+        assume(np.any(F != 0.0))
+        res = solve_half_step_p2(F, J, L2, np.zeros(2), tol=1e-10)
+        d = res.z_half
+        norm_d = _norm(d)
+        assert norm_d == res.displacement_norm
+        residual = _norm(F + J @ d + L2 * norm_d * d)
+        assert residual == res.residual_norm <= 1e-10 * max(1.0, _norm(F))
+        # the radius r with (J + L2 r I) d = -F, recovered up to its rounding error
+        radius = -float((d / norm_d) @ (F + J @ d)) / (L2 * norm_d)
+        rounding = 64 * np.finfo(float).eps * (
+            _norm(F) + (np.linalg.norm(J) + L2 * norm_d) * norm_d) / (L2 * norm_d)
+        assert abs(norm_d - radius) <= 1e-10 * radius + rounding
+
+    @_property
+    @given(_fields, _matrices, _lipschitz)
+    def test_root_lies_in_first_doubling_bracket(self, F, J, L2):
+        assume(np.any(F != 0.0))
+        lo, hi = _first_doubling_bracket(F, J, L2)
+        r = solve_half_step_p2(F, J, L2, np.zeros(2)).displacement_norm
+        assert lo * (1 - 2e-10) <= r <= hi * (1 + 2e-10)
+
+    @_property
+    @given(_fields, _monotone, _lipschitz)
+    def test_monotone_root_matches_bisection_oracle(self, F, J, L2):
+        assume(np.any(F != 0.0))
+        # sym(J) PSD: ||d(r)|| <= ||F|| / (L2 r), so the unique root is below sqrt(||F|| / L2)
+        lo, hi = 0.0, np.sqrt(_norm(F) / L2)
+        while hi - lo > 1e-15 * hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if _gap(F, J, L2, mid) > 0 else (lo, mid)
+        r = solve_half_step_p2(F, J, L2, np.zeros(2)).displacement_norm
+        assert r == pytest.approx(0.5 * (lo + hi), rel=1e-9)
