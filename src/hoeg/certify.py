@@ -337,12 +337,13 @@ def check_half_step_norm_bound(log: TrajectoryLog, p: int, Lp: float,
 
 
 def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, p: int, q: float,
-                               Lp: float, L1: float, n_samples: int = 10000, seed: int = 0,
-                               mode: Optional[OperatorMode] = None) -> dict:
+                               Lp: float, L1: float, rho_hat_q: float) -> dict:
     """Certify the decoupled-exponent condition against a finished run.
 
-    The trajectory constant is D = max_k L1 ||z_half - z*||; the threshold is
-    read as (15/16) * D^((p+1)/p - q) * (p!/Lp)^((p+1)/p).  The grouping of
+    ``rho_hat_q`` is the sampled exponent-q constant (``CertReport.rho_hat_q``
+    or ``estimate_q_rho``).  The trajectory constant is
+    D = max_k L1 ||z_half - z*||; the threshold is read as
+    (15/16) * D^((p+1)/p - q) * (p!/Lp)^((p+1)/p).  The grouping of
     the D factors is ambiguous in its source; this reading matches the
     constant used by the balanced case and is flagged in the report.
     """
@@ -350,15 +351,14 @@ def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, p: int,
         raise ValueError("need a stationary point for the decoupled certificate")
     z_star = problem.z_star
     D = max(L1 * float(np.linalg.norm(rec.z_half - z_star)) for rec in log.records)
-    rho_q = estimate_q_rho(problem, z_star, q, n_samples, seed, mode)
     exponent = (p + 1) / p
     threshold = (15.0 / 16.0) * D ** (exponent - q) * (math.factorial(p) / Lp) ** exponent
     return {
         "D": D,
         "q": q,
-        "rho_hat_q": rho_q,
+        "rho_hat_q": rho_hat_q,
         "threshold": threshold,
-        "ok": bool(rho_q <= threshold),
+        "ok": bool(rho_hat_q <= threshold),
         "threshold_reading": "(15/16) * D**((p+1)/p - q) * (p!/Lp)**((p+1)/p)",
         "note": "threshold grouping is one of several readings of the stated condition",
     }

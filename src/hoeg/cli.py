@@ -1,6 +1,7 @@
 """Command-line front end: run solvers, reproduce figures, certify assumptions.
 
-Exit codes: 0 success, 1 numeric/solver failure, 2 usage error, 3 verdict
+Exit codes: 0 success, 1 numeric/solver failure (``run`` and ``simulate``
+still write their outputs up to the failure), 2 usage error, 3 verdict
 failure, 4 I/O failure.  The environment variable HOEG_SEED overrides any
 configured seed.
 """
@@ -21,7 +22,7 @@ from .dynamics import ContinuousConfig, simulate
 from .errors import ConvergenceError, NumericError
 from .problems import OperatorMode, builtin, problem_names
 from .recipes import RECIPES, min_opnorm_svg, run_recipe
-from .solver import SolverConfig, TrajectoryLog, run
+from .solver import TERM_NUMERIC, TERM_SUBPROBLEM, SolverConfig, TrajectoryLog, run
 from .svgplot import trajectory_plot_svg
 
 EXIT_OK = 0
@@ -133,6 +134,14 @@ def _run_summary(config: RunConfig, log: TrajectoryLog) -> dict:
     }
 
 
+def _summarised_run(problem, config: RunConfig) -> TrajectoryLog:
+    """The run behind ``rate`` and ``certify --q``, whose outputs mean nothing if it diverged."""
+    log = run(problem, config.solver_config(problem))
+    if log.termination == TERM_NUMERIC:
+        raise NumericError(f"the run diverged after {len(log.records)} iterates")
+    return log
+
+
 def _write_run_svg(path: str, log: TrajectoryLog) -> None:
     if log.records[0].z.size == 2:
         base, ext = os.path.splitext(path)
@@ -169,7 +178,7 @@ def _cmd_run(args) -> int:
         with open(config.outputs["json_summary"], "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2)
     print(json.dumps(summary, indent=2))
-    return EXIT_SOLVER if log.termination == "subproblem_failure" else EXIT_OK
+    return EXIT_SOLVER if log.termination in (TERM_SUBPROBLEM, TERM_NUMERIC) else EXIT_OK
 
 
 def _cmd_reproduce(args) -> int:
@@ -185,9 +194,6 @@ def _cmd_simulate(args) -> int:
         z0=np.array(args.z0), resolvent_tol=args.tol, norm_floor=args.floor,
     )
     log = simulate(problem, config)
-    if log.failed_at is not None:
-        print(f"error: resolvent failed at t={log.failed_at}", file=sys.stderr)
-        return EXIT_SOLVER
     if args.csv:
         d = log.z.shape[1]
         header = (["t"] + [f"z_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)]
@@ -201,7 +207,11 @@ def _cmd_simulate(args) -> int:
         "final_opnorm": float(log.op_norm[-1]),
         "integral": float(log.running_integral[-1]),
         "samples": len(log.t),
+        "failed_at": log.failed_at,
     }, indent=2))
+    if log.failed_at is not None:
+        print(f"error: resolvent failed at t={log.failed_at}", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -219,12 +229,11 @@ def _cmd_certify(args) -> int:
                                K=args.K, z0=tuple(args.z0), seed=seed,
                                mode="standard" if args.alpha is None else "competitive",
                                alpha=args.alpha or 0.0)
-        log = run(problem, run_config.solver_config(problem))
+        log = _summarised_run(problem, run_config)
         L1 = problem.published_constants.get(1, report.L_hat.get(1))
         payload["decoupled"] = cert.decoupled_threshold_report(
             problem, log, args.p, args.q,
-            run_config.resolved_lipschitz(problem), L1,
-            n_samples=args.samples, seed=seed, mode=mode,
+            run_config.resolved_lipschitz(problem), L1, report.rho_hat_q,
         )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -237,7 +246,7 @@ def _cmd_rate(args) -> int:
     problem = builtin(args.problem)
     config = RunConfig(problem=args.problem, p=args.p, Lp=args.Lp, K=args.K,
                        z0=tuple(args.z0), mode=args.mode, alpha=args.alpha)
-    log = run(problem, config.solver_config(problem))
+    log = _summarised_run(problem, config)
     print(json.dumps({"problem": args.problem, "p": args.p, "K": args.K,
                       "slope": cert.fit_rate(log)}, indent=2))
     return EXIT_OK

@@ -7,7 +7,8 @@ The trajectory follows the differential-algebraic system
 with the normalized field G_p(z) = F(z) / ||F(z)||^(1-1/p).  Eliminating s
 gives the explicit ODE v' = R(v) - v, where R is the resolvent of G_p; that
 form is integrated with fixed-step classical Runge-Kutta so logs are exactly
-reproducible.
+reproducible.  R is computed by Newton's method on the Jacobian of G_p with
+Armijo step halving; a resolvent that fails ends the log at ``failed_at``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .problems import ProblemSpec, central_difference, eval_operator
+from .errors import ConvergenceError, NumericError
+from .problems import ProblemSpec, eval_jacobian, eval_operator
 
 
 @dataclass(frozen=True)
@@ -79,53 +80,51 @@ def normalized_field(F_z, p: int, norm_floor: float = 1e-12) -> np.ndarray:
     return F_z / max(norm, norm_floor) ** (1.0 - 1.0 / p)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow at a far trial point fails the step test
 def resolvent_solve(v, problem: ProblemSpec, p: int, tol: float = 1e-10,
                     norm_floor: float = 1e-12, z_init=None) -> np.ndarray:
-    """Solve z + G_p(z) = v by damped Newton with a differenced Jacobian.
+    """Solve z + G_p(z) = v by Newton's method from v, or from a warm start.
 
-    Starts from v unless a warm start is supplied; falls back to a damped
-    fixed point when a Newton step cannot be formed or stalls.
+    The Newton matrix is I + (J - a F (F^T J) / n^2) / n^a with J from
+    ``eval_jacobian``, a = 1 - 1/p and n = max(||F||, norm_floor); below the
+    floor the F F^T term drops.  A step is halved until h = z + G_p(z) - v
+    meets ||h(z + t dz)|| <= (1 - 1e-4 t) ||h(z)||.  A singular Newton matrix,
+    a step rejected down to t = 2^-29, or 500 steps raise ``ConvergenceError``
+    with the residual reached; a non-finite F raises ``NumericError``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     v = np.asarray(v, dtype=float)
     z = v.copy() if z_init is None else np.asarray(z_init, dtype=float).copy()
     scale = tol * max(1.0, float(np.linalg.norm(v)))
-
-    def field(zz):
-        return normalized_field(eval_operator(problem, zz), p, norm_floor)
-
-    def residual(zz):
-        return zz + field(zz) - v
-
-    best_norm = np.inf
-    h = residual(z)
+    F = eval_operator(problem, z)
+    h = z + normalized_field(F, p, norm_floor) - v
+    r = float(np.linalg.norm(h))
     for _ in range(500):
-        r = float(np.linalg.norm(h))
-        best_norm = min(best_norm, r)
         if r <= scale:
             return z
-        jac = central_difference(residual, z, 1e-6)
+        norm = float(np.linalg.norm(F))
+        jac = eval_jacobian(problem, z)
+        if p > 1 and norm > norm_floor:
+            jac = jac - (1.0 - 1.0 / p) * np.outer(F, F @ jac) / norm**2
         try:
-            dz = np.linalg.solve(jac, -h)
+            dz = np.linalg.solve(np.eye(z.size) + jac / max(norm, norm_floor) ** (1 - 1 / p), -h)
         except np.linalg.LinAlgError:
-            z = 0.5 * z + 0.5 * (v - field(z))
-            h = residual(z)
-            continue
-        stepped = False
+            raise ConvergenceError(f"singular resolvent Newton matrix (residual {r:.3e})",
+                                   residual=r) from None
         t = 1.0
         for _ in range(30):
             z_try = z + t * dz
-            h_try = residual(z_try)
-            if float(np.linalg.norm(h_try)) < r:
-                z, h = z_try, h_try
-                stepped = True
+            F_try = eval_operator(problem, z_try)
+            h_try = z_try + normalized_field(F_try, p, norm_floor) - v
+            r_try = float(np.linalg.norm(h_try))
+            if r_try <= (1.0 - 1e-4 * t) * r:
                 break
             t *= 0.5
-        if not stepped:
-            z = 0.5 * z + 0.5 * (v - field(z))
-            h = residual(z)
-    raise ConvergenceError(f"resolvent stalled (best residual {best_norm:.3e})", residual=best_norm)
+        else:
+            raise ConvergenceError(f"resolvent step rejected (residual {r:.3e})", residual=r)
+        z, F, h, r = z_try, F_try, h_try, r_try
+    raise ConvergenceError(f"resolvent stalled after 500 steps (residual {r:.3e})", residual=r)
 
 
 def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
@@ -164,7 +163,7 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
             k4 = z4 - v4
             v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             z = solve(v, z4)
-        except ConvergenceError:
+        except (ConvergenceError, NumericError):
             failed_at = i * dt
             break
         ts.append(i * dt)

@@ -100,14 +100,14 @@ def eval_operator(problem: ProblemSpec, z) -> Vector:
     return out
 
 
-def central_difference(fn: Callable[[Vector], Vector], z: Vector, h: float = FD_STEP) -> np.ndarray:
-    """Jacobian of fn at z by central differences with step h in each coordinate."""
+def central_difference(fn: Callable[[Vector], Vector], z: Vector) -> np.ndarray:
+    """Jacobian of fn at z by central differences with step FD_STEP in each coordinate."""
     d = z.size
     jac = np.empty((d, d))
     for j in range(d):
         step = np.zeros(d)
-        step[j] = h
-        jac[:, j] = (fn(z + step) - fn(z - step)) / (2 * h)
+        step[j] = FD_STEP
+        jac[:, j] = (fn(z + step) - fn(z - step)) / (2 * FD_STEP)
     return jac
 
 

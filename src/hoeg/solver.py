@@ -24,6 +24,7 @@ TERM_BUDGET = "budget_exhausted"
 TERM_EPSILON = "epsilon_reached"
 TERM_STATIONARY = "exact_stationary"
 TERM_SUBPROBLEM = "subproblem_failure"
+TERM_NUMERIC = "numeric_failure"
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,14 @@ def select_output(records: List[IterateRecord]) -> Tuple[np.ndarray, int]:
     return records[idx].z_half, idx
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as NumericError
 def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
-    """Run the iteration for k = 0..K and return the full trajectory."""
+    """Run the iteration for k = 0..K and return the full trajectory.
+
+    A ``ConvergenceError`` or ``NumericError`` after the first record ends the
+    run with termination ``subproblem_failure`` or ``numeric_failure`` and
+    keeps the records reached; before it, the error propagates.
+    """
     operator, jacobian = resolve_operator(problem, config.operator_mode)
     p = config.order_p
     L = config.lipschitz
@@ -95,23 +102,23 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     termination = TERM_BUDGET
 
     for k in range(config.max_iterations + 1):
-        if not np.all(np.isfinite(z)):
-            raise NumericError(f"non-finite iterate at k={k}")
-        F_k = operator(z)
         try:
+            if not np.all(np.isfinite(z)):
+                raise NumericError(f"non-finite iterate at k={k}")
+            F_k = operator(z)
             if p == 1:
                 half = solve_half_step_p1(F_k, L, z)
             else:
                 half = solve_half_step_p2(
                     F_k, jacobian(z), L, z, config.subproblem_tol, config.subproblem_max_iter
                 )
-        except ConvergenceError:
+            F_half = operator(half.z_half)
+        except (ConvergenceError, NumericError) as exc:
             if not records:
                 raise
-            termination = TERM_SUBPROBLEM
+            termination = TERM_SUBPROBLEM if isinstance(exc, ConvergenceError) else TERM_NUMERIC
             break
         r = half.displacement_norm
-        F_half = operator(half.z_half)
         op_norm = float(np.linalg.norm(F_half))
         # step size 0.5 * r^(1-p); r = 0 means z is an exact stationary point,
         # where lambda is 0.5 for p=1 and conventionally 0 otherwise (its

@@ -221,7 +221,8 @@ def test_certify_report_roundtrip():
 def test_decoupled_report_fields():
     p = builtin("modified_forsaken")
     log = standard_run("modified_forsaken", 1, 20.0, (0.5, -0.5), 500)
-    report = decoupled_threshold_report(p, log, 1, 2.0, 20.0, 20.0, n_samples=2000, seed=1)
+    rho_q = estimate_q_rho(p, p.z_star, 2.0, 2000, seed=1)
+    report = decoupled_threshold_report(p, log, 1, 2.0, 20.0, 20.0, rho_q)
     assert report["D"] > 0
     assert report["rho_hat_q"] > 0
     assert isinstance(report["ok"], bool)

@@ -4,7 +4,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from hoeg import certify as cert
 from hoeg.cli import RunConfig, main
 
 RUN = [sys.executable, "-m", "hoeg.cli"]
@@ -112,6 +114,55 @@ def test_simulate_csv_opnorm_non_increasing(tmp_path):
     assert lines[0] == "t,z_0,z_1,v_0,v_1,opnorm,energy,integral"
     opnorm = [float(line.split(",")[5]) for line in lines[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(opnorm, opnorm[1:]))
+
+
+def test_simulate_keeps_csv_on_resolvent_failure(tmp_path):
+    csv = tmp_path / "flow.csv"
+    proc = invoke(["simulate", "--problem", "modified_forsaken", "--p", "1", "--t-end", "5",
+                   "--dt", "0.01", "--z0=-1,-1", "--csv", str(csv)])
+    assert proc.returncode == 1
+    assert "resolvent failed" in proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["failed_at"] == pytest.approx(1.9)
+    lines = csv.read_text().strip().splitlines()
+    assert lines[0] == "t,z_0,z_1,v_0,v_1,opnorm,energy,integral"
+    assert len(lines) == 1 + 190 == 1 + summary["samples"]
+
+
+def test_run_keeps_csv_on_numeric_failure(tmp_path):
+    csv = tmp_path / "run.csv"
+    proc = invoke(["run", "--problem", "modified_forsaken", "--p", "1", "--Lp", "0.05",
+                   "--K", "2000", "--csv", str(csv)])
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["termination"] == "numeric_failure"
+    lines = csv.read_text().strip().splitlines()
+    assert len(lines) == 1 + summary["records"] > 1
+
+
+def test_rate_of_a_diverged_run_is_a_solver_failure():
+    proc = invoke(["rate", "--problem", "modified_forsaken", "--p", "1", "--Lp", "0.05",
+                   "--K", "2000"])
+    assert proc.returncode == 1
+    assert "diverged" in proc.stderr
+
+
+def test_certify_q_scans_each_exponent_once(monkeypatch, capsys):
+    scans = []
+    rho_scan = cert._rho_scan
+
+    def counted(*args, **kwargs):
+        scans.append(args[2])
+        return rho_scan(*args, **kwargs)
+
+    monkeypatch.setattr(cert, "_rho_scan", counted)
+    monkeypatch.delenv("HOEG_SEED", raising=False)
+    assert main(["certify", "--problem", "modified_forsaken", "--p", "1", "--q", "2",
+                 "--samples", "500", "--K", "50"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(scans) == 2
+    assert report["decoupled"]["rho_hat_q"] == report["rho_hat_q"]
 
 
 def test_certify_monotone_problem(tmp_path):

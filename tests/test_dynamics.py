@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoeg import (
     ContinuousConfig,
     ContinuousLog,
+    ConvergenceError,
+    NumericError,
     ProblemSpec,
     builtin,
     check_energy_bound,
@@ -22,6 +26,16 @@ def zero_field_problem():
         name="zero", d_x=1, d_y=1, f=lambda z: 0.0,
         grad_x=lambda z: np.zeros(1), grad_y=lambda z: np.zeros(1),
         z_star=np.zeros(2), sample_box=np.array([[-1, 1], [-1, 1]]),
+    )
+
+
+def linear_problem(A, analytic=True):
+    """F(z) = A z on R^2, with its Jacobian A or, when not analytic, none."""
+    A = np.array(A, dtype=float)
+    return ProblemSpec(
+        name="linear", d_x=1, d_y=1, f=lambda z: 0.0,
+        grad_x=lambda z: (A @ z)[:1], grad_y=lambda z: -(A @ z)[1:],
+        operator_jacobian=(lambda z: A) if analytic else None,
     )
 
 
@@ -63,6 +77,65 @@ class TestResolvent:
             res = np.linalg.norm(z + normalized_field(eval_operator(p, z), 1) - v)
             assert res <= 1e-10 * max(1.0, np.linalg.norm(v))
 
+    def test_singular_newton_matrix_is_a_typed_failure(self):
+        # F = -z makes I + J the zero matrix
+        with pytest.raises(ConvergenceError, match="singular") as singular:
+            resolvent_solve([3.0, 4.0], linear_problem(-np.eye(2)), 1)
+        assert singular.value.residual == 5.0
+
+    def test_overflowing_trial_point_is_a_typed_failure(self):
+        # I + J is 1e-10 in its first entry, so the first trial lands where F overflows
+        problem = ProblemSpec(
+            name="steep", d_x=1, d_y=1, f=lambda z: 0.0,
+            grad_x=lambda z: np.array([-(1 - 1e-10) * z[0] + z[0] ** 101]),
+            grad_y=lambda z: -z[1:],
+        )
+        with pytest.raises(NumericError):
+            resolvent_solve([0.5, 0.0], problem, 1)
+
+
+# Random linear fields F = A z: A with arbitrary (often indefinite) symmetric
+# part, and A = B B^T + skew with PSD symmetric part.
+_entry = st.floats(-3.0, 3.0, allow_subnormal=False)
+_matrices = st.tuples(_entry, _entry, _entry, _entry).map(lambda a: np.reshape(a, (2, 2)))
+_monotone = st.tuples(_matrices, _entry).map(
+    lambda m: m[0] @ m[0].T + m[1] * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+_points = st.tuples(*[st.floats(-10.0, 10.0, allow_subnormal=False)] * 2).map(np.array)
+_property = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestResolventProperties:
+    @_property
+    @given(_monotone, _points)
+    def test_order1_monotone_matches_linear_solve(self, A, v):
+        z = resolvent_solve(v, linear_problem(A), 1)
+        exact = np.linalg.solve(np.eye(2) + A, v)
+        # ||(I + A)^-1|| <= 1, so the error is at most the residual tolerance
+        assert np.linalg.norm(z - exact) <= 1e-9 * max(1.0, np.linalg.norm(v))
+
+    @_property
+    @given(st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+           st.floats(0.0, 2 * np.pi), st.floats(-3.0, 1.0).map(lambda e: 10.0**e))
+    def test_order2_scaled_identity_matches_closed_form(self, c, angle, size):
+        # z + sqrt(c) z / sqrt(||z||) = v gives z = s v / ||v|| with
+        # sqrt(s) = (sqrt(c + 4 ||v||) - sqrt(c)) / 2, written without cancellation
+        v = size * np.array([np.cos(angle), np.sin(angle)])
+        s = (2 * size / (np.sqrt(c + 4 * size) + np.sqrt(c))) ** 2
+        z = resolvent_solve(v, linear_problem(c * np.eye(2)), 2)
+        assert np.linalg.norm(z - s * v / size) <= 1e-9 * max(1.0, size)
+
+    @_property
+    @given(_matrices, _points, st.sampled_from([1, 2]), st.booleans())
+    def test_returned_point_meets_the_tolerance(self, A, v, p, analytic):
+        problem = linear_problem(A, analytic)
+        try:
+            z = resolvent_solve(v, problem, p, tol=1e-10)
+        except ConvergenceError as exc:
+            assert np.isfinite(exc.residual)
+            return
+        residual = z + normalized_field(eval_operator(problem, z), p) - v
+        assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(v))
+
 
 class TestSimulate:
     def test_identity_field_matches_closed_form(self):
@@ -94,6 +167,12 @@ class TestSimulate:
         assert log.energy[0] == 0.0
         assert np.all(np.diff(log.running_integral) >= 0.0)
         assert np.all(np.diff(log.t) > 0)
+
+    def test_order2_comonotone_runs_to_the_end(self):
+        log = simulate(builtin("comonotone_toy"),
+                       ContinuousConfig(order_p=2, t_end=10.0, dt=1e-2, z0=np.array([1.0, 1.0])))
+        assert log.failed_at is None
+        assert len(log.t) == 1001
 
     def test_step_halving_is_fourth_order(self):
         p = builtin("comonotone_toy")

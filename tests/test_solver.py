@@ -3,6 +3,7 @@ import pytest
 
 from hoeg import (
     IterateRecord,
+    NumericError,
     OperatorMode,
     SolverConfig,
     builtin,
@@ -136,6 +137,15 @@ class TestCycling:
         log = run(builtin("quadratic_monotone"), config(K=5))
         with pytest.raises(ValueError):
             detect_cycling(log, window=1, threshold=1e-3)
+
+
+def test_divergence_keeps_the_trajectory():
+    # L far below the problem's L_1 = 20 makes the iterates overflow
+    log = run(builtin("modified_forsaken"), config(p=1, L=0.05, K=2000, z0=(0.5, -0.5)))
+    assert log.termination == "numeric_failure"
+    assert log.records and all(np.all(np.isfinite(rec.z)) for rec in log.records)
+    with pytest.raises(NumericError):
+        run(builtin("modified_forsaken"), config(z0=(np.inf, 0.0)))
 
 
 def test_config_validation():
