@@ -107,11 +107,11 @@ def _write_csv(path: str, header, rows) -> None:
 def _write_run_csv(path: str, log: TrajectoryLog) -> None:
     d = log.records[0].z.size
     header = (["k"] + [f"z_{i}" for i in range(d)] + [f"zhalf_{i}" for i in range(d)]
-              + ["lambda", "r", "opnorm", "residual"])
+              + ["lambda", "r", "opnorm", "residual", "subproblem_iters"])
     _write_csv(path, header, (
         [str(rec.k)] + [_fmt(v) for v in rec.z] + [_fmt(v) for v in rec.z_half]
         + [_fmt(rec.lambda_k), _fmt(rec.displacement_norm),
-           _fmt(rec.op_norm_half), _fmt(rec.subproblem_residual)]
+           _fmt(rec.op_norm_half), _fmt(rec.subproblem_residual), str(rec.subproblem_iters)]
         for rec in log.records))
 
 

@@ -9,10 +9,21 @@ gives the explicit ODE v' = R(v) - v, where R is the resolvent of G_p; that
 form is integrated with fixed-step classical Runge-Kutta so logs are exactly
 reproducible.  R is computed by Newton's method on the Jacobian of G_p with
 Armijo step halving; a resolvent that fails ends the log at ``failed_at``.
+
+Every resolvent solve after the first is an Euler-predictor /
+Newton-corrector step along the solution path z(v) = R(v) (Allgower & Georg,
+*Numerical Continuation Methods*, ch. 2).  Its tangent is
+dz/dv = (I + dG_p(z))^-1, the inverse P of the Newton matrix, so a solve at v
+starts from z' + P (v - v'), where (v', z') is the previous solve and P comes
+from the latest Newton step of any solve.  Newton then corrects from there
+under the same stop rule, so every logged point still meets it.  On a linear
+field at p = 1 the predictor is exact: the first solve takes the only
+Jacobian, and z carries rounding error only, not the stop rule's 1e-10.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,44 +91,87 @@ def normalized_field(F_z, p: int, norm_floor: float = 1e-12) -> np.ndarray:
     return F_z / max(norm, norm_floor) ** (1.0 - 1.0 / p)
 
 
+@dataclass
+class _Path:
+    """What ``simulate`` carries between resolvent calls for the tangent predictor.
+
+    ``v`` and ``z`` are the input and output of the last resolvent call, and
+    ``P`` is the inverse Newton matrix of the latest Newton step of any call.
+    """
+
+    v: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
+    P: Optional[np.ndarray] = None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow at a far trial point fails the step test
 def resolvent_solve(v, problem: ProblemSpec, p: int, tol: float = 1e-10,
-                    norm_floor: float = 1e-12, z_init=None) -> np.ndarray:
+                    norm_floor: float = 1e-12, z_init=None, *, path: Optional[_Path] = None) -> np.ndarray:
     """Solve z + G_p(z) = v by Newton's method from v, or from a warm start.
 
-    The Newton matrix is I + (J - a F (F^T J) / n^2) / n^a with J from
+    The Newton matrix is M = I + (J - a F (F^T J) / n^2) / n^a with J from
     ``eval_jacobian``, a = 1 - 1/p and n = max(||F||, norm_floor); below the
-    floor the F F^T term drops.  A step is halved until h = z + G_p(z) - v
-    meets ||h(z + t dz)|| <= (1 - 1e-4 t) ||h(z)||.  A singular Newton matrix,
-    a step rejected down to t = 2^-29, or 500 steps raise ``ConvergenceError``
-    with the residual reached; a non-finite F raises ``NumericError``.
+    floor the F F^T term drops.  Each step forms P = M^-1 and takes
+    dz = -P h, halved until h = z + G_p(z) - v meets
+    ||h(z + t dz)|| <= (1 - 1e-4 t) ||h(z)||.  The call returns as soon as
+    ||h|| <= tol * max(1, ||v||), which may be at the start.
+
+    ``path`` is the caller's record of the solution path z(v) = R(v).  Once
+    it holds a previous solve (v', z') and a P, the solve starts from the
+    tangent (Euler) predictor z' + P (v - v'), since dz/dv = M^-1; if F is
+    not finite there it starts from ``z_init`` instead.  The call stores its
+    v, its z and the P of its last Newton step back into ``path``.
+
+    A singular Newton matrix, a step rejected down to t = 2^-29, or 500 steps
+    raise ``ConvergenceError`` with the residual reached; a non-finite F
+    raises ``NumericError``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     v = np.asarray(v, dtype=float)
-    z = v.copy() if z_init is None else np.asarray(z_init, dtype=float).copy()
-    scale = tol * max(1.0, float(np.linalg.norm(v)))
-    F = eval_operator(problem, z)
-    h = z + normalized_field(F, p, norm_floor) - v
-    r = float(np.linalg.norm(h))
+    scale = tol * max(1.0, math.sqrt(v @ v))
+    a = 1.0 - 1.0 / p
+
+    def residual(z, F):
+        # h = z + G_p(z) - v and ||h||; G_1 is F itself
+        h = z + F - v if p == 1 else z + normalized_field(F, p, norm_floor) - v
+        return h, math.sqrt(h @ h)
+
+    F = None
+    if path is not None and path.P is not None and path.z is not None:
+        z = path.z + path.P @ (v - path.v)
+        try:
+            F = eval_operator(problem, z)
+        except NumericError:
+            pass  # F is not finite at the predicted start: start from z_init
+    if F is None:
+        z = v.copy() if z_init is None else np.asarray(z_init, dtype=float).copy()
+        F = eval_operator(problem, z)
+    h, r = residual(z, F)
     for _ in range(500):
         if r <= scale:
+            if path is not None:
+                path.v, path.z = v, z
             return z
-        norm = float(np.linalg.norm(F))
         jac = eval_jacobian(problem, z)
-        if p > 1 and norm > norm_floor:
-            jac = jac - (1.0 - 1.0 / p) * np.outer(F, F @ jac) / norm**2
+        if p > 1:
+            norm = math.sqrt(F @ F)
+            if norm > norm_floor:
+                jac = jac - a * np.outer(F, F @ jac) / norm**2
+            jac = jac / max(norm, norm_floor) ** a
         try:
-            dz = np.linalg.solve(np.eye(z.size) + jac / max(norm, norm_floor) ** (1 - 1 / p), -h)
+            P = np.linalg.inv(np.eye(z.size) + jac)
         except np.linalg.LinAlgError:
             raise ConvergenceError(f"singular resolvent Newton matrix (residual {r:.3e})",
                                    residual=r) from None
+        if path is not None:
+            path.P = P
+        dz = -(P @ h)
         t = 1.0
         for _ in range(30):
             z_try = z + t * dz
             F_try = eval_operator(problem, z_try)
-            h_try = z_try + normalized_field(F_try, p, norm_floor) - v
-            r_try = float(np.linalg.norm(h_try))
+            h_try, r_try = residual(z_try, F_try)
             if r_try <= (1.0 - 1e-4 * t) * r:
                 break
             t *= 0.5
@@ -134,9 +188,14 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     tol = config.resolvent_tol
     floor = config.norm_floor
     n_steps = int(round(config.t_end / dt))
+    path = _Path()
 
     def solve(vv, warm):
-        return resolvent_solve(vv, problem, p, tol, floor, z_init=warm)
+        return resolvent_solve(vv, problem, p, tol, floor, z_init=warm, path=path)
+
+    def op_norm(z):
+        F = eval_operator(problem, z)
+        return math.sqrt(F @ F)
 
     v = config.z0.copy()
     ts, zs, vs, norms, integ = [], [], [], [], []
@@ -146,7 +205,7 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     ts.append(0.0)
     zs.append(z.copy())
     vs.append(v.copy())
-    norms.append(float(np.linalg.norm(eval_operator(problem, z))))
+    norms.append(op_norm(z))
     integ.append(0.0)
 
     for i in range(1, n_steps + 1):
@@ -169,7 +228,7 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
         ts.append(i * dt)
         zs.append(z.copy())
         vs.append(v.copy())
-        f = float(np.linalg.norm(eval_operator(problem, z)))
+        f = op_norm(z)
         integ.append(integ[-1] + 0.5 * dt * (norms[-1] ** (2.0 / p) + f ** (2.0 / p)))
         norms.append(f)
 

@@ -55,8 +55,8 @@ def solve_half_step_p1(F_k, L1: float, z_k) -> HalfStepResult:
     F_k = np.asarray(F_k, dtype=float)
     z_k = np.asarray(z_k, dtype=float)
     d = -F_k / (2.0 * L1)
-    residual = float(np.linalg.norm(F_k + 2.0 * L1 * d))
-    return HalfStepResult(z_k + d, float(np.linalg.norm(d)), residual, 0)
+    g = F_k + 2.0 * L1 * d
+    return HalfStepResult(z_k + d, math.sqrt(d @ d), math.sqrt(g @ g), 0)
 
 
 def solve_half_step_p2(F_k, J_k, L2: float, z_k, tol: float = 1e-10, max_iter: int = 200) -> HalfStepResult:

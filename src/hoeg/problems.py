@@ -95,7 +95,7 @@ def eval_operator(problem: ProblemSpec, z) -> Vector:
     """Evaluate F(z) = (grad_x f(z), -grad_y f(z))."""
     z = _coords(problem, z)
     out = np.concatenate([problem.grad_x(z), -problem.grad_y(z)])
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
     return out
 
@@ -118,7 +118,7 @@ def eval_jacobian(problem: ProblemSpec, z) -> np.ndarray:
         jac = np.asarray(problem.operator_jacobian(z), dtype=float)
     else:
         jac = central_difference(lambda zz: eval_operator(problem, zz), z)
-    if not np.all(np.isfinite(jac)):
+    if not np.isfinite(jac).all():
         raise NumericError(f"non-finite Jacobian for {problem.name!r} at {z}")
     return jac
 

@@ -103,7 +103,7 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
 
     for k in range(config.max_iterations + 1):
         try:
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise NumericError(f"non-finite iterate at k={k}")
             F_k = operator(z)
             if p == 1:
@@ -119,7 +119,7 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
             termination = TERM_SUBPROBLEM if isinstance(exc, ConvergenceError) else TERM_NUMERIC
             break
         r = half.displacement_norm
-        op_norm = float(np.linalg.norm(F_half))
+        op_norm = math.sqrt(F_half @ F_half)
         # step size 0.5 * r^(1-p); r = 0 means z is an exact stationary point,
         # where lambda is 0.5 for p=1 and conventionally 0 otherwise (its
         # limit contribution vanishes)

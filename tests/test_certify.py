@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoeg import (
     DegenerateSampleError,
@@ -22,7 +24,7 @@ from hoeg import (
     fit_rate,
     run,
 )
-from hoeg.certify import POTENTIAL_COEF, decoupled_threshold_report, sample_points
+from hoeg.certify import POTENTIAL_COEF, decoupled_threshold_report, sample_pairs, sample_points
 from hoeg.solver import IterateRecord, TrajectoryLog
 
 
@@ -277,3 +279,26 @@ def test_certify_validates_before_sampling():
         certify_problem(problem, 1, n_samples=200, seed=0)
     assert not calls
 
+
+_property = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestHaltonPrefixStability:
+    """The first m samples of a draw of n > m equal the m-sample draw with the same seed."""
+
+    BOX = np.array([[-2.0, 2.0], [-1.0, 3.0]])
+
+    @_property
+    @given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 10**6), st.booleans())
+    def test_sample_points(self, m, extra, seed, with_ball):
+        z_star = np.array([0.3, 1.1]) if with_ball else None
+        short = sample_points(self.BOX, m, seed, z_star)
+        long = sample_points(self.BOX, m + extra, seed, z_star)
+        assert np.array_equal(long[:m], short)
+
+    @_property
+    @given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 10**6))
+    def test_sample_pairs(self, m, extra, seed):
+        a_short, b_short = sample_pairs(self.BOX, m, seed)
+        a_long, b_long = sample_pairs(self.BOX, m + extra, seed)
+        assert np.array_equal(a_long[:m], a_short) and np.array_equal(b_long[:m], b_short)

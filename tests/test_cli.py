@@ -35,8 +35,15 @@ def test_run_writes_csv_with_one_row_per_iterate(tmp_path):
                    "--K", "100", "--z0", "1,0", "--csv", str(csv)])
     assert proc.returncode == 0
     lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "k,z_0,z_1,zhalf_0,zhalf_1,lambda,r,opnorm,residual"
+    assert lines[0] == "k,z_0,z_1,zhalf_0,zhalf_1,lambda,r,opnorm,residual,subproblem_iters"
     assert len(lines) == 102  # header + K+1 records
+    # the closed-form order-1 half-step makes no linear solve
+    assert {line.split(",")[-1] for line in lines[1:]} == {"0"}
+    proc = invoke(["run", "--problem", "modified_forsaken", "--p", "2", "--K", "20",
+                   "--z0", "0.5,-0.5", "--csv", str(csv)])
+    assert proc.returncode == 0
+    iters = [int(line.split(",")[-1]) for line in csv.read_text().strip().splitlines()[1:]]
+    assert len(iters) == 21 and all(n >= 1 for n in iters)
 
 
 def test_csv_values_roundtrip_doubles(tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoeg import (
     CapabilityError,
@@ -77,6 +81,21 @@ def test_zero_sets_coincide():
             fa_norm = np.linalg.norm(eval_f_alpha(p, z, 10.0))
             if f_norm > 1e-6:
                 assert fa_norm > 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["forsaken", "modified_forsaken", "x2y", "bilinear", "comonotone_toy"]),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 100.0))
+def test_competitive_norm_is_within_the_block_matrix_bounds(name, x, y, alpha):
+    # M = I + skew gives ||M u|| >= ||u||, so ||F_alpha|| <= ||F|| <= ||M|| ||F_alpha||:
+    # F and F_alpha vanish together.  hypot keeps the norms of tiny fields from underflowing.
+    p = builtin(name)
+    z = np.array([x, y])
+    M, F = competitive_system(p, z, alpha)
+    f_norm = math.hypot(*F)
+    fa_norm = math.hypot(*eval_f_alpha(p, z, alpha))
+    assert fa_norm <= f_norm * (1 + 1e-12)
+    assert f_norm <= np.linalg.norm(M, 2) * fa_norm * (1 + 1e-12)
 
 
 class TestStationaryEquivalence:

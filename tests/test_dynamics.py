@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hoeg import (
     resolvent_solve,
     simulate,
 )
+from hoeg.dynamics import _Path
 
 GAMMA = -0.2
 COMONO_RHO = -2 * GAMMA / (GAMMA**2 + 1)  # weak-MVI constant of the toy linear field
@@ -183,6 +186,61 @@ class TestSimulate:
         change1 = np.linalg.norm(ends[1] - ends[0])
         change2 = np.linalg.norm(ends[2] - ends[1])
         assert change2 <= change1 / 10.0
+
+
+@pytest.fixture(scope="module")
+def counted_toy_flow():
+    """The order-1 comonotone_toy flow to t = 50 at dt = 1e-3, with its Jacobians counted."""
+    toy = builtin("comonotone_toy")
+    jacobians = []
+
+    def jacobian(z):
+        jacobians.append(1)
+        return toy.operator_jacobian(z)
+
+    counted = dataclasses.replace(toy, operator_jacobian=jacobian)
+    log = simulate(counted, ContinuousConfig(order_p=1, t_end=50.0, dt=1e-3, z0=np.array([1.0, 1.0])))
+    return log, len(jacobians)
+
+
+class TestTangentPredictor:
+    def test_linear_flow_matches_closed_form(self, counted_toy_flow):
+        # F = A z, so z(t) = exp(-t (I+A)^-1 A) (I+A)^-1 z0 and op_norm = ||A z(t)||
+        log, _ = counted_toy_flow
+        A = np.array([[GAMMA, 1.0], [-1.0, GAMMA]])
+        I = np.eye(2)
+        w, V = np.linalg.eig(np.linalg.solve(I + A, A))
+        z_start = np.linalg.solve(I + A, np.array([1.0, 1.0]))
+        for t in (40.0, 50.0):
+            z_t = (V @ np.diag(np.exp(-t * w)) @ np.linalg.inv(V)).real @ z_start
+            exact = np.linalg.norm(A @ z_t)
+            logged = log.op_norm[int(round(t / log.dt))]
+            assert abs(logged - exact) <= 1e-3 * exact
+
+    def test_linear_flow_takes_almost_no_jacobians(self, counted_toy_flow):
+        # the first solve's Newton matrix is exact for the whole run; the
+        # stop rule alone took one Jacobian per resolvent call, 78 842 in all
+        log, jacobians = counted_toy_flow
+        assert log.failed_at is None and len(log.t) == 50001
+        assert jacobians <= 10
+
+    def test_non_finite_predicted_start_falls_back_to_the_warm_start(self):
+        # F = z inside the disc of radius 2 and not finite outside it.  A
+        # stale P = 100 I predicts z' + 100 (v - v') = (20.5, 0), outside the disc.
+        problem = ProblemSpec(
+            name="disc", d_x=1, d_y=1, f=lambda z: 0.0,
+            grad_x=lambda z: z[:1] if z @ z <= 4.0 else np.array([np.inf]),
+            grad_y=lambda z: -z[1:],
+            operator_jacobian=lambda z: np.eye(2),
+        )
+        path = _Path(v=np.array([1.0, 0.0]), z=np.array([0.5, 0.0]), P=100.0 * np.eye(2))
+        v = np.array([1.2, 0.0])
+        z = resolvent_solve(v, problem, 1, z_init=path.z, path=path)
+        assert np.linalg.norm(z - v / 2.0) <= 1e-10
+        assert path.z is z and np.array_equal(path.v, v)
+        assert np.array_equal(path.P, 0.5 * np.eye(2))
+        with pytest.raises(NumericError):
+            resolvent_solve(v, problem, 1, z_init=np.array([20.5, 0.0]))
 
 
 class TestEnergyBound:
