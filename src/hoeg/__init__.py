@@ -18,7 +18,7 @@ from .certify import (
     estimate_weak_mvi_rho,
     fit_rate,
 )
-from .competitive import eval_f_alpha, f_alpha_jacobian, stationary_equivalence_check
+from .competitive import eval_f_alpha, f_alpha_jacobian
 from .dynamics import (
     ContinuousConfig,
     ContinuousLog,
@@ -94,7 +94,6 @@ __all__ = [
     "simulate",
     "solve_half_step_p1",
     "solve_half_step_p2",
-    "stationary_equivalence_check",
     "tau",
     "taylor_model",
 ]

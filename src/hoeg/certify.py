@@ -210,7 +210,6 @@ class CertReport:
     threshold_Lp: float
     samples_used: int
     worst_violator: Optional[np.ndarray]
-    rate_slope: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
@@ -225,13 +224,12 @@ class CertReport:
             "threshold_Lp": self.threshold_Lp,
             "samples_used": self.samples_used,
             "worst_violator": None if self.worst_violator is None else list(self.worst_violator),
-            "rate_slope": self.rate_slope,
         }
 
 
 def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
                     mode: Optional[OperatorMode] = None, n_samples: int = 10000,
-                    seed: int = 0, rate_slope: Optional[float] = None) -> CertReport:
+                    seed: int = 0) -> CertReport:
     """Estimate the assumption constants of a problem and check the rho threshold."""
     if problem.z_star is None:
         raise ValueError(f"{problem.name!r} has no known stationary point to certify against")
@@ -259,7 +257,6 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
         threshold_Lp=float(Lp),
         samples_used=scan_p.samples_used,
         worst_violator=scan_p.worst_violator,
-        rate_slope=rate_slope,
     )
 
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 numeric/solver failure (``run`` and ``simulate``
 still write their outputs up to the failure), 2 usage error, 3 verdict
-failure, 4 I/O failure.  The environment variable HOEG_SEED overrides any
-configured seed.
+failure, 4 I/O failure.  ``--alpha A`` selects the competitive operator
+F_alpha on every subcommand that takes it.  ``--seed`` selects the sample
+stream of ``certify``, and the environment variable HOEG_SEED overrides it.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ class RunConfig:
     Lp: Optional[float] = None
     K: int = 1000
     z0: tuple = (0.5, -0.5)
-    mode: str = "standard"
-    alpha: float = 0.0
+    alpha: Optional[float] = None  # None runs F, a value runs F_alpha
     outputs: dict = field(default_factory=dict)  # csv / svg / json_summary paths
-    seed: int = 0
 
     def resolved_lipschitz(self, problem) -> float:
         if self.Lp is not None:
@@ -68,7 +67,7 @@ class RunConfig:
         return float(published)
 
     def solver_config(self, problem) -> SolverConfig:
-        mode = (OperatorMode.standard() if self.mode == "standard"
+        mode = (OperatorMode.standard() if self.alpha is None
                 else OperatorMode.competitive(self.alpha))
         return SolverConfig(
             order_p=self.p,
@@ -81,8 +80,7 @@ class RunConfig:
     def to_json(self) -> str:
         payload = {
             "problem": self.problem, "p": self.p, "Lp": self.Lp, "K": self.K,
-            "z0": list(self.z0), "mode": self.mode, "alpha": self.alpha,
-            "outputs": self.outputs, "seed": self.seed,
+            "z0": list(self.z0), "alpha": self.alpha, "outputs": self.outputs,
         }
         return json.dumps(payload, indent=2)
 
@@ -124,7 +122,6 @@ def _run_summary(config: RunConfig, log: TrajectoryLog) -> dict:
         "problem": config.problem,
         "p": config.p,
         "K": config.K,
-        "seed": config.seed,
         "z_out": [float(v) for v in log.z_out],
         "out_index": log.out_index,
         "termination": log.termination,
@@ -160,13 +157,11 @@ def _cmd_run(args) -> int:
             return EXIT_USAGE
         config = RunConfig(
             problem=args.problem, p=args.p, Lp=args.Lp, K=args.K,
-            z0=tuple(args.z0), mode=args.mode, alpha=args.alpha, seed=args.seed,
+            z0=tuple(args.z0), alpha=args.alpha,
             outputs={k: v for k, v in
                      (("csv", args.csv), ("svg", args.svg), ("json_summary", args.json))
                      if v},
         )
-    if "HOEG_SEED" in os.environ:
-        config.seed = int(os.environ["HOEG_SEED"])
     problem = builtin(config.problem)
     log = run(problem, config.solver_config(problem))
     summary = _run_summary(config, log)
@@ -189,10 +184,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_simulate(args) -> int:
     problem = builtin(args.problem)
-    config = ContinuousConfig(
-        order_p=args.p, t_end=args.t_end, dt=args.dt,
-        z0=np.array(args.z0), resolvent_tol=args.tol, norm_floor=args.floor,
-    )
+    config = ContinuousConfig(order_p=args.p, t_end=args.t_end, dt=args.dt, z0=np.array(args.z0))
     log = simulate(problem, config)
     if args.csv:
         d = log.z.shape[1]
@@ -226,9 +218,7 @@ def _cmd_certify(args) -> int:
     payload = report.to_dict()
     if args.q is not None:
         run_config = RunConfig(problem=args.problem, p=args.p, Lp=args.Lp,
-                               K=args.K, z0=tuple(args.z0), seed=seed,
-                               mode="standard" if args.alpha is None else "competitive",
-                               alpha=args.alpha or 0.0)
+                               K=args.K, z0=tuple(args.z0), alpha=args.alpha)
         log = _summarised_run(problem, run_config)
         L1 = problem.published_constants.get(1, report.L_hat.get(1))
         payload["decoupled"] = cert.decoupled_threshold_report(
@@ -245,7 +235,7 @@ def _cmd_certify(args) -> int:
 def _cmd_rate(args) -> int:
     problem = builtin(args.problem)
     config = RunConfig(problem=args.problem, p=args.p, Lp=args.Lp, K=args.K,
-                       z0=tuple(args.z0), mode=args.mode, alpha=args.alpha)
+                       z0=tuple(args.z0), alpha=args.alpha)
     log = _summarised_run(problem, config)
     print(json.dumps({"problem": args.problem, "p": args.p, "K": args.K,
                       "slope": cert.fit_rate(log)}, indent=2))
@@ -272,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--Lp", type=float, default=None)
     run_p.add_argument("--K", type=int, default=1000)
     run_p.add_argument("--z0", type=_parse_vector, default=np.array([0.5, -0.5]))
-    run_p.add_argument("--mode", choices=("standard", "competitive"), default="standard")
-    run_p.add_argument("--alpha", type=float, default=0.0)
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--alpha", type=float, default=None)
     run_p.add_argument("--csv")
     run_p.add_argument("--json")
     run_p.add_argument("--svg")
@@ -291,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t-end", type=float, required=True)
     sim.add_argument("--dt", type=float, required=True)
     sim.add_argument("--z0", type=_parse_vector, default=np.array([1.0, 1.0]))
-    sim.add_argument("--tol", type=float, default=1e-10)
-    sim.add_argument("--floor", type=float, default=1e-12)
     sim.add_argument("--csv")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -316,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--Lp", type=float, default=None)
     rate.add_argument("--K", type=int, default=2000)
     rate.add_argument("--z0", type=_parse_vector, default=np.array([1.0, 0.0]))
-    rate.add_argument("--mode", choices=("standard", "competitive"), default="standard")
-    rate.add_argument("--alpha", type=float, default=0.0)
+    rate.add_argument("--alpha", type=float, default=None)
     rate.set_defaults(func=_cmd_rate)
 
     lst = sub.add_parser("list", help="list built-in problems")

@@ -61,16 +61,3 @@ def resolve_operator(problem: ProblemSpec,
         lambda z: f_alpha_jacobian(problem, z, alpha),
     )
 
-
-def stationary_equivalence_check(problem: ProblemSpec, z, alpha: float, tol: float) -> bool:
-    """True when z is classified the same way by F and by F_alpha.
-
-    The competitive solve can shrink or stretch the field by at most the
-    condition number of the block matrix, so the F_alpha test uses the
-    tolerance scaled by that bound.
-    """
-    M, g = competitive_system(problem, z, alpha)
-    kappa = float(np.linalg.cond(M))
-    zero_f = float(np.linalg.norm(g)) <= tol
-    zero_fa = float(np.linalg.norm(np.linalg.solve(M, g))) <= tol * kappa
-    return zero_f == zero_fa

@@ -30,27 +30,30 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, NumericError
+from .halfstep import vector_norm
 from .problems import ProblemSpec, eval_jacobian, eval_operator
+
+RESOLVENT_TOL = 1e-10  # a resolvent solve stops at ||h|| <= RESOLVENT_TOL * max(1, ||v||)
+NORM_FLOOR = 1e-12     # G_p divides by max(||F||, NORM_FLOOR)^(1-1/p)
 
 
 @dataclass(frozen=True)
 class ContinuousConfig:
+    """A flow of order p from z0 over [0, t_end] in RK4 steps of dt.
+
+    Every resolvent solve uses the fixed ``RESOLVENT_TOL`` and ``NORM_FLOOR``.
+    """
+
     order_p: int
     t_end: float
     dt: float
     z0: np.ndarray
-    resolvent_tol: float = 1e-10
-    norm_floor: float = 1e-12
 
     def __post_init__(self):
         if self.order_p not in (1, 2):
             raise ValueError("order_p must be 1 or 2")
         if not (self.t_end > 0 and 0 < self.dt <= self.t_end):
             raise ValueError("need 0 < dt <= t_end")
-        if not self.resolvent_tol > 0:
-            raise ValueError("resolvent_tol must be positive")
-        if self.norm_floor < 0:
-            raise ValueError("norm_floor must be >= 0")
         object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))
 
 
@@ -80,15 +83,15 @@ class EnergyReport:
     slack: float
 
 
-def normalized_field(F_z, p: int, norm_floor: float = 1e-12) -> np.ndarray:
-    """F / max(||F||, floor)^(1-1/p); order 1 returns the field unchanged."""
+def normalized_field(F_z, p: int) -> np.ndarray:
+    """F / max(||F||, NORM_FLOOR)^(1-1/p); order 1 returns the field unchanged."""
     if p < 1:
         raise ValueError("order must be >= 1")
     F_z = np.asarray(F_z, dtype=float)
     if p == 1:
         return F_z
     norm = float(np.linalg.norm(F_z))
-    return F_z / max(norm, norm_floor) ** (1.0 - 1.0 / p)
+    return F_z / max(norm, NORM_FLOOR) ** (1.0 - 1.0 / p)
 
 
 @dataclass
@@ -105,36 +108,34 @@ class _Path:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow at a far trial point fails the step test
-def resolvent_solve(v, problem: ProblemSpec, p: int, tol: float = 1e-10,
-                    norm_floor: float = 1e-12, z_init=None, *, path: Optional[_Path] = None) -> np.ndarray:
-    """Solve z + G_p(z) = v by Newton's method from v, or from a warm start.
+def resolvent_solve(v, problem: ProblemSpec, p: int, *, path: Optional[_Path] = None) -> np.ndarray:
+    """Solve z + G_p(z) = v by Newton's method from v, or from the caller's path.
 
     The Newton matrix is M = I + (J - a F (F^T J) / n^2) / n^a with J from
-    ``eval_jacobian``, a = 1 - 1/p and n = max(||F||, norm_floor); below the
+    ``eval_jacobian``, a = 1 - 1/p and n = max(||F||, NORM_FLOOR); below the
     floor the F F^T term drops.  Each step forms P = M^-1 and takes
     dz = -P h, halved until h = z + G_p(z) - v meets
     ||h(z + t dz)|| <= (1 - 1e-4 t) ||h(z)||.  The call returns as soon as
-    ||h|| <= tol * max(1, ||v||), which may be at the start.
+    ||h|| <= RESOLVENT_TOL * max(1, ||v||), which may be at the start.
 
     ``path`` is the caller's record of the solution path z(v) = R(v).  Once
     it holds a previous solve (v', z') and a P, the solve starts from the
-    tangent (Euler) predictor z' + P (v - v'), since dz/dv = M^-1; if F is
-    not finite there it starts from ``z_init`` instead.  The call stores its
-    v, its z and the P of its last Newton step back into ``path``.
+    tangent (Euler) predictor z' + P (v - v'), since dz/dv = M^-1.  Without
+    a P, or if F is not finite at the predicted start, it starts from z', and
+    with no path or no z' from v.  The call stores its v, its z and the P of
+    its last Newton step back into ``path``.
 
     A singular Newton matrix, a step rejected down to t = 2^-29, or 500 steps
     raise ``ConvergenceError`` with the residual reached; a non-finite F
     raises ``NumericError``.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     v = np.asarray(v, dtype=float)
-    scale = tol * max(1.0, math.sqrt(v @ v))
+    scale = RESOLVENT_TOL * max(1.0, math.sqrt(v @ v))
     a = 1.0 - 1.0 / p
 
     def residual(z, F):
         # h = z + G_p(z) - v and ||h||; G_1 is F itself
-        h = z + F - v if p == 1 else z + normalized_field(F, p, norm_floor) - v
+        h = z + F - v if p == 1 else z + normalized_field(F, p) - v
         return h, math.sqrt(h @ h)
 
     F = None
@@ -143,9 +144,9 @@ def resolvent_solve(v, problem: ProblemSpec, p: int, tol: float = 1e-10,
         try:
             F = eval_operator(problem, z)
         except NumericError:
-            pass  # F is not finite at the predicted start: start from z_init
+            pass  # F is not finite at the predicted start: start from z'
     if F is None:
-        z = v.copy() if z_init is None else np.asarray(z_init, dtype=float).copy()
+        z = v.copy() if path is None or path.z is None else path.z.copy()
         F = eval_operator(problem, z)
     h, r = residual(z, F)
     for _ in range(500):
@@ -156,9 +157,9 @@ def resolvent_solve(v, problem: ProblemSpec, p: int, tol: float = 1e-10,
         jac = eval_jacobian(problem, z)
         if p > 1:
             norm = math.sqrt(F @ F)
-            if norm > norm_floor:
+            if norm > NORM_FLOOR:
                 jac = jac - a * np.outer(F, F @ jac) / norm**2
-            jac = jac / max(norm, norm_floor) ** a
+            jac = jac / max(norm, NORM_FLOOR) ** a
         try:
             P = np.linalg.inv(np.eye(z.size) + jac)
         except np.linalg.LinAlgError:
@@ -182,25 +183,26 @@ def resolvent_solve(v, problem: ProblemSpec, p: int, tol: float = 1e-10,
 
 
 def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
-    """Integrate the flow and log every step; v(0) = z0, so s(0) = 0."""
+    """Integrate the flow and log every step; v(0) = z0, so s(0) = 0.
+
+    Every resolvent solve starts from the previous one through one shared
+    ``_Path``; the first starts from z0.
+    """
     p = config.order_p
     dt = config.dt
-    tol = config.resolvent_tol
-    floor = config.norm_floor
     n_steps = int(round(config.t_end / dt))
     path = _Path()
 
-    def solve(vv, warm):
-        return resolvent_solve(vv, problem, p, tol, floor, z_init=warm, path=path)
+    def solve(vv):
+        return resolvent_solve(vv, problem, p, path=path)
 
     def op_norm(z):
-        F = eval_operator(problem, z)
-        return math.sqrt(F @ F)
+        return vector_norm(eval_operator(problem, z))
 
     v = config.z0.copy()
     ts, zs, vs, norms, integ = [], [], [], [], []
     failed_at = None
-    z = solve(v, None)  # a failure here has nothing integrated yet, so it propagates
+    z = solve(v)  # a failure here has nothing integrated yet, so it propagates
 
     ts.append(0.0)
     zs.append(z.copy())
@@ -212,16 +214,16 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
         try:
             k1 = z - v
             v2 = v + 0.5 * dt * k1
-            z2 = solve(v2, z)
+            z2 = solve(v2)
             k2 = z2 - v2
             v3 = v + 0.5 * dt * k2
-            z3 = solve(v3, z2)
+            z3 = solve(v3)
             k3 = z3 - v3
             v4 = v + dt * k3
-            z4 = solve(v4, z3)
+            z4 = solve(v4)
             k4 = z4 - v4
             v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            z = solve(v, z4)
+            z = solve(v)
         except (ConvergenceError, NumericError):
             failed_at = i * dt
             break

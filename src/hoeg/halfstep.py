@@ -19,6 +19,7 @@ may hold several roots and any one of them may be returned.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,12 @@ GAP_RTOL = 1e-10     # accepted radii satisfy | ||d|| - r | <= GAP_RTOL * r
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm that stays positive for entries below 1e-154, whose squares underflow."""
     return math.hypot(*v)
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """sqrt(v @ v), or ``_norm`` once the sum of squares falls below the smallest normal double."""
+    sq = v @ v
+    return math.sqrt(sq) if sq >= sys.float_info.min else _norm(v)
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ def solve_half_step_p1(F_k, L1: float, z_k) -> HalfStepResult:
     z_k = np.asarray(z_k, dtype=float)
     d = -F_k / (2.0 * L1)
     g = F_k + 2.0 * L1 * d
-    return HalfStepResult(z_k + d, math.sqrt(d @ d), math.sqrt(g @ g), 0)
+    return HalfStepResult(z_k + d, vector_norm(d), vector_norm(g), 0)
 
 
 def solve_half_step_p2(F_k, J_k, L2: float, z_k, tol: float = 1e-10, max_iter: int = 200) -> HalfStepResult:

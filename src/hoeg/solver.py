@@ -17,7 +17,7 @@ import numpy as np
 
 from .competitive import resolve_operator
 from .errors import ConvergenceError, NumericError
-from .halfstep import solve_half_step_p1, solve_half_step_p2
+from .halfstep import solve_half_step_p1, solve_half_step_p2, vector_norm
 from .problems import OperatorMode, ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
@@ -34,8 +34,6 @@ class SolverConfig:
     max_iterations: int
     z0: np.ndarray
     operator_mode: OperatorMode = field(default_factory=OperatorMode.standard)
-    subproblem_tol: float = 1e-10
-    subproblem_max_iter: int = 200
     stop_norm: float = 0.0
 
     def __post_init__(self):
@@ -45,8 +43,8 @@ class SolverConfig:
             raise ValueError("lipschitz must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.subproblem_tol > 0 and self.stop_norm >= 0):
-            raise ValueError("tolerances must be positive (stop_norm may be 0 to disable)")
+        if not self.stop_norm >= 0:
+            raise ValueError("stop_norm must be >= 0 (0 disables it)")
         object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))
 
 
@@ -109,9 +107,7 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
             if p == 1:
                 half = solve_half_step_p1(F_k, L, z)
             else:
-                half = solve_half_step_p2(
-                    F_k, jacobian(z), L, z, config.subproblem_tol, config.subproblem_max_iter
-                )
+                half = solve_half_step_p2(F_k, jacobian(z), L, z)
             F_half = operator(half.z_half)
         except (ConvergenceError, NumericError) as exc:
             if not records:
@@ -119,7 +115,7 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
             termination = TERM_SUBPROBLEM if isinstance(exc, ConvergenceError) else TERM_NUMERIC
             break
         r = half.displacement_norm
-        op_norm = math.sqrt(F_half @ F_half)
+        op_norm = vector_norm(F_half)
         # step size 0.5 * r^(1-p); r = 0 means z is an exact stationary point,
         # where lambda is 0.5 for p=1 and conventionally 0 otherwise (its
         # limit contribution vanishes)

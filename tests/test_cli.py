@@ -70,8 +70,7 @@ def test_run_json_summary_endpoint(tmp_path):
 
 
 def test_config_file_roundtrip_is_bit_identical(tmp_path):
-    config = RunConfig(problem="forsaken", p=1, Lp=20.0, K=300, z0=(-1.0, -1.0),
-                       mode="competitive", alpha=10.0, seed=3)
+    config = RunConfig(problem="forsaken", p=1, Lp=20.0, K=300, z0=(-1.0, -1.0), alpha=10.0)
     path = tmp_path / "config.json"
     path.write_text(config.to_json())
     reloaded = RunConfig.from_json(path.read_text())
@@ -88,11 +87,46 @@ def test_config_file_roundtrip_is_bit_identical(tmp_path):
     assert csv_a.read_bytes() == csv_b.read_bytes()
 
 
-def test_env_seed_override(tmp_path):
-    out = tmp_path / "s.json"
-    invoke(["run", "--problem", "bilinear", "--Lp", "1", "--K", "25", "--z0", "1,0",
-            "--seed", "5", "--json", str(out)], env_extra={"HOEG_SEED": "99"})
-    assert json.loads(out.read_text())["seed"] == 99
+def test_alpha_selects_the_competitive_operator(tmp_path):
+    run = ["run", "--problem", "forsaken", "--p", "1", "--Lp", "20", "--K", "300", "--z0=-1,-1"]
+    csv_flag, csv_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    competitive = invoke(run + ["--alpha", "10", "--csv", str(csv_flag)])
+    standard = invoke(run)
+    assert competitive.returncode == standard.returncode == 0
+    config = RunConfig(problem="forsaken", p=1, Lp=20.0, K=300, z0=(-1.0, -1.0), alpha=10.0,
+                       outputs={"csv": str(csv_config)})
+    (tmp_path / "config.json").write_text(config.to_json())
+    assert invoke(["run", "--config", str(tmp_path / "config.json")]).returncode == 0
+    assert csv_flag.read_bytes() == csv_config.read_bytes()
+    assert json.loads(competitive.stdout)["z_out"] != json.loads(standard.stdout)["z_out"]
+
+
+def test_hoeg_seed_overrides_the_certify_seed():
+    certify = ["certify", "--problem", "quadratic_monotone", "--p", "1", "--samples", "500"]
+    overridden = invoke(certify + ["--seed", "5"], env_extra={"HOEG_SEED": "7"})
+    seeded = invoke(certify + ["--seed", "7"])
+    other = invoke(certify + ["--seed", "5"])
+    assert overridden.returncode == seeded.returncode == other.returncode == 0
+    assert overridden.stdout == seeded.stdout != other.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--problem", "forsaken", "--Lp", "20", "--K", "10", "--mode", "competitive"],
+    ["run", "--problem", "forsaken", "--Lp", "20", "--K", "10", "--seed", "3"],
+    ["simulate", "--problem", "comonotone_toy", "--t-end", "1", "--dt", "0.1", "--tol", "1e-8"],
+])
+def test_removed_options_are_usage_errors(args):
+    assert invoke(args).returncode == 2
+
+
+@pytest.mark.parametrize("removed", [{"mode": "competitive"}, {"seed": 3}])
+def test_removed_config_fields_are_usage_errors(tmp_path, removed):
+    payload = {"problem": "forsaken", "Lp": 20.0, "K": 10, "alpha": 10.0, **removed}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    proc = invoke(["run", "--config", str(path)])
+    assert proc.returncode == 2
+    assert f"unknown config fields: {list(removed)}" in proc.stderr
 
 
 def test_unknown_problem_is_usage_error():

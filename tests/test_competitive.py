@@ -12,7 +12,6 @@ from hoeg import (
     eval_f_alpha,
     eval_operator,
     f_alpha_jacobian,
-    stationary_equivalence_check,
 )
 from hoeg.competitive import competitive_system
 
@@ -96,18 +95,6 @@ def test_competitive_norm_is_within_the_block_matrix_bounds(name, x, y, alpha):
     fa_norm = math.hypot(*eval_f_alpha(p, z, alpha))
     assert fa_norm <= f_norm * (1 + 1e-12)
     assert f_norm <= np.linalg.norm(M, 2) * fa_norm * (1 + 1e-12)
-
-
-class TestStationaryEquivalence:
-    def test_forsaken_stationary_point(self):
-        p = builtin("forsaken")
-        assert stationary_equivalence_check(p, p.z_star, 10.0, 1e-6)
-
-    def test_x2y_axis_point(self):
-        assert stationary_equivalence_check(builtin("x2y"), [0.0, 2.0], 7.0, 1e-8)
-
-    def test_bilinear_nonstationary_point(self):
-        assert stationary_equivalence_check(builtin("bilinear"), [1.0, 1.0], 1.0, 1e-8)
 
 
 def test_differenced_jacobian_tracks_alpha_zero_limit():

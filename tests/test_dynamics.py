@@ -76,7 +76,7 @@ class TestResolvent:
         rng = np.random.default_rng(2)
         for _ in range(20):
             v = rng.uniform(-2, 2, 2)
-            z = resolvent_solve(v, p, 1, tol=1e-10)
+            z = resolvent_solve(v, p, 1)
             res = np.linalg.norm(z + normalized_field(eval_operator(p, z), 1) - v)
             assert res <= 1e-10 * max(1.0, np.linalg.norm(v))
 
@@ -132,7 +132,7 @@ class TestResolventProperties:
     def test_returned_point_meets_the_tolerance(self, A, v, p, analytic):
         problem = linear_problem(A, analytic)
         try:
-            z = resolvent_solve(v, problem, p, tol=1e-10)
+            z = resolvent_solve(v, problem, p)
         except ConvergenceError as exc:
             assert np.isfinite(exc.residual)
             return
@@ -152,6 +152,12 @@ class TestSimulate:
         log = simulate(zero_field_problem(),
                        ContinuousConfig(order_p=1, t_end=1.0, dt=0.01, z0=np.array([0.4, 0.6])))
         assert np.allclose(log.z, [0.4, 0.6], atol=1e-12)
+
+    def test_tiny_field_keeps_a_positive_norm(self):
+        # ||F|| = 1e-170 squares to an underflow
+        log = simulate(builtin("quadratic_monotone"),
+                       ContinuousConfig(order_p=1, t_end=0.1, dt=0.01, z0=np.array([1e-170, 0.0])))
+        assert np.all(log.op_norm > 0.0)
 
     def test_comonotone_norm_is_non_increasing(self):
         log = simulate(builtin("comonotone_toy"),
@@ -235,12 +241,12 @@ class TestTangentPredictor:
         )
         path = _Path(v=np.array([1.0, 0.0]), z=np.array([0.5, 0.0]), P=100.0 * np.eye(2))
         v = np.array([1.2, 0.0])
-        z = resolvent_solve(v, problem, 1, z_init=path.z, path=path)
+        z = resolvent_solve(v, problem, 1, path=path)
         assert np.linalg.norm(z - v / 2.0) <= 1e-10
         assert path.z is z and np.array_equal(path.v, v)
         assert np.array_equal(path.P, 0.5 * np.eye(2))
         with pytest.raises(NumericError):
-            resolvent_solve(v, problem, 1, z_init=np.array([20.5, 0.0]))
+            resolvent_solve(v, problem, 1, path=_Path(z=np.array([20.5, 0.0])))
 
 
 class TestEnergyBound:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,17 @@ def test_stationary_start_terminates_immediately():
         assert len(log.records) == 1
         assert np.array_equal(log.z_out, [0.0, 2.0])
         assert log.records[0].lambda_k == (0.5 if p == 1 else 0.0)
+
+
+def test_tiny_fields_keep_their_norms():
+    # squared norms below the smallest normal double lose digits or underflow
+    # to 0; at p = 1 the bilinear start then looked exactly stationary
+    for name, p, z0 in (("bilinear", 1, (1e-170, 0.0)), ("x2y", 2, (1e-80, 1e-80))):
+        problem = builtin(name)
+        log = run(problem, config(p=p, L=1.0, K=50, z0=z0))
+        assert log.termination == "budget_exhausted"
+        first = log.records[0]
+        assert first.op_norm_half == math.hypot(*eval_operator(problem, first.z_half)) > 0.0
 
 
 def test_modified_forsaken_reaches_stationary_point():
