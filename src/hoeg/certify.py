@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .competitive import resolve_operator
-from .errors import DegenerateSampleError
-from .problems import OperatorMode, ProblemSpec, eval_operator
+from .competitive import block_matrix, check_competitive, resolve_operator
+from .errors import CapabilityError, DegenerateSampleError
+from .problems import OperatorMode, ProblemSpec, eval_jacobian, eval_operator
 from .solver import TrajectoryLog
-from .taylor import taylor_model, tau
+from .taylor import SUPPORTED_ORDERS
 
 # Largest coefficient c such that, for every run of the iteration,
 #   sum_k lambda_k (p!/L_p) <F(z_half), z_half - z*>
@@ -121,6 +121,51 @@ def sample_pairs(box: np.ndarray, n: int, seed: int):
     return a, b
 
 
+def _per_point(fn, points: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """fn at each row of ``points``, one point at a time, into a preallocated array.
+
+    This is the only per-point loop of the estimators; everything after it is
+    array arithmetic over the rows.  Each value must have exactly ``shape``.
+    """
+    out = np.empty((len(points),) + shape)
+    for i, z in enumerate(points):
+        value = fn(z)
+        if np.shape(value) != shape:
+            raise ValueError(f"{what} has shape {np.shape(value)}")
+        out[i] = value
+    return out
+
+
+def _operator_rows(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
+    return _per_point(lambda z: eval_operator(problem, z), points, (problem.d,),
+                      f"operator of {problem.name!r}")
+
+
+def _field_rows(problem: ProblemSpec, points: np.ndarray,
+                mode: Optional[OperatorMode]) -> np.ndarray:
+    """F, or F_alpha in competitive mode, at each row of ``points``.
+
+    F_alpha is one solve on the (n, d, d) stack of block matrices; LAPACK
+    factors each matrix as it would alone, so every row equals eval_f_alpha.
+    """
+    if mode is None or mode.kind == "standard":
+        return _operator_rows(problem, points)
+    alpha = check_competitive(problem, mode.alpha)
+    B = _per_point(problem.mixed_hessian, points, (problem.d_x, problem.d_y),
+                   f"mixed Hessian of {problem.name!r}")
+    F = _operator_rows(problem, points)
+    return np.linalg.solve(block_matrix(B, alpha), F[..., None])[..., 0]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-identical to np.linalg.norm of that row.
+
+    np.linalg.norm takes a BLAS dot of the vector with itself; the batched
+    matmul makes the same dot call per row, where summing squares would not.
+    """
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 @dataclass(frozen=True)
 class RhoScan:
     value: float
@@ -131,22 +176,18 @@ class RhoScan:
 def _rho_scan(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
               mode: Optional[OperatorMode] = None) -> RhoScan:
     z_star = np.asarray(z_star, dtype=float)
-    operator = resolve_operator(problem, mode)[0]
-    best, best_z, used = -np.inf, None, 0
-    for z in sample_points(_sample_box(problem), n_samples, seed, z_star):
-        F = operator(z)
-        norm = float(np.linalg.norm(F))
-        if norm < SKIP_NORM:
-            continue
-        used += 1
-        # elementwise product + sum keeps exact cancellation for skew fields
-        inner = float(np.sum(F * (z - z_star)))
-        ratio = -2.0 * inner / norm**q
-        if ratio > best:
-            best, best_z = ratio, z
-    if used == 0:
+    points = sample_points(_sample_box(problem), n_samples, seed, z_star)
+    F = _field_rows(problem, points, mode)
+    norms = _row_norms(F)
+    used = np.flatnonzero(norms >= SKIP_NORM)
+    if len(used) == 0:
         raise DegenerateSampleError("every sample fell inside the zero-norm skip region")
-    return RhoScan(best, best_z, used)
+    # elementwise product + sum keeps exact cancellation for skew fields
+    inner = np.sum(F[used] * (points[used] - z_star), axis=1)
+    # np.float_power calls the C pow, as a float ** does; np.power may not
+    ratio = -2.0 * inner / np.float_power(norms[used], q)
+    worst = int(np.argmax(ratio))  # ties go to the earliest sample
+    return RhoScan(float(ratio[worst]), points[used[worst]], len(used))
 
 
 def estimate_q_rho(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
@@ -168,33 +209,55 @@ def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
     return rho <= (15.0 / 16.0) * (math.factorial(p) / Lp) ** ((p + 1) / p)
 
 
+@dataclass(frozen=True)
+class _Pairs:
+    """Sampled pairs (a, b) with F evaluated once at both ends."""
+
+    a: np.ndarray
+    b: np.ndarray
+    F_a: np.ndarray
+    F_b: np.ndarray
+
+
+def _evaluated_pairs(problem: ProblemSpec, n_pairs: int, seed: int) -> _Pairs:
+    a, b = sample_pairs(_sample_box(problem), n_pairs, seed)
+    return _Pairs(a, b, _operator_rows(problem, a), _operator_rows(problem, b))
+
+
+def _smoothness(problem: ProblemSpec, p: int, pairs: _Pairs) -> float:
+    """Sampled L_p for p in (1, 2) on pre-evaluated pairs."""
+    step = pairs.b - pairs.a
+    gap = _row_norms(step)
+    kept = np.flatnonzero(gap >= 1e-12)
+    tau = pairs.F_a[kept]  # degree-(p-1) Taylor expansion of F around a, taken at b
+    if p == 2:
+        J = _per_point(lambda z: eval_jacobian(problem, z), pairs.a[kept], (problem.d, problem.d),
+                       f"Jacobian of {problem.name!r}")
+        tau = tau + (J @ step[kept][..., None])[..., 0]
+    # F(b) - tau in this order: regrouping the terms moves the last bits
+    err = _row_norms(pairs.F_b[kept] - tau)
+    return float(math.factorial(p) * np.max(err / np.float_power(gap[kept], p), initial=0.0))
+
+
+def _comonotonicity(pairs: _Pairs) -> float:
+    dF = pairs.F_a - pairs.F_b
+    denom = np.sum(dF * dF, axis=1)
+    kept = np.flatnonzero(denom >= SKIP_NORM**2)
+    if len(kept) == 0:
+        raise DegenerateSampleError("no pair produced a usable field difference")
+    return float(np.min(np.sum(dF[kept] * (pairs.a - pairs.b)[kept], axis=1) / denom[kept]))
+
+
 def estimate_smoothness(problem: ProblemSpec, p: int, n_pairs: int, seed: int) -> float:
     """Sampled L_p: p! times the sup of ||F(z_b) - tau(z_b, z_a)|| / ||z_b - z_a||^p."""
-    a, b = sample_pairs(_sample_box(problem), n_pairs, seed)
-    best = 0.0
-    for z_a, z_b in zip(a, b):
-        gap = float(np.linalg.norm(z_b - z_a))
-        if gap < 1e-12:
-            continue
-        model = taylor_model(problem, z_a, p, 0.0)
-        err = float(np.linalg.norm(eval_operator(problem, z_b) - tau(model, z_b)))
-        best = max(best, err / gap**p)
-    return math.factorial(p) * best
+    if p not in SUPPORTED_ORDERS:
+        raise CapabilityError(f"order {p} not supported (have {SUPPORTED_ORDERS})")
+    return _smoothness(problem, p, _evaluated_pairs(problem, n_pairs, seed))
 
 
 def estimate_comonotonicity(problem: ProblemSpec, n_pairs: int, seed: int) -> float:
     """Largest c with <F(a)-F(b), a-b> >= c ||F(a)-F(b)||^2 on sampled pairs."""
-    a, b = sample_pairs(_sample_box(problem), n_pairs, seed)
-    worst = np.inf
-    for z_a, z_b in zip(a, b):
-        dF = eval_operator(problem, z_a) - eval_operator(problem, z_b)
-        denom = float(np.sum(dF * dF))
-        if denom < SKIP_NORM**2:
-            continue
-        worst = min(worst, float(np.sum(dF * (z_a - z_b))) / denom)
-    if not np.isfinite(worst):
-        raise DegenerateSampleError("no pair produced a usable field difference")
-    return worst
+    return _comonotonicity(_evaluated_pairs(problem, n_pairs, seed))
 
 
 @dataclass(frozen=True)
@@ -239,9 +302,10 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
         q = (p + 1) / p
     scan_p = _rho_scan(problem, problem.z_star, (p + 1) / p, n_samples, seed, mode)
     scan_q = _rho_scan(problem, problem.z_star, q, n_samples, seed, mode)
-    L_hat = {1: estimate_smoothness(problem, 1, max(200, n_samples // 10), seed)}
+    pairs = _evaluated_pairs(problem, max(200, n_samples // 10), seed)
+    L_hat = {1: _smoothness(problem, 1, pairs)}
     if problem.operator_jacobian is not None:
-        L_hat[2] = estimate_smoothness(problem, 2, max(200, n_samples // 10), seed)
+        L_hat[2] = _smoothness(problem, 2, pairs)
     Lp = problem.published_constants.get(p, L_hat.get(p))
     if Lp is None:
         raise ValueError(f"no L_{p} available for {problem.name!r}")
@@ -251,7 +315,7 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
         q=q,
         rho_hat_p=scan_p.value,
         rho_hat_q=scan_q.value,
-        comono_hat=estimate_comonotonicity(problem, max(200, n_samples // 10), seed),
+        comono_hat=_comonotonicity(pairs),
         L_hat=L_hat,
         threshold_ok=check_rho_threshold(scan_p.value, p, Lp),
         threshold_Lp=float(Lp),

@@ -87,13 +87,39 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object of RunConfig fields, got {raw!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in raw.items():
+            if not _CONFIG_CHECKS[name][0](value):
+                raise ValueError(f"config field {name!r} must be {_CONFIG_CHECKS[name][1]}, got {value!r}")
         if "z0" in raw:
             raw["z0"] = tuple(float(v) for v in raw["z0"])
         return cls(**raw)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# RunConfig field -> (accepts the JSON value, what it must be)
+_CONFIG_CHECKS = {
+    "problem": (lambda v: isinstance(v, str), "a string"),
+    "p": (_is_int, "an integer"),
+    "Lp": (lambda v: v is None or _is_number(v), "a number or null"),
+    "K": (_is_int, "an integer"),
+    "z0": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "alpha": (lambda v: v is None or _is_number(v), "a number or null"),
+    "outputs": (lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
+                "an object of output paths"),
+}
 
 
 def _write_csv(path: str, header, rows) -> None:

@@ -16,22 +16,36 @@ from .errors import CapabilityError
 from .problems import OperatorMode, ProblemSpec, central_difference, eval_jacobian, eval_operator
 
 
-def competitive_system(problem: ProblemSpec, z, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The block matrix M and right-hand side F(z) of one competitive-operator evaluation."""
+def check_competitive(problem: ProblemSpec, alpha: float) -> float:
+    """Validate that F_alpha exists for the problem; returns alpha as a float."""
     if problem.mixed_hessian is None:
         raise CapabilityError(f"{problem.name!r} has no mixed Hessian; competitive mode unavailable")
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
+    return float(alpha)
+
+
+def block_matrix(B: np.ndarray, alpha: float) -> np.ndarray:
+    """M = [[I, alpha B], [-alpha B^T, I]] for one mixed Hessian B, or for a stack of them.
+
+    ``B`` has shape (d_x, d_y) or (n, d_x, d_y); M has shape (d, d) or (n, d, d).
+    """
+    d_x, d_y = B.shape[-2:]
+    d = d_x + d_y
+    M = np.eye(d) if B.ndim == 2 else np.tile(np.eye(d), (len(B), 1, 1))
+    M[..., :d_x, d_x:] = alpha * B
+    M[..., d_x:, :d_x] = -alpha * B.swapaxes(-1, -2)
+    return M
+
+
+def competitive_system(problem: ProblemSpec, z, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The block matrix M and right-hand side F(z) of one competitive-operator evaluation."""
+    alpha = check_competitive(problem, alpha)
     z = np.asarray(z, dtype=float)
     B = np.asarray(problem.mixed_hessian(z), dtype=float)
     if B.shape != (problem.d_x, problem.d_y):
         raise ValueError(f"mixed Hessian of {problem.name!r} has shape {B.shape}")
-    alpha = float(alpha)
-    d_x = problem.d_x
-    M = np.eye(problem.d)
-    M[:d_x, d_x:] = alpha * B
-    M[d_x:, :d_x] = -alpha * B.T
-    return M, eval_operator(problem, z)
+    return block_matrix(B, alpha), eval_operator(problem, z)
 
 
 def eval_f_alpha(problem: ProblemSpec, z, alpha: float) -> np.ndarray:

@@ -20,11 +20,24 @@ from hoeg import (
     estimate_q_rho,
     estimate_smoothness,
     estimate_weak_mvi_rho,
+    eval_f_alpha,
     eval_operator,
     fit_rate,
     run,
+    tau,
+    taylor_model,
 )
-from hoeg.certify import POTENTIAL_COEF, decoupled_threshold_report, sample_pairs, sample_points
+from hoeg.certify import (
+    POTENTIAL_COEF,
+    SKIP_NORM,
+    RhoScan,
+    _field_rows,
+    _rho_scan,
+    decoupled_threshold_report,
+    sample_pairs,
+    sample_points,
+)
+from hoeg.competitive import resolve_operator
 from hoeg.solver import IterateRecord, TrajectoryLog
 
 
@@ -257,27 +270,41 @@ def test_certify_states_the_dimension_limit():
 
 
 def _counting(problem):
-    """The problem with grad_x wrapped to count F evaluations; the count starts at 0."""
-    calls = []
+    """The problem with grad_x (one per F evaluation) and operator_jacobian counted from 0."""
+    calls = {"grad_x": 0, "operator_jacobian": 0}
 
-    def grad_x(z):
-        calls.append(1)
-        return problem.grad_x(z)
+    def counted(name):
+        fn = getattr(problem, name)
 
-    counted = dataclasses.replace(problem, grad_x=grad_x)
-    calls.clear()  # ProblemSpec checks z_star with one evaluation
-    return counted, calls
+        def call(z):
+            calls[name] += 1
+            return fn(z)
+        return call
+
+    counted_problem = dataclasses.replace(problem, **{name: counted(name) for name in calls})
+    calls.update(grad_x=0)  # ProblemSpec checks z_star with one evaluation
+    return counted_problem, calls
 
 
 def test_certify_validates_before_sampling():
     problem, calls = _counting(dataclasses.replace(_quadratic(1), name="boxless", sample_box=None))
     with pytest.raises(ValueError, match=r"'boxless' has no sample_box"):
         certify_problem(problem, 1, n_samples=200, seed=0)
-    assert not calls
+    assert not any(calls.values())
     problem, calls = _counting(_quadratic(3))
     with pytest.raises(ValueError, match=r"d <= 5, got d = 6"):
         certify_problem(problem, 1, n_samples=200, seed=0)
-    assert not calls
+    assert not any(calls.values())
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_certify_evaluates_each_pair_once(n):
+    # two rho scans of n points, and F at both ends of m pairs shared by
+    # L_1, L_2 and the comonotonicity constant; J only for L_2
+    problem, calls = _counting(builtin("modified_forsaken"))
+    certify_problem(problem, 1, n_samples=n, seed=0)
+    m = max(200, n // 10)
+    assert calls == {"grad_x": 2 * n + 2 * m, "operator_jacobian": m}
 
 
 _property = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -302,3 +329,110 @@ class TestHaltonPrefixStability:
         a_short, b_short = sample_pairs(self.BOX, m, seed)
         a_long, b_long = sample_pairs(self.BOX, m + extra, seed)
         assert np.array_equal(a_long[:m], a_short) and np.array_equal(b_long[:m], b_short)
+
+
+def _scan_oracle(problem, z_star, q, n_samples, seed, mode=None):
+    """The point-by-point rho scan that the array scan replaced, kept as its reference."""
+    z_star = np.asarray(z_star, dtype=float)
+    operator = resolve_operator(problem, mode)[0]
+    best, best_z, used = -np.inf, None, 0
+    for z in sample_points(problem.sample_box, n_samples, seed, z_star):
+        F = operator(z)
+        norm = float(np.linalg.norm(F))
+        if norm < SKIP_NORM:
+            continue
+        used += 1
+        inner = float(np.sum(F * (z - z_star)))
+        ratio = -2.0 * inner / norm**q
+        if ratio > best:
+            best, best_z = ratio, z
+    return RhoScan(best, best_z, used)
+
+
+def _smoothness_oracle(problem, p, n_pairs, seed):
+    """The per-pair smoothness loop that the array estimate replaced."""
+    a, b = sample_pairs(problem.sample_box, n_pairs, seed)
+    best = 0.0
+    for z_a, z_b in zip(a, b):
+        gap = float(np.linalg.norm(z_b - z_a))
+        if gap < 1e-12:
+            continue
+        model = taylor_model(problem, z_a, p, 0.0)
+        err = float(np.linalg.norm(eval_operator(problem, z_b) - tau(model, z_b)))
+        best = max(best, err / gap**p)
+    return math.factorial(p) * best
+
+
+def _comonotonicity_oracle(problem, n_pairs, seed):
+    """The per-pair comonotonicity loop that the array estimate replaced."""
+    a, b = sample_pairs(problem.sample_box, n_pairs, seed)
+    worst = np.inf
+    for z_a, z_b in zip(a, b):
+        dF = eval_operator(problem, z_a) - eval_operator(problem, z_b)
+        denom = float(np.sum(dF * dF))
+        if denom < SKIP_NORM**2:
+            continue
+        worst = min(worst, float(np.sum(dF * (z_a - z_b))) / denom)
+    return worst
+
+
+# bilinear's F is skew, so every standard ratio is exactly -0.0 and the first sample must win
+_ORACLE_PROBLEMS = ("modified_forsaken", "forsaken", "x2y", "comonotone_toy", "bilinear")
+_oracle_property = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestArrayEstimatesMatchThePointLoops:
+    """The array estimators give bit-identical results to the per-point loops they replaced."""
+
+    @_oracle_property
+    @given(st.sampled_from(_ORACLE_PROBLEMS), st.integers(1, 1000), st.integers(0, 10**6),
+           st.sampled_from([2.0, 1.5]) | st.floats(1.0, 3.0),
+           st.none() | st.floats(0.01, 100.0))
+    def test_rho_scan(self, name, n, seed, q, alpha):
+        problem = builtin(name)
+        mode = None if alpha is None else OperatorMode.competitive(alpha)
+        oracle = _scan_oracle(problem, problem.z_star, q, n, seed, mode)
+        if oracle.samples_used == 0:
+            with pytest.raises(DegenerateSampleError):
+                _rho_scan(problem, problem.z_star, q, n, seed, mode)
+            return
+        scan = _rho_scan(problem, problem.z_star, q, n, seed, mode)
+        assert scan.value == oracle.value
+        assert np.array_equal(scan.worst_violator, oracle.worst_violator)
+        assert scan.samples_used == oracle.samples_used
+
+    @settings(_oracle_property, max_examples=30)
+    @given(st.sampled_from(_ORACLE_PROBLEMS), st.integers(1, 600), st.integers(0, 10**6))
+    def test_pair_estimates(self, name, n, seed):
+        problem = builtin(name)
+        for p in (1, 2):
+            assert estimate_smoothness(problem, p, n, seed) == _smoothness_oracle(problem, p, n, seed)
+        assert estimate_comonotonicity(problem, n, seed) == _comonotonicity_oracle(problem, n, seed)
+
+
+def _tall_block():
+    """d_x = 2, d_y = 1: f = (x1^2 + x2^2 - y^2 + x1^2 y + x2 y^2) / 2, mixed Hessian (x1, y)^T."""
+    return ProblemSpec(
+        name="tall_block", d_x=2, d_y=1,
+        f=lambda z: 0.5 * (z[0] ** 2 + z[1] ** 2 - z[2] ** 2 + z[0] ** 2 * z[2] + z[1] * z[2] ** 2),
+        grad_x=lambda z: np.array([z[0] + z[0] * z[2], z[1] + 0.5 * z[2] ** 2]),
+        grad_y=lambda z: np.array([-z[2] + 0.5 * z[0] ** 2 + z[1] * z[2]]),
+        mixed_hessian=lambda z: np.array([[z[0]], [z[2]]]),
+        z_star=np.zeros(3),
+        sample_box=np.tile([-1.5, 1.5], (3, 1)),
+    )
+
+
+def test_competitive_scan_on_a_non_square_block_layout():
+    # a transposed or misplaced block of the stacked M cannot show on the 1x1 built-ins
+    problem, alpha, n, seed = _tall_block(), 3.0, 500, 4
+    mode = OperatorMode.competitive(alpha)
+    points = sample_points(problem.sample_box, n, seed, problem.z_star)
+    rows = _field_rows(problem, points, mode)
+    assert rows.shape == (n, 3)
+    for z, row in zip(points, rows):
+        assert np.array_equal(row, eval_f_alpha(problem, z, alpha))
+    report = certify_problem(problem, 1, mode=mode, n_samples=n, seed=seed)
+    oracle = _scan_oracle(problem, problem.z_star, 2.0, n, seed, mode)
+    assert (report.rho_hat_p, report.samples_used) == (oracle.value, oracle.samples_used)
+    assert np.array_equal(report.worst_violator, oracle.worst_violator)

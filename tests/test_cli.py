@@ -129,6 +129,24 @@ def test_removed_config_fields_are_usage_errors(tmp_path, removed):
     assert f"unknown config fields: {list(removed)}" in proc.stderr
 
 
+@pytest.mark.parametrize("text,message", [
+    ("5", "config must be a JSON object"),
+    ('{"z0": 3}', "config field 'z0' must be a list of numbers"),
+    ('{"K": "ten"}', "config field 'K' must be an integer"),
+    ('{"outputs": 5}', "config field 'outputs' must be an object of output paths"),
+])
+def test_malformed_config_is_usage_error(tmp_path, text, message):
+    path = tmp_path / "config.json"
+    payload = json.loads(text)
+    if isinstance(payload, dict):
+        payload = {"problem": "forsaken", "Lp": 20.0, "K": 10, **payload}
+    path.write_text(json.dumps(payload))
+    proc = invoke(["run", "--config", str(path)])
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_problem_is_usage_error():
     proc = invoke(["run", "--problem", "nope", "--K", "10", "--Lp", "1"])
     assert proc.returncode == 2
@@ -245,6 +263,12 @@ def test_io_failure_exit_code(tmp_path):
     proc = invoke(["run", "--problem", "quadratic_monotone", "--Lp", "1", "--K", "10",
                    "--z0", "1,0", "--csv", str(tmp_path / "missing_dir" / "x.csv")])
     assert proc.returncode == 4
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "hoeg", "list"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "forsaken" in proc.stdout.split()
 
 
 def test_main_callable_in_process(capsys):

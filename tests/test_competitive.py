@@ -13,7 +13,7 @@ from hoeg import (
     eval_operator,
     f_alpha_jacobian,
 )
-from hoeg.competitive import competitive_system
+from hoeg.competitive import block_matrix, competitive_system
 
 
 def test_alpha_zero_is_the_plain_operator():
@@ -53,10 +53,18 @@ def test_block_matrix_is_never_ill_conditioned():
         d_x, d_y = rng.integers(1, 4, size=2)
         B = rng.uniform(-10, 10, size=(d_x, d_y))
         alpha = rng.uniform(0, 10)
-        M = np.eye(d_x + d_y)
-        M[:d_x, d_x:] = alpha * B
-        M[d_x:, :d_x] = -alpha * B.T
+        M = block_matrix(B, alpha)
+        assert np.array_equal(M - np.eye(d_x + d_y), -(M - np.eye(d_x + d_y)).T)
         assert np.linalg.svd(M, compute_uv=False).min() >= 1.0 - 1e-12
+
+
+def test_block_matrix_of_a_stack_is_the_stack_of_block_matrices():
+    rng = np.random.default_rng(8)
+    B = rng.uniform(-10, 10, size=(5, 2, 3))
+    stacked = block_matrix(B, 2.5)
+    assert stacked.shape == (5, 5, 5)
+    for M, b in zip(stacked, B):
+        assert np.array_equal(M, block_matrix(b, 2.5))
 
 
 def test_small_alpha_limit():
