@@ -17,7 +17,7 @@ import numpy as np
 
 from .competitive import block_matrix, check_competitive, resolve_operator
 from .errors import CapabilityError, DegenerateSampleError
-from .problems import OperatorMode, ProblemSpec, eval_jacobian, eval_operator
+from .problems import OperatorMode, ProblemSpec, eval_jacobian, operator_rows
 from .solver import TrajectoryLog
 from .taylor import SUPPORTED_ORDERS
 
@@ -124,8 +124,9 @@ def sample_pairs(box: np.ndarray, n: int, seed: int):
 def _per_point(fn, points: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """fn at each row of ``points``, one point at a time, into a preallocated array.
 
-    This is the only per-point loop of the estimators; everything after it is
-    array arithmetic over the rows.  Each value must have exactly ``shape``.
+    With problems.operator_rows for F, these are the only per-point loops of
+    the estimators; everything after them is array arithmetic over the rows.
+    Each value must have exactly ``shape``.
     """
     out = np.empty((len(points),) + shape)
     for i, z in enumerate(points):
@@ -136,11 +137,6 @@ def _per_point(fn, points: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     return out
 
 
-def _operator_rows(problem: ProblemSpec, points: np.ndarray) -> np.ndarray:
-    return _per_point(lambda z: eval_operator(problem, z), points, (problem.d,),
-                      f"operator of {problem.name!r}")
-
-
 def _field_rows(problem: ProblemSpec, points: np.ndarray,
                 mode: Optional[OperatorMode]) -> np.ndarray:
     """F, or F_alpha in competitive mode, at each row of ``points``.
@@ -149,11 +145,11 @@ def _field_rows(problem: ProblemSpec, points: np.ndarray,
     factors each matrix as it would alone, so every row equals eval_f_alpha.
     """
     if mode is None or mode.kind == "standard":
-        return _operator_rows(problem, points)
+        return operator_rows(problem, points)
     alpha = check_competitive(problem, mode.alpha)
     B = _per_point(problem.mixed_hessian, points, (problem.d_x, problem.d_y),
                    f"mixed Hessian of {problem.name!r}")
-    F = _operator_rows(problem, points)
+    F = operator_rows(problem, points)
     return np.linalg.solve(block_matrix(B, alpha), F[..., None])[..., 0]
 
 
@@ -174,9 +170,12 @@ class RhoScan:
 
 
 def _rho_scan(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
-              mode: Optional[OperatorMode] = None) -> RhoScan:
+              mode: Optional[OperatorMode] = None, points: Optional[np.ndarray] = None) -> RhoScan:
+    """Sampled exponent-q rho; ``points``, when given, is sample_points already drawn for
+    (n_samples, seed, z_star), which callers with several scans draw once."""
     z_star = np.asarray(z_star, dtype=float)
-    points = sample_points(_sample_box(problem), n_samples, seed, z_star)
+    if points is None:
+        points = sample_points(_sample_box(problem), n_samples, seed, z_star)
     F = _field_rows(problem, points, mode)
     norms = _row_norms(F)
     used = np.flatnonzero(norms >= SKIP_NORM)
@@ -196,9 +195,15 @@ def estimate_q_rho(problem: ProblemSpec, z_star, q: float, n_samples: int, seed:
     return _rho_scan(problem, z_star, q, n_samples, seed, mode).value
 
 
+def _check_order(p) -> None:
+    if p not in SUPPORTED_ORDERS:
+        raise ValueError(f"order p = {p!r} is not supported (have {SUPPORTED_ORDERS})")
+
+
 def estimate_weak_mvi_rho(problem: ProblemSpec, z_star, p: int, n_samples: int, seed: int,
                           mode: Optional[OperatorMode] = None) -> float:
     """Order-p variant: exponent (p+1)/p on the operator norm."""
+    _check_order(p)
     return estimate_q_rho(problem, z_star, (p + 1) / p, n_samples, seed, mode)
 
 
@@ -221,7 +226,7 @@ class _Pairs:
 
 def _evaluated_pairs(problem: ProblemSpec, n_pairs: int, seed: int) -> _Pairs:
     a, b = sample_pairs(_sample_box(problem), n_pairs, seed)
-    return _Pairs(a, b, _operator_rows(problem, a), _operator_rows(problem, b))
+    return _Pairs(a, b, operator_rows(problem, a), operator_rows(problem, b))
 
 
 def _smoothness(problem: ProblemSpec, p: int, pairs: _Pairs) -> float:
@@ -294,21 +299,27 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
                     mode: Optional[OperatorMode] = None, n_samples: int = 10000,
                     seed: int = 0) -> CertReport:
     """Estimate the assumption constants of a problem and check the rho threshold."""
+    # every argument is checked before the first F evaluation
+    _check_order(p)
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     if problem.z_star is None:
         raise ValueError(f"{problem.name!r} has no known stationary point to certify against")
-    # the smoothness and comonotonicity checks sample pairs; fail before any F evaluation
-    _check_halton_dimension(_sample_box(problem).shape[0], copies=2)
+    box = _sample_box(problem)
+    _check_halton_dimension(box.shape[0], copies=2)  # the smoothness and comonotonicity pairs
+    # L_2 is estimated only from an analytic Jacobian
+    orders = (1, 2) if problem.operator_jacobian is not None else (1,)
+    if p not in problem.published_constants and p not in orders:
+        raise ValueError(f"no L_{p} available for {problem.name!r}")
     if q is None:
         q = (p + 1) / p
-    scan_p = _rho_scan(problem, problem.z_star, (p + 1) / p, n_samples, seed, mode)
-    scan_q = _rho_scan(problem, problem.z_star, q, n_samples, seed, mode)
+    # both scans read the same points; each still evaluates F at all of them
+    points = sample_points(box, n_samples, seed, problem.z_star)
+    scan_p = _rho_scan(problem, problem.z_star, (p + 1) / p, n_samples, seed, mode, points)
+    scan_q = _rho_scan(problem, problem.z_star, q, n_samples, seed, mode, points)
     pairs = _evaluated_pairs(problem, max(200, n_samples // 10), seed)
-    L_hat = {1: _smoothness(problem, 1, pairs)}
-    if problem.operator_jacobian is not None:
-        L_hat[2] = _smoothness(problem, 2, pairs)
+    L_hat = {order: _smoothness(problem, order, pairs) for order in orders}
     Lp = problem.published_constants.get(p, L_hat.get(p))
-    if Lp is None:
-        raise ValueError(f"no L_{p} available for {problem.name!r}")
     return CertReport(
         problem=problem.name,
         p=p,

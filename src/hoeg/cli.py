@@ -234,7 +234,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    seed = int(os.environ.get("HOEG_SEED", args.seed))
+    seed_text = os.environ.get("HOEG_SEED")
+    try:
+        seed = args.seed if seed_text is None else int(seed_text)
+    except ValueError:
+        raise ValueError(f"HOEG_SEED must be an integer, got {seed_text!r}") from None
     problem = builtin(args.problem)
     mode = None if args.alpha is None else OperatorMode.competitive(args.alpha)
     report = cert.certify_problem(

@@ -100,6 +100,44 @@ def eval_operator(problem: ProblemSpec, z) -> Vector:
     return out
 
 
+def operator_rows(problem: ProblemSpec, points) -> np.ndarray:
+    """F at each row of an (n, d) array: the rows of eval_operator at those points.
+
+    grad_x and grad_y are called once per row; the sign flip of the y block
+    and the finiteness check are taken once over the whole array, so an
+    exception raised at a later row comes before the NumericError of an
+    earlier one.  The flip is the only arithmetic and is exact, so each row
+    equals eval_operator's bit for bit (for float blocks: an integer zero in
+    the y block flips to -0.0 here and to 0 there).
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != problem.d:
+        raise ValueError(f"expected an array of rows of length {problem.d}, got shape {points.shape}")
+    grad_x, grad_y = problem.grad_x, problem.grad_y
+    expected = ((problem.d_x,), (problem.d_y,))
+    X = np.empty((len(points), problem.d_x))
+    Y = np.empty((len(points), problem.d_y))
+    for i, z in enumerate(points):
+        gx, gy = grad_x(z), grad_y(z)
+        # a row store broadcasts, so a block of the wrong shape must be caught here;
+        # this is np.shape without its call overhead
+        try:
+            shapes = gx.shape, gy.shape
+        except AttributeError:
+            shapes = np.shape(gx), np.shape(gy)
+        if shapes != expected:
+            raise ValueError(f"operator of {problem.name!r} has blocks of shapes {shapes[0]} "
+                             f"and {shapes[1]} at {z}, expected {expected[0]} and {expected[1]}")
+        X[i] = gx
+        Y[i] = gy
+    out = np.concatenate([X, -Y], axis=1)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        z = points[np.argmin(finite)]
+        raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
+    return out
+
+
 def central_difference(fn: Callable[[Vector], Vector], z: Vector) -> np.ndarray:
     """Jacobian of fn at z by central differences with step FD_STEP in each coordinate."""
     d = z.size

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hoeg import (
     DegenerateSampleError,
+    NumericError,
     OperatorMode,
     ProblemSpec,
     SolverConfig,
@@ -37,6 +39,7 @@ from hoeg.certify import (
     sample_pairs,
     sample_points,
 )
+from hoeg import certify as certify_module
 from hoeg.competitive import resolve_operator
 from hoeg.solver import IterateRecord, TrajectoryLog
 
@@ -281,20 +284,42 @@ def _counting(problem):
             return fn(z)
         return call
 
-    counted_problem = dataclasses.replace(problem, **{name: counted(name) for name in calls})
+    counted_problem = dataclasses.replace(
+        problem, **{name: counted(name) for name in calls if getattr(problem, name) is not None})
     calls.update(grad_x=0)  # ProblemSpec checks z_star with one evaluation
     return counted_problem, calls
 
 
 def test_certify_validates_before_sampling():
-    problem, calls = _counting(dataclasses.replace(_quadratic(1), name="boxless", sample_box=None))
-    with pytest.raises(ValueError, match=r"'boxless' has no sample_box"):
-        certify_problem(problem, 1, n_samples=200, seed=0)
+    cases = [
+        (dataclasses.replace(_quadratic(1), name="boxless", sample_box=None), 1, 200,
+         r"'boxless' has no sample_box"),
+        (_quadratic(3), 1, 200, r"d <= 5, got d = 6"),
+        (_quadratic(1), 0, 200, r"order p = 0 is not supported \(have \(1, 2\)\)"),
+        (_quadratic(1), 3, 200, r"order p = 3 is not supported \(have \(1, 2\)\)"),
+        (_quadratic(1), 1, 0, r"n_samples must be a positive integer, got 0"),
+        (_quadratic(1), 1, -5, r"n_samples must be a positive integer, got -5"),
+    ]
+    for problem, p, n_samples, message in cases:
+        problem, calls = _counting(problem)
+        with pytest.raises(ValueError, match=message):
+            certify_problem(problem, p, n_samples=n_samples, seed=0)
+        assert not any(calls.values())
+
+
+def test_certify_needs_an_L_p_before_sampling():
+    # no published L_2 and no analytic Jacobian to estimate one from
+    problem, calls = _counting(dataclasses.replace(_quadratic(1), operator_jacobian=None))
+    with pytest.raises(ValueError, match=r"no L_2 available for 'quadratic_2d'"):
+        certify_problem(problem, 2, n_samples=200, seed=0)
     assert not any(calls.values())
-    problem, calls = _counting(_quadratic(3))
-    with pytest.raises(ValueError, match=r"d <= 5, got d = 6"):
-        certify_problem(problem, 1, n_samples=200, seed=0)
-    assert not any(calls.values())
+    assert set(certify_problem(problem, 1, n_samples=200, seed=0).L_hat) == {1}
+
+
+def test_weak_mvi_rho_checks_the_order():
+    problem = builtin("x2y")
+    with pytest.raises(ValueError, match=r"order p = 0 is not supported"):
+        estimate_weak_mvi_rho(problem, problem.z_star, 0, 100, seed=0)
 
 
 @pytest.mark.parametrize("n", [1000, 3000])
@@ -305,6 +330,42 @@ def test_certify_evaluates_each_pair_once(n):
     certify_problem(problem, 1, n_samples=n, seed=0)
     m = max(200, n // 10)
     assert calls == {"grad_x": 2 * n + 2 * m, "operator_jacobian": m}
+
+
+def test_certify_draws_the_scan_points_once(monkeypatch):
+    # the two default-q scans read one draw of sample_points; each still evaluates F at all of it
+    calls = {"sample_points": 0, "_rho_scan": 0}
+    for name in calls:
+        fn = getattr(certify_module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(certify_module, name, counted)
+    problem, f_calls = _counting(builtin("modified_forsaken"))
+    certify_problem(problem, 1, n_samples=1000, seed=0)
+    assert calls == {"sample_points": 1, "_rho_scan": 2}
+    assert f_calls["grad_x"] == 2 * 1000 + 2 * 200
+
+
+def test_a_non_finite_sample_names_the_first_such_point():
+    problem, n, seed = builtin("modified_forsaken"), 500, 3
+    points = sample_points(problem.sample_box, n, seed, problem.z_star)
+    bad = [points[123], points[321]]
+    grad_x = problem.grad_x
+
+    def poisoned(z):
+        return np.array([np.inf]) if any(np.array_equal(z, b) for b in bad) else grad_x(z)
+    problem = dataclasses.replace(problem, grad_x=poisoned)
+    with pytest.raises(NumericError, match=re.escape(f"'modified_forsaken' at {bad[0]}")):
+        certify_problem(problem, 1, n_samples=n, seed=seed)
+
+
+def test_a_gradient_block_of_the_wrong_shape_is_a_value_error():
+    # F has d + 1 entries: a wrong split cannot hide in the total length
+    problem = dataclasses.replace(builtin("x2y"), grad_y=lambda z: np.array([z[0] ** 2, 0.0]))
+    with pytest.raises(ValueError, match=r"operator of 'x2y'"):
+        certify_problem(problem, 1, n_samples=200, seed=0)
 
 
 _property = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -432,6 +493,11 @@ def test_competitive_scan_on_a_non_square_block_layout():
     assert rows.shape == (n, 3)
     for z, row in zip(points, rows):
         assert np.array_equal(row, eval_f_alpha(problem, z, alpha))
+    # the standard rows split F into its (2, 1) blocks
+    rows = _field_rows(problem, points, None)
+    assert rows.shape == (n, 3)
+    for z, row in zip(points, rows):
+        assert np.array_equal(row, eval_operator(problem, z))
     report = certify_problem(problem, 1, mode=mode, n_samples=n, seed=seed)
     oracle = _scan_oracle(problem, problem.z_star, 2.0, n, seed, mode)
     assert (report.rho_hat_p, report.samples_used) == (oracle.value, oracle.samples_used)

@@ -110,6 +110,21 @@ def test_hoeg_seed_overrides_the_certify_seed():
     assert overridden.stdout == seeded.stdout != other.stdout
 
 
+def test_malformed_hoeg_seed_is_usage_error():
+    proc = invoke(["certify", "--problem", "x2y", "--p", "1", "--samples", "200"],
+                  env_extra={"HOEG_SEED": "abc"})
+    assert proc.returncode == 2
+    assert "HOEG_SEED must be an integer, got 'abc'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unsupported_certify_order_is_usage_error():
+    proc = invoke(["certify", "--problem", "x2y", "--p", "0", "--samples", "200"])
+    assert proc.returncode == 2
+    assert "order p = 0 is not supported" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["run", "--problem", "forsaken", "--Lp", "20", "--K", "10", "--mode", "competitive"],
     ["run", "--problem", "forsaken", "--Lp", "20", "--K", "10", "--seed", "3"],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hoeg import NumericError, ProblemSpec, builtin, eval_jacobian, eval_operator, problem_names
+from hoeg.problems import operator_rows
 
 ALL_NAMES = ["bilinear", "comonotone_toy", "forsaken", "modified_forsaken", "quadratic_monotone", "x2y"]
 
@@ -87,6 +88,19 @@ def test_non_finite_gradient_raises_numeric_error():
     )
     with pytest.raises(NumericError):
         eval_operator(bad, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_operator_rows_are_the_pointwise_operator(name):
+    p = builtin(name)
+    points = np.random.default_rng(0).uniform(-2.0, 2.0, (50, p.d))
+    rows = operator_rows(p, points)
+    assert rows.shape == (50, p.d)
+    for z, row in zip(points, rows):
+        assert np.array_equal(row, eval_operator(p, z))
+    assert operator_rows(p, points[:0]).shape == (0, p.d)
+    with pytest.raises(ValueError, match="rows of length 2"):
+        operator_rows(p, points[0])
 
 
 def test_comonotone_toy_constant():
