@@ -12,9 +12,7 @@ from .certify import (
     check_half_step_norm_bound,
     check_potential_inequality,
     check_rho_threshold,
-    estimate_comonotonicity,
     estimate_q_rho,
-    estimate_smoothness,
     estimate_weak_mvi_rho,
     fit_rate,
 )
@@ -50,7 +48,6 @@ from .solver import (
     run,
     select_output,
 )
-from .taylor import TaylorModel, phi, tau, taylor_model
 
 __version__ = "0.1.0"
 
@@ -67,7 +64,6 @@ __all__ = [
     "OperatorMode",
     "ProblemSpec",
     "SolverConfig",
-    "TaylorModel",
     "TrajectoryLog",
     "builtin",
     "certify_problem",
@@ -76,9 +72,7 @@ __all__ = [
     "check_potential_inequality",
     "check_rho_threshold",
     "detect_cycling",
-    "estimate_comonotonicity",
     "estimate_q_rho",
-    "estimate_smoothness",
     "estimate_weak_mvi_rho",
     "eval_f_alpha",
     "eval_jacobian",
@@ -86,7 +80,6 @@ __all__ = [
     "f_alpha_jacobian",
     "fit_rate",
     "normalized_field",
-    "phi",
     "problem_names",
     "resolvent_solve",
     "run",
@@ -94,6 +87,4 @@ __all__ = [
     "simulate",
     "solve_half_step_p1",
     "solve_half_step_p2",
-    "tau",
-    "taylor_model",
 ]

@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .competitive import block_matrix, check_competitive, resolve_operator
-from .errors import CapabilityError, DegenerateSampleError
+from .errors import DegenerateSampleError
+from .halfstep import check_order
 from .problems import OperatorMode, ProblemSpec, eval_jacobian, operator_rows
 from .solver import TrajectoryLog
-from .taylor import SUPPORTED_ORDERS
 
 # Largest coefficient c such that, for every run of the iteration,
 #   sum_k lambda_k (p!/L_p) <F(z_half), z_half - z*>
@@ -169,13 +169,18 @@ class RhoScan:
     samples_used: int
 
 
-def _rho_scan(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
-              mode: Optional[OperatorMode] = None, points: Optional[np.ndarray] = None) -> RhoScan:
-    """Sampled exponent-q rho; ``points``, when given, is sample_points already drawn for
-    (n_samples, seed, z_star), which callers with several scans draw once."""
+def _check_scan(n_samples, q) -> None:
+    """Reject a sample count or exponent that no rho scan can use, before any sampling."""
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
+
+
+def _rho_scan(problem: ProblemSpec, z_star, q: float, points: np.ndarray,
+              mode: Optional[OperatorMode] = None) -> RhoScan:
+    """Sampled exponent-q rho over ``points``, which the caller drew with sample_points."""
     z_star = np.asarray(z_star, dtype=float)
-    if points is None:
-        points = sample_points(_sample_box(problem), n_samples, seed, z_star)
     F = _field_rows(problem, points, mode)
     norms = _row_norms(F)
     used = np.flatnonzero(norms >= SKIP_NORM)
@@ -192,18 +197,15 @@ def _rho_scan(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
 def estimate_q_rho(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
                    mode: Optional[OperatorMode] = None) -> float:
     """Largest sampled violation of <F(z), z - z*> >= -(rho/2) ||F(z)||^q."""
-    return _rho_scan(problem, z_star, q, n_samples, seed, mode).value
-
-
-def _check_order(p) -> None:
-    if p not in SUPPORTED_ORDERS:
-        raise ValueError(f"order p = {p!r} is not supported (have {SUPPORTED_ORDERS})")
+    _check_scan(n_samples, q)
+    points = sample_points(_sample_box(problem), n_samples, seed, z_star)
+    return _rho_scan(problem, z_star, q, points, mode).value
 
 
 def estimate_weak_mvi_rho(problem: ProblemSpec, z_star, p: int, n_samples: int, seed: int,
                           mode: Optional[OperatorMode] = None) -> float:
     """Order-p variant: exponent (p+1)/p on the operator norm."""
-    _check_order(p)
+    check_order(p)
     return estimate_q_rho(problem, z_star, (p + 1) / p, n_samples, seed, mode)
 
 
@@ -230,39 +232,28 @@ def _evaluated_pairs(problem: ProblemSpec, n_pairs: int, seed: int) -> _Pairs:
 
 
 def _smoothness(problem: ProblemSpec, p: int, pairs: _Pairs) -> float:
-    """Sampled L_p for p in (1, 2) on pre-evaluated pairs."""
+    """Sampled L_p: p! times the sup of ||F(b) - tau_{p-1}(b, a)|| / ||b - a||^p over the pairs."""
     step = pairs.b - pairs.a
     gap = _row_norms(step)
     kept = np.flatnonzero(gap >= 1e-12)
-    tau = pairs.F_a[kept]  # degree-(p-1) Taylor expansion of F around a, taken at b
+    expansion = pairs.F_a[kept]  # tau_{p-1}(b, a): F around a to degree p - 1, taken at b
     if p == 2:
         J = _per_point(lambda z: eval_jacobian(problem, z), pairs.a[kept], (problem.d, problem.d),
                        f"Jacobian of {problem.name!r}")
-        tau = tau + (J @ step[kept][..., None])[..., 0]
-    # F(b) - tau in this order: regrouping the terms moves the last bits
-    err = _row_norms(pairs.F_b[kept] - tau)
+        expansion = expansion + (J @ step[kept][..., None])[..., 0]
+    # F(b) - expansion in this order: regrouping the terms moves the last bits
+    err = _row_norms(pairs.F_b[kept] - expansion)
     return float(math.factorial(p) * np.max(err / np.float_power(gap[kept], p), initial=0.0))
 
 
 def _comonotonicity(pairs: _Pairs) -> float:
+    """Largest c with <F(a)-F(b), a-b> >= c ||F(a)-F(b)||^2 over the pairs."""
     dF = pairs.F_a - pairs.F_b
     denom = np.sum(dF * dF, axis=1)
     kept = np.flatnonzero(denom >= SKIP_NORM**2)
     if len(kept) == 0:
         raise DegenerateSampleError("no pair produced a usable field difference")
     return float(np.min(np.sum(dF[kept] * (pairs.a - pairs.b)[kept], axis=1) / denom[kept]))
-
-
-def estimate_smoothness(problem: ProblemSpec, p: int, n_pairs: int, seed: int) -> float:
-    """Sampled L_p: p! times the sup of ||F(z_b) - tau(z_b, z_a)|| / ||z_b - z_a||^p."""
-    if p not in SUPPORTED_ORDERS:
-        raise CapabilityError(f"order {p} not supported (have {SUPPORTED_ORDERS})")
-    return _smoothness(problem, p, _evaluated_pairs(problem, n_pairs, seed))
-
-
-def estimate_comonotonicity(problem: ProblemSpec, n_pairs: int, seed: int) -> float:
-    """Largest c with <F(a)-F(b), a-b> >= c ||F(a)-F(b)||^2 on sampled pairs."""
-    return _comonotonicity(_evaluated_pairs(problem, n_pairs, seed))
 
 
 @dataclass(frozen=True)
@@ -300,9 +291,10 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
                     seed: int = 0) -> CertReport:
     """Estimate the assumption constants of a problem and check the rho threshold."""
     # every argument is checked before the first F evaluation
-    _check_order(p)
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+    check_order(p)
+    if q is None:
+        q = (p + 1) / p
+    _check_scan(n_samples, q)
     if problem.z_star is None:
         raise ValueError(f"{problem.name!r} has no known stationary point to certify against")
     box = _sample_box(problem)
@@ -311,12 +303,10 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
     orders = (1, 2) if problem.operator_jacobian is not None else (1,)
     if p not in problem.published_constants and p not in orders:
         raise ValueError(f"no L_{p} available for {problem.name!r}")
-    if q is None:
-        q = (p + 1) / p
     # both scans read the same points; each still evaluates F at all of them
     points = sample_points(box, n_samples, seed, problem.z_star)
-    scan_p = _rho_scan(problem, problem.z_star, (p + 1) / p, n_samples, seed, mode, points)
-    scan_q = _rho_scan(problem, problem.z_star, q, n_samples, seed, mode, points)
+    scan_p = _rho_scan(problem, problem.z_star, (p + 1) / p, points, mode)
+    scan_q = _rho_scan(problem, problem.z_star, q, points, mode)
     pairs = _evaluated_pairs(problem, max(200, n_samples // 10), seed)
     L_hat = {order: _smoothness(problem, order, pairs) for order in orders}
     Lp = problem.published_constants.get(p, L_hat.get(p))

@@ -38,20 +38,14 @@ def block_matrix(B: np.ndarray, alpha: float) -> np.ndarray:
     return M
 
 
-def competitive_system(problem: ProblemSpec, z, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The block matrix M and right-hand side F(z) of one competitive-operator evaluation."""
+def eval_f_alpha(problem: ProblemSpec, z, alpha: float) -> np.ndarray:
+    """Evaluate the competitive operator at z: the solution u of M u = F(z)."""
     alpha = check_competitive(problem, alpha)
     z = np.asarray(z, dtype=float)
     B = np.asarray(problem.mixed_hessian(z), dtype=float)
     if B.shape != (problem.d_x, problem.d_y):
         raise ValueError(f"mixed Hessian of {problem.name!r} has shape {B.shape}")
-    return block_matrix(B, alpha), eval_operator(problem, z)
-
-
-def eval_f_alpha(problem: ProblemSpec, z, alpha: float) -> np.ndarray:
-    """Evaluate the competitive operator at z."""
-    M, g = competitive_system(problem, z, alpha)
-    return np.linalg.solve(M, g)
+    return np.linalg.solve(block_matrix(B, alpha), eval_operator(problem, z))
 
 
 def f_alpha_jacobian(problem: ProblemSpec, z, alpha: float) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, NumericError
-from .halfstep import vector_norm
+from .halfstep import check_order, vector_norm
 from .problems import ProblemSpec, eval_jacobian, eval_operator
 
 RESOLVENT_TOL = 1e-10  # a resolvent solve stops at ||h|| <= RESOLVENT_TOL * max(1, ||v||)
@@ -41,6 +41,7 @@ NORM_FLOOR = 1e-12     # G_p divides by max(||F||, NORM_FLOOR)^(1-1/p)
 class ContinuousConfig:
     """A flow of order p from z0 over [0, t_end] in RK4 steps of dt.
 
+    dt must divide t_end (to a relative 1e-9), so the last step ends at t_end.
     Every resolvent solve uses the fixed ``RESOLVENT_TOL`` and ``NORM_FLOOR``.
     """
 
@@ -50,11 +51,16 @@ class ContinuousConfig:
     z0: np.ndarray
 
     def __post_init__(self):
-        if self.order_p not in (1, 2):
-            raise ValueError("order_p must be 1 or 2")
-        if not (self.t_end > 0 and 0 < self.dt <= self.t_end):
-            raise ValueError("need 0 < dt <= t_end")
+        check_order(self.order_p)
+        if not 0 < self.dt <= self.t_end < math.inf:
+            raise ValueError("need 0 < dt <= t_end < inf")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"dt = {self.dt!r} does not divide t_end = {self.t_end!r}")
         object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,6 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     """
     p = config.order_p
     dt = config.dt
-    n_steps = int(round(config.t_end / dt))
     path = _Path()
 
     def solve(vv):
@@ -210,7 +215,7 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     norms.append(op_norm(z))
     integ.append(0.0)
 
-    for i in range(1, n_steps + 1):
+    for i in range(1, config.n_steps + 1):
         try:
             k1 = z - v
             v2 = v + 0.5 * dt * k1

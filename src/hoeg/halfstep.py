@@ -1,4 +1,6 @@
-"""Half-step subproblem solvers: roots of the regularized Taylor model.
+"""Half-step subproblem solvers: roots z' of the regularized Taylor model
+tau_{p-1}(z', z_k) + (2 L_p / p!) ||z' - z_k||^{p-1} (z' - z_k), where tau_{p-1}
+expands F around z_k to degree p - 1.  Only orders 1 and 2 are supported.
 
 Order 1 has the closed form z' = z_k - F(z_k) / (2 L1).  Order 2 reduces to a
 scalar root-find on the step radius: with d(r) = -(J + L2 r I)^{-1} F, find a
@@ -26,8 +28,15 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+SUPPORTED_ORDERS = (1, 2)
 MAX_DOUBLINGS = 60   # grid points hi0 * 2^k, k <= 60, tried for a sign change
 GAP_RTOL = 1e-10     # accepted radii satisfy | ||d|| - r | <= GAP_RTOL * r
+
+
+def check_order(p) -> None:
+    """Raise ValueError unless p is one of the SUPPORTED_ORDERS."""
+    if p not in SUPPORTED_ORDERS:
+        raise ValueError(f"order p = {p!r} is not supported (have {SUPPORTED_ORDERS})")
 
 
 def _norm(v: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .competitive import resolve_operator
 from .errors import ConvergenceError, NumericError
-from .halfstep import solve_half_step_p1, solve_half_step_p2, vector_norm
+from .halfstep import check_order, solve_half_step_p1, solve_half_step_p2, vector_norm
 from .problems import OperatorMode, ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
@@ -37,8 +37,7 @@ class SolverConfig:
     stop_norm: float = 0.0
 
     def __post_init__(self):
-        if self.order_p not in (1, 2):
-            raise ValueError("order_p must be 1 or 2")
+        check_order(self.order_p)
         if not self.lipschitz > 0:
             raise ValueError("lipschitz must be positive")
         if self.max_iterations < 1:

@@ -18,23 +18,23 @@ from hoeg import (
     check_half_step_norm_bound,
     check_potential_inequality,
     check_rho_threshold,
-    estimate_comonotonicity,
     estimate_q_rho,
-    estimate_smoothness,
     estimate_weak_mvi_rho,
     eval_f_alpha,
+    eval_jacobian,
     eval_operator,
     fit_rate,
     run,
-    tau,
-    taylor_model,
 )
 from hoeg.certify import (
     POTENTIAL_COEF,
     SKIP_NORM,
     RhoScan,
+    _comonotonicity,
+    _evaluated_pairs,
     _field_rows,
     _rho_scan,
+    _smoothness,
     decoupled_threshold_report,
     sample_pairs,
     sample_points,
@@ -132,10 +132,12 @@ class TestRhoThreshold:
 
 class TestSmoothness:
     def test_identity_field_constant_is_one(self):
-        assert estimate_smoothness(builtin("quadratic_monotone"), 1, 2000, seed=0) == pytest.approx(1.0, abs=1e-12)
+        p = builtin("quadratic_monotone")
+        assert _smoothness(p, 1, _evaluated_pairs(p, 2000, seed=0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_field_has_zero_second_order_constant(self):
-        assert estimate_smoothness(builtin("bilinear"), 2, 2000, seed=0) <= 1e-9
+        p = builtin("bilinear")
+        assert _smoothness(p, 2, _evaluated_pairs(p, 2000, seed=0)) <= 1e-9
 
     def test_x2y_matches_pair_grid_oracle(self):
         # oracle: all ordered pairs from two offset lattices of 200 points each
@@ -156,13 +158,13 @@ class TestSmoothness:
                 if gap < 1e-12:
                     continue
                 oracle = max(oracle, np.linalg.norm(eval_operator(p, b) - Fa) / gap)
-        sampled = estimate_smoothness(p, 1, 4000, seed=5)
+        sampled = _smoothness(p, 1, _evaluated_pairs(p, 4000, seed=5))
         assert abs(sampled - oracle) <= 0.1 * oracle
 
 
 def test_comonotonicity_estimate_is_exact_on_the_toy():
     # the ratio is the same at every pair; short probe pairs add O(eps/gap) noise
-    value = estimate_comonotonicity(builtin("comonotone_toy"), 2000, seed=0)
+    value = _comonotonicity(_evaluated_pairs(builtin("comonotone_toy"), 2000, seed=0))
     assert value == pytest.approx(-0.2 / 1.04, abs=1e-9)
 
 
@@ -291,19 +293,32 @@ def _counting(problem):
 
 
 def test_certify_validates_before_sampling():
+    def certify(p=1, n_samples=200, q=None):
+        return lambda problem: certify_problem(problem, p, q=q, n_samples=n_samples, seed=0)
+
+    def q_rho(n_samples=200, q=2.0):
+        return lambda problem: estimate_q_rho(problem, problem.z_star, q, n_samples, seed=0)
+
+    def weak_mvi_rho(n_samples):
+        return lambda problem: estimate_weak_mvi_rho(problem, problem.z_star, 1, n_samples, seed=0)
+
+    boxless = dataclasses.replace(_quadratic(1), name="boxless", sample_box=None)
     cases = [
-        (dataclasses.replace(_quadratic(1), name="boxless", sample_box=None), 1, 200,
-         r"'boxless' has no sample_box"),
-        (_quadratic(3), 1, 200, r"d <= 5, got d = 6"),
-        (_quadratic(1), 0, 200, r"order p = 0 is not supported \(have \(1, 2\)\)"),
-        (_quadratic(1), 3, 200, r"order p = 3 is not supported \(have \(1, 2\)\)"),
-        (_quadratic(1), 1, 0, r"n_samples must be a positive integer, got 0"),
-        (_quadratic(1), 1, -5, r"n_samples must be a positive integer, got -5"),
+        (boxless, certify(), r"'boxless' has no sample_box"),
+        (_quadratic(3), certify(), r"d <= 5, got d = 6"),
+        (_quadratic(1), certify(p=0), r"order p = 0 is not supported \(have \(1, 2\)\)"),
+        (_quadratic(1), certify(p=3), r"order p = 3 is not supported \(have \(1, 2\)\)"),
     ]
-    for problem, p, n_samples, message in cases:
+    for n_samples in (0, -5):
+        message = f"n_samples must be a positive integer, got {n_samples}"
+        cases += [(_quadratic(1), call(n_samples=n_samples), message) for call in (certify, q_rho)]
+        cases.append((_quadratic(1), weak_mvi_rho(n_samples), message))
+    for q in (math.nan, math.inf):
+        cases += [(_quadratic(1), call(q=q), f"q must be finite, got {q}") for call in (certify, q_rho)]
+    for problem, call, message in cases:
         problem, calls = _counting(problem)
         with pytest.raises(ValueError, match=message):
-            certify_problem(problem, p, n_samples=n_samples, seed=0)
+            call(problem)
         assert not any(calls.values())
 
 
@@ -418,8 +433,10 @@ def _smoothness_oracle(problem, p, n_pairs, seed):
         gap = float(np.linalg.norm(z_b - z_a))
         if gap < 1e-12:
             continue
-        model = taylor_model(problem, z_a, p, 0.0)
-        err = float(np.linalg.norm(eval_operator(problem, z_b) - tau(model, z_b)))
+        expansion = eval_operator(problem, z_a)
+        if p == 2:
+            expansion = expansion + eval_jacobian(problem, z_a) @ (z_b - z_a)
+        err = float(np.linalg.norm(eval_operator(problem, z_b) - expansion))
         best = max(best, err / gap**p)
     return math.factorial(p) * best
 
@@ -453,11 +470,12 @@ class TestArrayEstimatesMatchThePointLoops:
         problem = builtin(name)
         mode = None if alpha is None else OperatorMode.competitive(alpha)
         oracle = _scan_oracle(problem, problem.z_star, q, n, seed, mode)
+        points = sample_points(problem.sample_box, n, seed, problem.z_star)
         if oracle.samples_used == 0:
             with pytest.raises(DegenerateSampleError):
-                _rho_scan(problem, problem.z_star, q, n, seed, mode)
+                _rho_scan(problem, problem.z_star, q, points, mode)
             return
-        scan = _rho_scan(problem, problem.z_star, q, n, seed, mode)
+        scan = _rho_scan(problem, problem.z_star, q, points, mode)
         assert scan.value == oracle.value
         assert np.array_equal(scan.worst_violator, oracle.worst_violator)
         assert scan.samples_used == oracle.samples_used
@@ -466,9 +484,10 @@ class TestArrayEstimatesMatchThePointLoops:
     @given(st.sampled_from(_ORACLE_PROBLEMS), st.integers(1, 600), st.integers(0, 10**6))
     def test_pair_estimates(self, name, n, seed):
         problem = builtin(name)
+        pairs = _evaluated_pairs(problem, n, seed)
         for p in (1, 2):
-            assert estimate_smoothness(problem, p, n, seed) == _smoothness_oracle(problem, p, n, seed)
-        assert estimate_comonotonicity(problem, n, seed) == _comonotonicity_oracle(problem, n, seed)
+            assert _smoothness(problem, p, pairs) == _smoothness_oracle(problem, p, n, seed)
+        assert _comonotonicity(pairs) == _comonotonicity_oracle(problem, n, seed)
 
 
 def _tall_block():

@@ -6,18 +6,25 @@ import sys
 import numpy as np
 import pytest
 
+import hoeg
 from hoeg import certify as cert
 from hoeg.cli import RunConfig, main
 
 RUN = [sys.executable, "-m", "hoeg.cli"]
+# the child processes import the hoeg under test, installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hoeg.__file__)))
+
+
+def child_env(env_extra=None):
+    env = dict(os.environ)
+    env.pop("HOEG_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    return env
 
 
 def invoke(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("HOEG_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+    return subprocess.run(RUN + args, capture_output=True, text=True, env=child_env(env_extra))
 
 
 def test_list_prints_all_problems():
@@ -123,6 +130,18 @@ def test_unsupported_certify_order_is_usage_error():
     assert proc.returncode == 2
     assert "order p = 0 is not supported" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args,message", [
+    (["certify", "--problem", "x2y", "--samples", "200", "--q", "nan"], "q must be finite, got nan"),
+    (["simulate", "--problem", "comonotone_toy", "--t-end", "1", "--dt", "0.3"],
+     "dt = 0.3 does not divide t_end = 1.0"),
+])
+def test_inputs_no_run_can_honour_are_usage_errors(args, message):
+    proc = invoke(args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("args", [
@@ -281,7 +300,8 @@ def test_io_failure_exit_code(tmp_path):
 
 
 def test_package_runs_as_a_module():
-    proc = subprocess.run([sys.executable, "-m", "hoeg", "list"], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "hoeg", "list"], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0
     assert "forsaken" in proc.stdout.split()
 

@@ -6,18 +6,38 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hoeg import (
+    ContinuousConfig,
     ConvergenceError,
     SolverConfig,
-    TaylorModel,
     builtin,
+    certify_problem,
+    estimate_weak_mvi_rho,
     eval_operator,
-    phi,
     run,
     solve_half_step_p1,
     solve_half_step_p2,
 )
+from hoeg.halfstep import SUPPORTED_ORDERS
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _model(F, J, L, p, d):
+    """The regularized Taylor model F + J d + (2 L / p!) ||d||^(p-1) d that the half-step zeroes."""
+    expansion = F if p == 1 else F + J @ d
+    return expansion + (2.0 * L / math.factorial(p)) * np.linalg.norm(d) ** (p - 1) * d
+
+
+def test_every_entry_point_checks_the_one_list_of_orders():
+    assert SUPPORTED_ORDERS == (1, 2)
+    problem, z0 = builtin("x2y"), np.array([1.0, 1.0])
+    for p in (0, 3):
+        for make in (lambda: SolverConfig(p, 1.0, 10, z0),
+                     lambda: ContinuousConfig(p, 1.0, 0.1, z0),
+                     lambda: certify_problem(problem, p, n_samples=10),
+                     lambda: estimate_weak_mvi_rho(problem, problem.z_star, p, 10, seed=0)):
+            with pytest.raises(ValueError, match=rf"order p = {p} is not supported \(have \(1, 2\)\)"):
+                make()
 
 
 class TestOrder1:
@@ -44,8 +64,7 @@ class TestOrder1:
             F = rng.uniform(-5, 5, 2)
             L1 = 10 ** rng.uniform(-1, 2)
             res = solve_half_step_p1(F, L1, z)
-            model = TaylorModel(1, z, F, lipschitz=L1)
-            assert np.linalg.norm(phi(model, res.z_half)) <= 1e-12 * max(1.0, np.linalg.norm(F))
+            assert np.linalg.norm(_model(F, None, L1, 1, res.z_half - z)) <= 1e-12 * max(1.0, np.linalg.norm(F))
 
     def test_rejects_bad_lipschitz(self):
         with pytest.raises(ValueError):
@@ -78,8 +97,7 @@ class TestOrder2:
             L2 = 10 ** rng.uniform(-0.5, 1.5)
             z = rng.uniform(-1, 1, size=2)
             res = solve_half_step_p2(F, J, L2, z, tol=1e-10)
-            model = TaylorModel(2, z, F, J, lipschitz=L2)
-            recomputed = np.linalg.norm(phi(model, res.z_half))
+            recomputed = np.linalg.norm(_model(F, J, L2, 2, res.z_half - z))
             assert recomputed <= 1e-10 * max(1.0, np.linalg.norm(F)) * (1 + 1e-9)
             assert res.displacement_norm == pytest.approx(np.linalg.norm(res.z_half - z), rel=1e-12)
 
@@ -88,8 +106,7 @@ class TestOrder2:
         J = np.array([[1.0, 0.0], [0.0, 0.0]])
         F = np.array([0.5, 0.5])
         res = solve_half_step_p2(F, J, 2.0, np.zeros(2))
-        model = TaylorModel(2, np.zeros(2), F, J, lipschitz=2.0)
-        assert np.linalg.norm(phi(model, res.z_half)) <= 1e-10
+        assert np.linalg.norm(_model(F, J, 2.0, 2, res.z_half)) <= 1e-10
 
     def test_failures_are_typed_and_carry_the_residual(self, monkeypatch):
         F, J = np.array([1.0, 0.0]), np.eye(2)

@@ -1,89 +1,25 @@
+"""The remainder of the degree-(p-1) Taylor expansion of F against the sampled L_p."""
+
 import numpy as np
 import pytest
 
-from hoeg import CapabilityError, TaylorModel, builtin, estimate_smoothness, eval_operator, phi, tau, taylor_model
-
-
-def test_order1_tau_is_constant():
-    p = builtin("forsaken")
-    model = taylor_model(p, [0.2, -0.3], 1, 5.0)
-    base_value = eval_operator(p, [0.2, -0.3])
-    for z_b in ([0.0, 0.0], [1.0, -1.0], [0.2, -0.3]):
-        assert np.array_equal(tau(model, z_b), base_value)
-
-
-def test_order2_exact_on_linear_field():
-    p = builtin("bilinear")
-    model = taylor_model(p, [0.4, 0.9], 2, 1.0)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        z_b = rng.uniform(-2, 2, 2)
-        assert np.allclose(tau(model, z_b), eval_operator(p, z_b), atol=1e-14)
-
-
-def test_order2_tau_hand_value():
-    # x2y at (1,1): F = (2,-1), J = [[2,2],[-2,0]]; step (0.1, 0) adds (0.2, -0.2)
-    model = taylor_model(builtin("x2y"), [1.0, 1.0], 2, 1.0)
-    assert np.allclose(tau(model, [1.1, 1.0]), [2.2, -1.2])
-
-
-def test_phi_at_base_equals_field_value():
-    p = builtin("modified_forsaken")
-    z_a = np.array([0.7, -0.2])
-    for order in (1, 2):
-        model = taylor_model(p, z_a, order, 123.0)
-        assert np.array_equal(phi(model, z_a), tau(model, z_a))
-        assert np.array_equal(phi(model, z_a), eval_operator(p, z_a))
-
-
-def test_phi_order1_hand_value():
-    # F(z_a) = (2,0), L1 = 1, d = (-1,0): phi = (2,0) + 2*(-1,0) = 0
-    model = TaylorModel(1, np.zeros(2), np.array([2.0, 0.0]), lipschitz=1.0)
-    assert np.allclose(phi(model, [-1.0, 0.0]), [0.0, 0.0])
-
-
-def test_phi_order2_scalar_golden_root():
-    # 1-D F(z) = z embedded on the first axis: 1 + d + |d| d = 0 at d = -(sqrt(5)-1)/2
-    model = TaylorModel(2, np.zeros(2), np.array([1.0, 0.0]), np.eye(2), lipschitz=1.0)
-    d = -(np.sqrt(5.0) - 1.0) / 2.0
-    assert np.linalg.norm(phi(model, [d, 0.0])) <= 1e-3
-
-
-def test_zero_lipschitz_reduces_phi_to_tau():
-    p = builtin("x2y")
-    model = taylor_model(p, [0.5, 0.5], 2, 0.0)
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        z_b = rng.uniform(-1, 1, 2)
-        assert np.array_equal(phi(model, z_b), tau(model, z_b))
-
-
-def test_unsupported_order_raises():
-    with pytest.raises(CapabilityError):
-        TaylorModel(3, np.zeros(2), np.zeros(2), np.eye(2), lipschitz=1.0)
-
-
-def test_order2_requires_jacobian():
-    with pytest.raises(CapabilityError):
-        TaylorModel(2, np.zeros(2), np.zeros(2), lipschitz=1.0)
-
-
-def test_order1_rejects_jacobian():
-    with pytest.raises(ValueError):
-        TaylorModel(1, np.zeros(2), np.zeros(2), np.eye(2), lipschitz=1.0)
+from hoeg import builtin, eval_jacobian, eval_operator
+from hoeg.certify import _evaluated_pairs, _smoothness
 
 
 @pytest.mark.parametrize("name,order", [("x2y", 1), ("x2y", 2), ("modified_forsaken", 1), ("forsaken", 2)])
 def test_model_error_bounded_by_sampled_constant(name, order):
     # remainder of the degree-(p-1) expansion stays below the sampled L_p
     p = builtin(name)
-    L_hat = 1.05 * estimate_smoothness(p, order, 4000, seed=5)
+    L_hat = 1.05 * _smoothness(p, order, _evaluated_pairs(p, 4000, seed=5))
     rng = np.random.default_rng(17)
     lo, hi = p.sample_box[:, 0], p.sample_box[:, 1]
     fact = 1.0 if order == 1 else 2.0
     for _ in range(200):
         z_a = lo + (hi - lo) * rng.random(p.d)
         z_b = lo + (hi - lo) * rng.random(p.d)
-        model = taylor_model(p, z_a, order, 0.0)
-        err = np.linalg.norm(eval_operator(p, z_b) - tau(model, z_b))
+        expansion = eval_operator(p, z_a)
+        if order == 2:
+            expansion = expansion + eval_jacobian(p, z_a) @ (z_b - z_a)
+        err = np.linalg.norm(eval_operator(p, z_b) - expansion)
         assert err <= (L_hat / fact) * np.linalg.norm(z_b - z_a) ** order + 1e-12
