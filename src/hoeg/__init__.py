@@ -16,7 +16,7 @@ from .certify import (
     estimate_weak_mvi_rho,
     fit_rate,
 )
-from .competitive import eval_f_alpha, f_alpha_jacobian
+from .competitive import Operator, OperatorMode
 from .dynamics import (
     ContinuousConfig,
     ContinuousLog,
@@ -32,14 +32,7 @@ from .errors import (
     NumericError,
 )
 from .halfstep import HalfStepResult, solve_half_step_p1, solve_half_step_p2
-from .problems import (
-    OperatorMode,
-    ProblemSpec,
-    builtin,
-    eval_jacobian,
-    eval_operator,
-    problem_names,
-)
+from .problems import ProblemSpec, builtin, eval_jacobian, eval_operator, problem_names
 from .solver import (
     IterateRecord,
     SolverConfig,
@@ -61,6 +54,7 @@ __all__ = [
     "HalfStepResult",
     "IterateRecord",
     "NumericError",
+    "Operator",
     "OperatorMode",
     "ProblemSpec",
     "SolverConfig",
@@ -74,10 +68,8 @@ __all__ = [
     "detect_cycling",
     "estimate_q_rho",
     "estimate_weak_mvi_rho",
-    "eval_f_alpha",
     "eval_jacobian",
     "eval_operator",
-    "f_alpha_jacobian",
     "fit_rate",
     "normalized_field",
     "problem_names",

@@ -15,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .competitive import block_matrix, check_competitive, resolve_operator
+from .competitive import Operator, OperatorMode
 from .errors import DegenerateSampleError
 from .halfstep import check_order
-from .problems import OperatorMode, ProblemSpec, eval_jacobian, operator_rows
+from .problems import ProblemSpec, _per_point, eval_jacobian, operator_rows
 from .solver import TrajectoryLog
 
 # Largest coefficient c such that, for every run of the iteration,
@@ -121,38 +121,6 @@ def sample_pairs(box: np.ndarray, n: int, seed: int):
     return a, b
 
 
-def _per_point(fn, points: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    """fn at each row of ``points``, one point at a time, into a preallocated array.
-
-    With problems.operator_rows for F, these are the only per-point loops of
-    the estimators; everything after them is array arithmetic over the rows.
-    Each value must have exactly ``shape``.
-    """
-    out = np.empty((len(points),) + shape)
-    for i, z in enumerate(points):
-        value = fn(z)
-        if np.shape(value) != shape:
-            raise ValueError(f"{what} has shape {np.shape(value)}")
-        out[i] = value
-    return out
-
-
-def _field_rows(problem: ProblemSpec, points: np.ndarray,
-                mode: Optional[OperatorMode]) -> np.ndarray:
-    """F, or F_alpha in competitive mode, at each row of ``points``.
-
-    F_alpha is one solve on the (n, d, d) stack of block matrices; LAPACK
-    factors each matrix as it would alone, so every row equals eval_f_alpha.
-    """
-    if mode is None or mode.kind == "standard":
-        return operator_rows(problem, points)
-    alpha = check_competitive(problem, mode.alpha)
-    B = _per_point(problem.mixed_hessian, points, (problem.d_x, problem.d_y),
-                   f"mixed Hessian of {problem.name!r}")
-    F = operator_rows(problem, points)
-    return np.linalg.solve(block_matrix(B, alpha), F[..., None])[..., 0]
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, bit-identical to np.linalg.norm of that row.
 
@@ -177,11 +145,10 @@ def _check_scan(n_samples, q) -> None:
         raise ValueError(f"q must be finite, got {q!r}")
 
 
-def _rho_scan(problem: ProblemSpec, z_star, q: float, points: np.ndarray,
-              mode: Optional[OperatorMode] = None) -> RhoScan:
-    """Sampled exponent-q rho over ``points``, which the caller drew with sample_points."""
+def _rho_scan(operator: Operator, z_star, q: float, points: np.ndarray) -> RhoScan:
+    """Sampled exponent-q rho of the field over ``points``, drawn by the caller with sample_points."""
     z_star = np.asarray(z_star, dtype=float)
-    F = _field_rows(problem, points, mode)
+    F = operator.rows(points)
     norms = _row_norms(F)
     used = np.flatnonzero(norms >= SKIP_NORM)
     if len(used) == 0:
@@ -198,8 +165,9 @@ def estimate_q_rho(problem: ProblemSpec, z_star, q: float, n_samples: int, seed:
                    mode: Optional[OperatorMode] = None) -> float:
     """Largest sampled violation of <F(z), z - z*> >= -(rho/2) ||F(z)||^q."""
     _check_scan(n_samples, q)
+    operator = Operator(problem, mode)
     points = sample_points(_sample_box(problem), n_samples, seed, z_star)
-    return _rho_scan(problem, z_star, q, points, mode).value
+    return _rho_scan(operator, z_star, q, points).value
 
 
 def estimate_weak_mvi_rho(problem: ProblemSpec, z_star, p: int, n_samples: int, seed: int,
@@ -303,10 +271,11 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
     orders = (1, 2) if problem.operator_jacobian is not None else (1,)
     if p not in problem.published_constants and p not in orders:
         raise ValueError(f"no L_{p} available for {problem.name!r}")
+    operator = Operator(problem, mode)
     # both scans read the same points; each still evaluates F at all of them
     points = sample_points(box, n_samples, seed, problem.z_star)
-    scan_p = _rho_scan(problem, problem.z_star, (p + 1) / p, points, mode)
-    scan_q = _rho_scan(problem, problem.z_star, q, points, mode)
+    scan_p = _rho_scan(operator, problem.z_star, (p + 1) / p, points)
+    scan_q = _rho_scan(operator, problem.z_star, q, points)
     pairs = _evaluated_pairs(problem, max(200, n_samples // 10), seed)
     L_hat = {order: _smoothness(problem, order, pairs) for order in orders}
     Lp = problem.published_constants.get(p, L_hat.get(p))
@@ -358,7 +327,7 @@ def check_potential_inequality(problem: ProblemSpec, log: TrajectoryLog, z_star,
     ||z* - z0||^2 - POTENTIAL_COEF * sum of squared displacements.
     """
     z_star = np.asarray(z_star, dtype=float)
-    operator = resolve_operator(problem, mode)[0]
+    operator = Operator(problem, mode).at
     if not log.records:
         return PrefixReport(True, None, math.inf, 0.0)
     z0 = log.records[0].z
@@ -414,6 +383,8 @@ def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, p: int,
     z_star = problem.z_star
     D = max(L1 * float(np.linalg.norm(rec.z_half - z_star)) for rec in log.records)
     exponent = (p + 1) / p
+    if D == 0.0 and q > exponent:
+        raise ValueError(f"D = 0 (the run stays at z*): D^((p+1)/p - q) is undefined for q = {q}")
     threshold = (15.0 / 16.0) * D ** (exponent - q) * (math.factorial(p) / Lp) ** exponent
     return {
         "D": D,

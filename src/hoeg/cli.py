@@ -19,9 +19,10 @@ from typing import Optional
 import numpy as np
 
 from . import certify as cert
+from .competitive import OperatorMode
 from .dynamics import ContinuousConfig, simulate
 from .errors import ConvergenceError, NumericError
-from .problems import OperatorMode, builtin, problem_names
+from .problems import builtin, problem_names
 from .recipes import RECIPES, min_opnorm_svg, run_recipe
 from .solver import TERM_NUMERIC, TERM_SUBPROBLEM, SolverConfig, TrajectoryLog, run
 from .svgplot import trajectory_plot_svg
@@ -67,14 +68,12 @@ class RunConfig:
         return float(published)
 
     def solver_config(self, problem) -> SolverConfig:
-        mode = (OperatorMode.standard() if self.alpha is None
-                else OperatorMode.competitive(self.alpha))
         return SolverConfig(
             order_p=self.p,
             lipschitz=self.resolved_lipschitz(problem),
             max_iterations=self.K,
             z0=np.array(self.z0, dtype=float),
-            operator_mode=mode,
+            operator_mode=OperatorMode(self.alpha),
         )
 
     def to_json(self) -> str:
@@ -240,9 +239,8 @@ def _cmd_certify(args) -> int:
     except ValueError:
         raise ValueError(f"HOEG_SEED must be an integer, got {seed_text!r}") from None
     problem = builtin(args.problem)
-    mode = None if args.alpha is None else OperatorMode.competitive(args.alpha)
     report = cert.certify_problem(
-        problem, args.p, q=args.q, mode=mode,
+        problem, args.p, q=args.q, mode=OperatorMode(args.alpha),
         n_samples=args.samples, seed=seed,
     )
     payload = report.to_dict()

@@ -1,4 +1,4 @@
-"""The competitive operator: F preconditioned through the mixed Hessian.
+"""The field the iteration and the certificates follow: F, or F preconditioned through the mixed Hessian.
 
 F_alpha(z) solves M u = F(z) with M = [[I, a*B], [-a*B^T, I]] and
 B = grad_xy f(z).  M is the identity plus a real skew-symmetric matrix, so
@@ -8,21 +8,34 @@ F_alpha and F share their zero set exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import CapabilityError
-from .problems import OperatorMode, ProblemSpec, central_difference, eval_jacobian, eval_operator
+from .problems import (ProblemSpec, _per_point, central_difference, eval_jacobian, eval_operator,
+                       operator_rows)
 
 
-def check_competitive(problem: ProblemSpec, alpha: float) -> float:
-    """Validate that F_alpha exists for the problem; returns alpha as a float."""
-    if problem.mixed_hessian is None:
-        raise CapabilityError(f"{problem.name!r} has no mixed Hessian; competitive mode unavailable")
-    if not alpha >= 0:
-        raise ValueError("alpha must be >= 0")
-    return float(alpha)
+@dataclass(frozen=True)
+class OperatorMode:
+    """Which field the solver follows: F when alpha is None, F_alpha for a value (0 included)."""
+
+    alpha: Optional[float] = None
+
+    def __post_init__(self):
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and >= 0")
+
+    @classmethod
+    def standard(cls) -> "OperatorMode":
+        return cls()
+
+    @classmethod
+    def competitive(cls, alpha: float) -> "OperatorMode":
+        return cls(float(alpha))
 
 
 def block_matrix(B: np.ndarray, alpha: float) -> np.ndarray:
@@ -38,34 +51,42 @@ def block_matrix(B: np.ndarray, alpha: float) -> np.ndarray:
     return M
 
 
-def eval_f_alpha(problem: ProblemSpec, z, alpha: float) -> np.ndarray:
-    """Evaluate the competitive operator at z: the solution u of M u = F(z)."""
-    alpha = check_competitive(problem, alpha)
-    z = np.asarray(z, dtype=float)
-    B = np.asarray(problem.mixed_hessian(z), dtype=float)
-    if B.shape != (problem.d_x, problem.d_y):
-        raise ValueError(f"mixed Hessian of {problem.name!r} has shape {B.shape}")
-    return np.linalg.solve(block_matrix(B, alpha), eval_operator(problem, z))
+class Operator:
+    """F of a problem, or F_alpha when the mode sets alpha, at a point, at rows, and its Jacobian."""
 
+    def __init__(self, problem: ProblemSpec, mode: Optional[OperatorMode] = None):
+        self.problem = problem
+        self.alpha = None if mode is None else mode.alpha
+        if self.alpha is not None and problem.mixed_hessian is None:
+            raise CapabilityError(f"{problem.name!r} has no mixed Hessian; competitive mode unavailable")
 
-def f_alpha_jacobian(problem: ProblemSpec, z, alpha: float) -> np.ndarray:
-    """Central-difference Jacobian of the competitive operator."""
-    z = np.asarray(z, dtype=float)
-    return central_difference(lambda zz: eval_f_alpha(problem, zz, alpha), z)
+    def at(self, z) -> np.ndarray:
+        """The field at one point; F_alpha is one (d, d) solve."""
+        problem = self.problem
+        F = eval_operator(problem, z)
+        if self.alpha is None:
+            return F
+        B = np.asarray(problem.mixed_hessian(np.asarray(z, dtype=float)), dtype=float)
+        if B.shape != (problem.d_x, problem.d_y):
+            raise ValueError(f"mixed Hessian of {problem.name!r} has shape {B.shape}")
+        return np.linalg.solve(block_matrix(B, self.alpha), F)
 
+    def rows(self, Z: np.ndarray) -> np.ndarray:
+        """The field at each row of an (n, d) array, each row bit-identical to ``at``.
 
-def resolve_operator(problem: ProblemSpec,
-                     mode: Optional[OperatorMode] = None) -> Tuple[Callable, Callable]:
-    """Field and Jacobian callables of the operator mode: F by default, F_alpha when competitive."""
-    if mode is None or mode.kind == "standard":
-        return (
-            lambda z: eval_operator(problem, z),
-            lambda z: eval_jacobian(problem, z),
-        )
-    alpha = mode.alpha
-    # no analytic third derivatives: the competitive Jacobian is differenced
-    return (
-        lambda z: eval_f_alpha(problem, z, alpha),
-        lambda z: f_alpha_jacobian(problem, z, alpha),
-    )
+        F_alpha is one solve on the (n, d, d) stack of block matrices; LAPACK
+        factors each matrix as it would alone.
+        """
+        problem = self.problem
+        F = operator_rows(problem, Z)
+        if self.alpha is None:
+            return F
+        B = _per_point(problem.mixed_hessian, Z, (problem.d_x, problem.d_y),
+                       f"mixed Hessian of {problem.name!r}")
+        return np.linalg.solve(block_matrix(B, self.alpha), F[..., None])[..., 0]
 
+    def jacobian(self, z) -> np.ndarray:
+        """Jacobian of the field; F_alpha has no analytic third derivatives, so it is differenced."""
+        if self.alpha is None:
+            return eval_jacobian(self.problem, z)
+        return central_difference(self.at, np.asarray(z, dtype=float))

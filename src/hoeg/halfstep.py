@@ -45,9 +45,9 @@ def _norm(v: np.ndarray) -> float:
 
 
 def vector_norm(v: np.ndarray) -> float:
-    """sqrt(v @ v), or ``_norm`` once the sum of squares falls below the smallest normal double."""
+    """sqrt(v @ v), or ``_norm`` where the sum of squares underflows the normal range or overflows."""
     sq = v @ v
-    return math.sqrt(sq) if sq >= sys.float_info.min else _norm(v)
+    return math.sqrt(sq) if sys.float_info.min <= sq < math.inf else _norm(v)
 
 
 @dataclass(frozen=True)

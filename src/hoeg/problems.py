@@ -21,28 +21,6 @@ FD_STEP = 1e-5  # central-difference step of every differenced operator Jacobian
 
 
 @dataclass(frozen=True)
-class OperatorMode:
-    """Which field the solver follows: the raw operator or its competitive preconditioning."""
-
-    kind: str = "standard"
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("standard", "competitive"):
-            raise ValueError(f"unknown operator mode {self.kind!r}")
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError("alpha must be finite and >= 0")
-
-    @classmethod
-    def standard(cls) -> "OperatorMode":
-        return cls("standard", 0.0)
-
-    @classmethod
-    def competitive(cls, alpha: float) -> "OperatorMode":
-        return cls("competitive", float(alpha))
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     """A saddle problem with analytic derivative blocks.
 
@@ -135,6 +113,21 @@ def operator_rows(problem: ProblemSpec, points) -> np.ndarray:
     if not finite.all():
         z = points[np.argmin(finite)]
         raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
+    return out
+
+
+def _per_point(fn, points: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """fn at each row of ``points``, one point at a time, into a preallocated array.
+
+    Serves the mixed Hessians of F_alpha's rows and the Jacobians of the L_2
+    estimate.  Each value must have exactly ``shape``.
+    """
+    out = np.empty((len(points),) + shape)
+    for i, z in enumerate(points):
+        value = fn(z)
+        if np.shape(value) != shape:
+            raise ValueError(f"{what} has shape {np.shape(value)}")
+        out[i] = value
     return out
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .problems import OperatorMode, builtin
+from .competitive import OperatorMode
+from .problems import builtin
 from .solver import SolverConfig, TrajectoryLog, detect_cycling, run
 from .svgplot import line_plot_svg, trajectory_plot_svg
 
@@ -38,13 +40,12 @@ class RunPreset:
     alpha: Optional[float] = None
 
     def config(self) -> SolverConfig:
-        mode = OperatorMode.standard() if self.alpha is None else OperatorMode.competitive(self.alpha)
         return SolverConfig(
             order_p=self.order_p,
             lipschitz=self.lipschitz,
             max_iterations=self.iterations,
             z0=np.array(self.z0),
-            operator_mode=mode,
+            operator_mode=OperatorMode(self.alpha),
         )
 
 
@@ -99,7 +100,7 @@ def min_opnorm_svg(path: str, runs: Sequence[Tuple[str, TrajectoryLog]], title: 
     """Log-log plot of each run's running minimum of ||F(z_half)||^2 against k+1."""
     series = []
     for label, log in runs:
-        running = np.maximum(log.running_min_sq(), 1e-300)
+        running = np.clip(log.running_min_sq(), 1e-300, sys.float_info.max)
         series.append((label, np.arange(1, len(running) + 1), running))
     line_plot_svg(path, series, title=title, xlabel="k+1", ylabel="min ||F||^2", logx=True, logy=True)
 

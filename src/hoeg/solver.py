@@ -10,15 +10,15 @@ operator norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .competitive import resolve_operator
+from .competitive import Operator, OperatorMode
 from .errors import ConvergenceError, NumericError
 from .halfstep import check_order, solve_half_step_p1, solve_half_step_p2, vector_norm
-from .problems import OperatorMode, ProblemSpec
+from .problems import ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
 TERM_EPSILON = "epsilon_reached"
@@ -33,7 +33,7 @@ class SolverConfig:
     lipschitz: float
     max_iterations: int
     z0: np.ndarray
-    operator_mode: OperatorMode = field(default_factory=OperatorMode.standard)
+    operator_mode: OperatorMode = OperatorMode()
     stop_norm: float = 0.0
 
     def __post_init__(self):
@@ -68,7 +68,8 @@ class TrajectoryLog:
 
     def running_min_sq(self) -> np.ndarray:
         """Running minimum of ||F(z_half)||^2 over the records."""
-        return np.minimum.accumulate(np.array([rec.op_norm_half for rec in self.records]) ** 2)
+        with np.errstate(over="ignore"):  # a diverged run's norms square to inf
+            return np.minimum.accumulate(np.array([rec.op_norm_half for rec in self.records]) ** 2)
 
 
 def select_output(records: List[IterateRecord]) -> Tuple[np.ndarray, int]:
@@ -87,7 +88,7 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     run with termination ``subproblem_failure`` or ``numeric_failure`` and
     keeps the records reached; before it, the error propagates.
     """
-    operator, jacobian = resolve_operator(problem, config.operator_mode)
+    operator = Operator(problem, config.operator_mode)
     p = config.order_p
     L = config.lipschitz
     full_step_coef = math.factorial(p) / (2.0 * L)
@@ -102,12 +103,12 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
         try:
             if not np.isfinite(z).all():
                 raise NumericError(f"non-finite iterate at k={k}")
-            F_k = operator(z)
+            F_k = operator.at(z)
             if p == 1:
                 half = solve_half_step_p1(F_k, L, z)
             else:
-                half = solve_half_step_p2(F_k, jacobian(z), L, z)
-            F_half = operator(half.z_half)
+                half = solve_half_step_p2(F_k, operator.jacobian(z), L, z)
+            F_half = operator.at(half.z_half)
         except (ConvergenceError, NumericError) as exc:
             if not records:
                 raise

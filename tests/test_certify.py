@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hoeg import (
     DegenerateSampleError,
     NumericError,
+    Operator,
     OperatorMode,
     ProblemSpec,
     SolverConfig,
@@ -20,10 +21,10 @@ from hoeg import (
     check_rho_threshold,
     estimate_q_rho,
     estimate_weak_mvi_rho,
-    eval_f_alpha,
     eval_jacobian,
     eval_operator,
     fit_rate,
+    problem_names,
     run,
 )
 from hoeg.certify import (
@@ -32,7 +33,6 @@ from hoeg.certify import (
     RhoScan,
     _comonotonicity,
     _evaluated_pairs,
-    _field_rows,
     _rho_scan,
     _smoothness,
     decoupled_threshold_report,
@@ -40,7 +40,6 @@ from hoeg.certify import (
     sample_points,
 )
 from hoeg import certify as certify_module
-from hoeg.competitive import resolve_operator
 from hoeg.solver import IterateRecord, TrajectoryLog
 
 
@@ -410,7 +409,7 @@ class TestHaltonPrefixStability:
 def _scan_oracle(problem, z_star, q, n_samples, seed, mode=None):
     """The point-by-point rho scan that the array scan replaced, kept as its reference."""
     z_star = np.asarray(z_star, dtype=float)
-    operator = resolve_operator(problem, mode)[0]
+    operator = Operator(problem, mode).at
     best, best_z, used = -np.inf, None, 0
     for z in sample_points(problem.sample_box, n_samples, seed, z_star):
         F = operator(z)
@@ -473,9 +472,9 @@ class TestArrayEstimatesMatchThePointLoops:
         points = sample_points(problem.sample_box, n, seed, problem.z_star)
         if oracle.samples_used == 0:
             with pytest.raises(DegenerateSampleError):
-                _rho_scan(problem, problem.z_star, q, points, mode)
+                _rho_scan(Operator(problem, mode), problem.z_star, q, points)
             return
-        scan = _rho_scan(problem, problem.z_star, q, points, mode)
+        scan = _rho_scan(Operator(problem, mode), problem.z_star, q, points)
         assert scan.value == oracle.value
         assert np.array_equal(scan.worst_violator, oracle.worst_violator)
         assert scan.samples_used == oracle.samples_used
@@ -508,12 +507,12 @@ def test_competitive_scan_on_a_non_square_block_layout():
     problem, alpha, n, seed = _tall_block(), 3.0, 500, 4
     mode = OperatorMode.competitive(alpha)
     points = sample_points(problem.sample_box, n, seed, problem.z_star)
-    rows = _field_rows(problem, points, mode)
+    rows = Operator(problem, mode).rows(points)
     assert rows.shape == (n, 3)
     for z, row in zip(points, rows):
-        assert np.array_equal(row, eval_f_alpha(problem, z, alpha))
+        assert np.array_equal(row, Operator(problem, mode).at(z))
     # the standard rows split F into its (2, 1) blocks
-    rows = _field_rows(problem, points, None)
+    rows = Operator(problem, None).rows(points)
     assert rows.shape == (n, 3)
     for z, row in zip(points, rows):
         assert np.array_equal(row, eval_operator(problem, z))
@@ -521,3 +520,15 @@ def test_competitive_scan_on_a_non_square_block_layout():
     oracle = _scan_oracle(problem, problem.z_star, 2.0, n, seed, mode)
     assert (report.rho_hat_p, report.samples_used) == (oracle.value, oracle.samples_used)
     assert np.array_equal(report.worst_violator, oracle.worst_violator)
+
+
+@_oracle_property
+@given(st.sampled_from(problem_names() + ["tall_block"]), st.none() | st.floats(0.0, 100.0),
+       st.integers(1, 50), st.integers(0, 10**6))
+def test_operator_rows_are_its_points_bit_for_bit(name, alpha, n, seed):
+    problem = _tall_block() if name == "tall_block" else builtin(name)
+    operator = Operator(problem, OperatorMode(alpha))
+    box = problem.sample_box
+    points = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], (n, problem.d))
+    for z, row in zip(points, operator.rows(points)):
+        assert row.tobytes() == operator.at(z).tobytes()

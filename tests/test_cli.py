@@ -19,6 +19,7 @@ def child_env(env_extra=None):
     env = dict(os.environ)
     env.pop("HOEG_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # the rule the test process runs under
     env.update(env_extra or {})
     return env
 
@@ -234,6 +235,18 @@ def test_run_keeps_csv_on_numeric_failure(tmp_path):
     assert len(lines) == 1 + summary["records"] > 1
 
 
+def test_a_diverged_run_reports_finite_norms_in_strict_json(tmp_path):
+    # ||F|| = hypot(1e200, 1e200) is a double, though its square overflows
+    svg = tmp_path / "run.svg"
+    proc = invoke(["run", "--problem", "x2y", "--Lp", "1e-100", "--K", "200", "--z0", "1,1",
+                   "--svg", str(svg)])
+    assert proc.returncode == 1
+    assert svg.exists() and (tmp_path / "run_trajectory.svg").exists()
+    summary = json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
+    assert summary["termination"] == "numeric_failure"
+    assert summary["min_opnorm"] == 1.414213562373095e+200
+
+
 def test_rate_of_a_diverged_run_is_a_solver_failure():
     proc = invoke(["rate", "--problem", "modified_forsaken", "--p", "1", "--Lp", "0.05",
                    "--K", "2000"])
@@ -276,6 +289,13 @@ def test_certify_decoupled_section(tmp_path):
     report = json.loads(out.read_text())
     assert "decoupled" in report
     assert report["decoupled"]["D"] > 0
+
+
+def test_decoupled_certificate_of_a_run_at_z_star_is_usage_error():
+    # D = 0 and (p+1)/p - q < 0: the threshold D^((p+1)/p - q) does not exist
+    proc = invoke(["certify", "--problem", "x2y", "--q", "3", "--z0", "0,0", "--samples", "200"])
+    assert proc.returncode == 2
+    assert "D = 0" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_rate_subcommand():

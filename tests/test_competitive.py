@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from hoeg import (
     CapabilityError,
+    Operator,
+    OperatorMode,
     ProblemSpec,
     builtin,
-    eval_f_alpha,
+    estimate_q_rho,
     eval_operator,
-    f_alpha_jacobian,
 )
 from hoeg.competitive import block_matrix
 
@@ -20,20 +21,20 @@ def test_alpha_zero_is_the_plain_operator():
     for name in ("forsaken", "x2y", "bilinear"):
         p = builtin(name)
         z = np.array([0.7, -1.1])
-        assert np.allclose(eval_f_alpha(p, z, 0.0), eval_operator(p, z), atol=1e-15)
+        assert np.allclose(Operator(p, OperatorMode(0.0)).at(z), eval_operator(p, z), atol=1e-15)
 
 
 def test_bilinear_hand_value():
     # g = (0, -1), M = [[1, 1], [-1, 1]] at alpha = 1
     p = builtin("bilinear")
-    assert np.allclose(eval_f_alpha(p, [1.0, 0.0], 1.0), [0.5, -0.5])
+    assert np.allclose(Operator(p, OperatorMode(1.0)).at([1.0, 0.0]), [0.5, -0.5])
 
 
 def test_x2y_y_axis_is_fixed_for_all_alpha():
     p = builtin("x2y")
     for alpha in (0.0, 1.0, 10.0, 100.0):
         for y in (-2.0, 0.0, 1.0):
-            assert np.allclose(eval_f_alpha(p, [0.0, y], alpha), [0.0, 0.0])
+            assert np.allclose(Operator(p, OperatorMode(alpha)).at([0.0, y]), [0.0, 0.0])
 
 
 def test_missing_mixed_hessian_is_capability_error():
@@ -43,7 +44,17 @@ def test_missing_mixed_hessian_is_capability_error():
         sample_box=p.sample_box,
     )
     with pytest.raises(CapabilityError):
-        eval_f_alpha(stripped, [1.0, 1.0], 1.0)
+        Operator(stripped, OperatorMode(1.0))
+    with pytest.raises(CapabilityError):
+        estimate_q_rho(stripped, np.zeros(2), 2.0, 200, seed=0, mode=OperatorMode(1.0))
+
+
+def test_alpha_alone_names_the_mode():
+    assert OperatorMode() == OperatorMode.standard()
+    assert OperatorMode(2) == OperatorMode.competitive(2.0)
+    for alpha in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            OperatorMode(alpha)
 
 
 def test_block_matrix_is_never_ill_conditioned():
@@ -73,7 +84,8 @@ def test_small_alpha_limit():
         p = builtin(name)
         for _ in range(5):
             z = rng.uniform(-1, 1, 2)
-            gap = abs(np.linalg.norm(eval_f_alpha(p, z, 1e-8)) - np.linalg.norm(eval_operator(p, z)))
+            fa_norm = np.linalg.norm(Operator(p, OperatorMode(1e-8)).at(z))
+            gap = abs(fa_norm - np.linalg.norm(eval_operator(p, z)))
             assert gap <= 1e-6
 
 
@@ -81,11 +93,11 @@ def test_zero_sets_coincide():
     rng = np.random.default_rng(5)
     for name in ("forsaken", "modified_forsaken", "x2y"):
         p = builtin(name)
-        assert np.linalg.norm(eval_f_alpha(p, p.z_star, 10.0)) <= 1e-6
+        assert np.linalg.norm(Operator(p, OperatorMode(10.0)).at(p.z_star)) <= 1e-6
         for _ in range(20):
             z = rng.uniform(-1.4, 1.4, 2)
             f_norm = np.linalg.norm(eval_operator(p, z))
-            fa_norm = np.linalg.norm(eval_f_alpha(p, z, 10.0))
+            fa_norm = np.linalg.norm(Operator(p, OperatorMode(10.0)).at(z))
             if f_norm > 1e-6:
                 assert fa_norm > 0.0
 
@@ -100,7 +112,7 @@ def test_competitive_norm_is_within_the_block_matrix_bounds(name, x, y, alpha):
     z = np.array([x, y])
     M, F = block_matrix(p.mixed_hessian(z), alpha), eval_operator(p, z)
     f_norm = math.hypot(*F)
-    fa_norm = math.hypot(*eval_f_alpha(p, z, alpha))
+    fa_norm = math.hypot(*Operator(p, OperatorMode(alpha)).at(z))
     # subnormal results round to a multiple of math.ulp(0.0), not to a relative 1e-12
     slack = 8 * math.ulp(0.0)
     assert fa_norm <= f_norm * (1 + 1e-12) + slack
@@ -110,7 +122,8 @@ def test_competitive_norm_is_within_the_block_matrix_bounds(name, x, y, alpha):
 def test_differenced_jacobian_tracks_alpha_zero_limit():
     p = builtin("x2y")
     z = np.array([0.8, -0.4])
-    assert np.allclose(f_alpha_jacobian(p, z, 0.0), [[2 * z[1], 2 * z[0]], [-2 * z[0], 0.0]], atol=1e-9)
+    assert np.allclose(Operator(p, OperatorMode(0.0)).jacobian(z),
+                       [[2 * z[1], 2 * z[0]], [-2 * z[0], 0.0]], atol=1e-9)
 
 
 def test_competitive_system_shapes():
