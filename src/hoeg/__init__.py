@@ -39,7 +39,6 @@ from .solver import (
     TrajectoryLog,
     detect_cycling,
     run,
-    select_output,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +74,6 @@ __all__ = [
     "problem_names",
     "resolvent_solve",
     "run",
-    "select_output",
     "simulate",
     "solve_half_step_p1",
     "solve_half_step_p2",

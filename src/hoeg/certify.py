@@ -296,7 +296,7 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
 
 def fit_rate(log: TrajectoryLog) -> float:
     """Log-log slope of the running minimum of ||F(z_half)||^2 over the run's second half."""
-    if len(log.records) < 20:
+    if len(log) < 20:
         raise ValueError("need at least 20 records to fit a rate")
     running_min = log.running_min_sq()
     if np.any(running_min == 0.0):
@@ -328,9 +328,9 @@ def check_potential_inequality(problem: ProblemSpec, log: TrajectoryLog, z_star,
     """
     z_star = np.asarray(z_star, dtype=float)
     operator = Operator(problem, mode).at
-    if not log.records:
+    if not len(log):
         return PrefixReport(True, None, math.inf, 0.0)
-    z0 = log.records[0].z
+    z0 = log.z[0]
     budget = float(np.sum((z_star - z0) ** 2))
     if slack is None:
         slack = 1e-8 * (1.0 + budget)
@@ -339,15 +339,16 @@ def check_potential_inequality(problem: ProblemSpec, log: TrajectoryLog, z_star,
     disp_sq = 0.0
     min_margin = math.inf
     first_violation = None
-    for rec in log.records:
-        F_half = operator(rec.z_half)
-        lhs += rec.lambda_k * coef * float(np.sum(F_half * (rec.z_half - z_star)))
-        disp_sq += rec.displacement_norm**2
+    rows = zip(log.z_half, log.lambda_k.tolist(), log.displacement_norm.tolist())
+    for k, (z_half, lam, r) in enumerate(rows):
+        F_half = operator(z_half)
+        lhs += lam * coef * float(np.sum(F_half * (z_half - z_star)))
+        disp_sq += r**2
         margin = (budget - POTENTIAL_COEF * disp_sq) - lhs
         if margin < min_margin:
             min_margin = margin
         if margin < -slack and first_violation is None:
-            first_violation = rec.k
+            first_violation = k
     return PrefixReport(first_violation is None, first_violation, min_margin, slack)
 
 
@@ -357,13 +358,14 @@ def check_half_step_norm_bound(log: TrajectoryLog, p: int, Lp: float,
     coef = 3.0 * Lp / math.factorial(p)
     min_margin = math.inf
     first_violation = None
-    for rec in log.records:
-        bound = coef * rec.displacement_norm**p
-        margin = bound - rec.op_norm_half
+    rows = zip(log.displacement_norm.tolist(), log.op_norm_half.tolist())
+    for k, (r, op_norm) in enumerate(rows):
+        bound = coef * r**p
+        margin = bound - op_norm
         if margin < min_margin:
             min_margin = margin
         if margin < -slack * max(1.0, bound) and first_violation is None:
-            first_violation = rec.k
+            first_violation = k
     return PrefixReport(first_violation is None, first_violation, min_margin, slack)
 
 
@@ -381,7 +383,7 @@ def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, p: int,
     if problem.z_star is None:
         raise ValueError("need a stationary point for the decoupled certificate")
     z_star = problem.z_star
-    D = max(L1 * float(np.linalg.norm(rec.z_half - z_star)) for rec in log.records)
+    D = max(L1 * float(np.linalg.norm(z_half - z_star)) for z_half in log.z_half)
     exponent = (p + 1) / p
     if D == 0.0 and q > exponent:
         raise ValueError(f"D = 0 (the run stays at z*): D^((p+1)/p - q) is undefined for q = {q}")

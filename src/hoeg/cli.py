@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -128,14 +129,16 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _write_run_csv(path: str, log: TrajectoryLog) -> None:
-    d = log.records[0].z.size
+    d = log.z.shape[1]
     header = (["k"] + [f"z_{i}" for i in range(d)] + [f"zhalf_{i}" for i in range(d)]
               + ["lambda", "r", "opnorm", "residual", "subproblem_iters"])
+    columns = zip(log.z.tolist(), log.z_half.tolist(), log.lambda_k.tolist(),
+                  log.displacement_norm.tolist(), log.op_norm_half.tolist(),
+                  log.subproblem_residual.tolist(), log.subproblem_iters.tolist())
     _write_csv(path, header, (
-        [str(rec.k)] + [_fmt(v) for v in rec.z] + [_fmt(v) for v in rec.z_half]
-        + [_fmt(rec.lambda_k), _fmt(rec.displacement_norm),
-           _fmt(rec.op_norm_half), _fmt(rec.subproblem_residual), str(rec.subproblem_iters)]
-        for rec in log.records))
+        [str(k)] + [_fmt(v) for v in z] + [_fmt(v) for v in z_half]
+        + [_fmt(lam), _fmt(r), _fmt(op_norm), _fmt(residual), str(iters)]
+        for k, (z, z_half, lam, r, op_norm, residual, iters) in enumerate(columns)))
 
 
 def _run_summary(config: RunConfig, log: TrajectoryLog) -> dict:
@@ -143,6 +146,9 @@ def _run_summary(config: RunConfig, log: TrajectoryLog) -> dict:
         slope = cert.fit_rate(log)
     except ValueError:
         slope = None
+    residual = log.failure_residual
+    if residual is not None and not math.isfinite(residual):
+        residual = None  # strict JSON has no inf; the termination still names the failure
     return {
         "problem": config.problem,
         "p": config.p,
@@ -150,9 +156,10 @@ def _run_summary(config: RunConfig, log: TrajectoryLog) -> dict:
         "z_out": [float(v) for v in log.z_out],
         "out_index": log.out_index,
         "termination": log.termination,
-        "min_opnorm": min(rec.op_norm_half for rec in log.records),
+        "failure_residual": residual,
+        "min_opnorm": float(log.op_norm_half.min()),
         "fitted_slope": slope,
-        "records": len(log.records),
+        "records": len(log),
     }
 
 
@@ -160,15 +167,14 @@ def _summarised_run(problem, config: RunConfig) -> TrajectoryLog:
     """The run behind ``rate`` and ``certify --q``, whose outputs mean nothing if it diverged."""
     log = run(problem, config.solver_config(problem))
     if log.termination == TERM_NUMERIC:
-        raise NumericError(f"the run diverged after {len(log.records)} iterates")
+        raise NumericError(f"the run diverged after {len(log)} iterates")
     return log
 
 
 def _write_run_svg(path: str, log: TrajectoryLog) -> None:
-    if log.records[0].z.size == 2:
+    if log.z.shape[1] == 2:
         base, ext = os.path.splitext(path)
-        trajectory_plot_svg(base + "_trajectory" + ext,
-                            [("iterates", [rec.z for rec in log.records])])
+        trajectory_plot_svg(base + "_trajectory" + ext, [("iterates", log.z)])
     min_opnorm_svg(path, [("min ||F||^2", log)])
 
 

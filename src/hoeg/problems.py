@@ -29,6 +29,11 @@ class ProblemSpec:
     cross block of second derivatives and is required for the competitive
     operator.  ``operator_jacobian`` returns the full Jacobian of F; when
     absent it is replaced by central finite differences.
+
+    Every callable must be deterministic: the same input gives the same
+    bytes.  ``solver.run`` relies on it, since it stops computing once an
+    iterate repeats bit for bit and fills the remaining records from the
+    last computed one.
     """
 
     name: str

@@ -152,7 +152,7 @@ def run_recipe(name: str, out_dir: str) -> dict:
     for preset, log in zip(recipe.runs, logs):
         by_order.setdefault(preset.order_p, []).append((preset, log))
     for p, pairs in sorted(by_order.items()):
-        traj = [(preset.label, [rec.z for rec in log.records]) for preset, log in pairs]
+        traj = [(preset.label, log.z) for preset, log in pairs]
         trajectory_plot_svg(
             os.path.join(out_dir, f"{name}_p{p}_trajectories.svg"),
             traj, title=f"{name} (order {p})",

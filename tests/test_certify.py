@@ -40,7 +40,15 @@ from hoeg.certify import (
     sample_points,
 )
 from hoeg import certify as certify_module
-from hoeg.solver import IterateRecord, TrajectoryLog
+from hoeg.solver import TrajectoryLog
+
+
+def column_log(op_norms):
+    """A log built from columns, with the given operator norms and placeholder rows."""
+    n = len(op_norms)
+    return TrajectoryLog(np.zeros((n, 2)), np.zeros((n, 2)), np.full(n, 0.5), np.ones(n),
+                         np.asarray(op_norms, dtype=float), np.zeros(n), np.zeros(n, dtype=np.int64),
+                         np.zeros(2), 0, "budget_exhausted")
 
 
 def standard_run(name, p, L, z0, K, alpha=None):
@@ -168,20 +176,14 @@ def test_comonotonicity_estimate_is_exact_on_the_toy():
 
 
 class TestFitRate:
-    @staticmethod
-    def synthetic_log(op_norms):
-        recs = [IterateRecord(k, np.zeros(2), np.zeros(2), 0.5, 1.0, float(v), 0.0, 0)
-                for k, v in enumerate(op_norms)]
-        return TrajectoryLog(recs, np.zeros(2), 0, "budget_exhausted")
-
     def test_recovers_slope_minus_one(self):
         ks = np.arange(200)
-        log = self.synthetic_log(1.0 / np.sqrt(ks + 1.0))
+        log = column_log(1.0 / np.sqrt(ks + 1.0))
         assert fit_rate(log) == pytest.approx(-1.0, abs=1e-6)
 
     def test_recovers_slope_minus_two(self):
         ks = np.arange(200)
-        log = self.synthetic_log(1.0 / (ks + 1.0))
+        log = column_log(1.0 / (ks + 1.0))
         assert fit_rate(log) == pytest.approx(-2.0, abs=1e-6)
 
     def test_bilinear_beats_first_order_rate(self):
@@ -190,7 +192,7 @@ class TestFitRate:
 
     def test_needs_enough_records(self):
         with pytest.raises(ValueError):
-            fit_rate(self.synthetic_log(np.ones(10)))
+            fit_rate(column_log(np.ones(10)))
 
 
 class TestPotentialInequality:
@@ -208,7 +210,7 @@ class TestPotentialInequality:
 
     def test_empty_log_vacuously_passes(self):
         p = builtin("quadratic_monotone")
-        empty = TrajectoryLog([], np.zeros(2), 0, "budget_exhausted")
+        empty = column_log([])
         assert check_potential_inequality(p, empty, p.z_star, 1, 1.0).ok
 
     def test_coefficient_is_tight_on_the_identity_field(self):

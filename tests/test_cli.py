@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import hoeg
+import hoeg.solver as solver_module
 from hoeg import certify as cert
 from hoeg.cli import RunConfig, main
 
@@ -75,6 +77,26 @@ def test_run_json_summary_endpoint(tmp_path):
     z_out = np.array(summary["z_out"])
     assert np.linalg.norm(z_out - [1.31147, 1.47596]) <= 1e-2
     assert summary["termination"] == "budget_exhausted"
+    assert summary["failure_residual"] is None
+
+
+@pytest.mark.parametrize("residual, reported", [(0.25, 0.25), (math.inf, None)])
+def test_run_summary_keeps_the_failure_residual(monkeypatch, tmp_path, residual, reported):
+    calls = []
+
+    def failing_at_k3(F, L, z):
+        calls.append(1)
+        if len(calls) == 4:
+            raise hoeg.ConvergenceError("stubbed failure", residual=residual)
+        return hoeg.solve_half_step_p1(F, L, z)
+
+    monkeypatch.setattr(solver_module, "solve_half_step_p1", failing_at_k3)
+    out = tmp_path / "summary.json"
+    assert main(["run", "--problem", "modified_forsaken", "--K", "50", "--json", str(out)]) == 1
+    summary = json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
+    assert summary["termination"] == "subproblem_failure"
+    assert summary["records"] == 3
+    assert summary["failure_residual"] == reported
 
 
 def test_config_file_roundtrip_is_bit_identical(tmp_path):

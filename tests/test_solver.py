@@ -1,19 +1,30 @@
+import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hoeg.solver as solver_module
 from hoeg import (
-    IterateRecord,
+    ConvergenceError,
     NumericError,
+    Operator,
     OperatorMode,
     SolverConfig,
     builtin,
     detect_cycling,
     eval_operator,
     run,
-    select_output,
 )
+from hoeg.cli import _fmt
+from hoeg.halfstep import solve_half_step_p1, solve_half_step_p2, vector_norm
+from hoeg.recipes import RECIPES
+
+COLUMNS = ("z", "z_half", "lambda_k", "displacement_norm", "op_norm_half",
+           "subproblem_residual", "subproblem_iters")
+FLOAT_FIELDS = ("lambda_k", "displacement_norm", "op_norm_half", "subproblem_residual")
 
 
 def config(p=1, L=1.0, K=100, z0=(1.0, 0.0), mode=None, **kw):
@@ -111,24 +122,136 @@ def test_competitive_mode_changes_field():
     assert not np.allclose(std.records[5].z, comp.records[5].z)
 
 
-def _fake_records(op_norms):
-    recs = []
-    for k, v in enumerate(op_norms):
-        z = np.array([float(k), 0.0])
-        recs.append(IterateRecord(k, z, z + 1.0, 0.5, 1.0, float(v), 0.0, 0))
-    return recs
+def reference_run(problem, cfg):
+    """The iteration without the fixed-point shortcut: every record is computed.
+
+    Returns the columns, z_out and out_index, the first minimum of the
+    operator norm.  The runs it is used on have r > 0 and no stop rule.
+    """
+    operator = Operator(problem, cfg.operator_mode)
+    p, L = cfg.order_p, cfg.lipschitz
+    coef = math.factorial(p) / (2.0 * L)
+    z = cfg.z0.copy()
+    rows = []
+    for _ in range(cfg.max_iterations + 1):
+        F_k = operator.at(z)
+        if p == 1:
+            half = solve_half_step_p1(F_k, L, z)
+        else:
+            half = solve_half_step_p2(F_k, operator.jacobian(z), L, z)
+        F_half = operator.at(half.z_half)
+        r = half.displacement_norm
+        assert r > 0.0
+        lam = 0.5 * r ** (1 - p)
+        rows.append((z, half.z_half, lam, r, vector_norm(F_half),
+                     half.residual_norm, half.iterations_used))
+        z = z - (coef * lam) * F_half
+    columns = dict(zip(COLUMNS, (np.array(column) for column in zip(*rows))))
+    norms = columns["op_norm_half"]
+    out_index = min(range(len(norms)), key=lambda i: (norms[i], i))
+    return columns, columns["z_half"][out_index], out_index
 
 
-def test_select_output_argmin_and_ties():
-    recs = _fake_records([3.0, 1.0, 2.0])
-    z_out, idx = select_output(recs)
-    assert idx == 1 and np.array_equal(z_out, recs[1].z_half)
-    recs = _fake_records([2.0, 1.0, 1.0])
-    _, idx = select_output(recs)
-    assert idx == 1
-    single = _fake_records([4.0])
-    z_out, idx = select_output(single)
-    assert idx == 0 and np.array_equal(z_out, single[0].z_half)
+# (recipe, order, budget, range of the first k with z_k == z_{k-1}): budgets cover them
+SHORTCUT_CASES = (("mforsaken", 1, 1000, (573, 753)), ("x2y_F", 2, 300, (115, 186)))
+
+
+def test_fixed_point_shortcut_matches_the_full_loop(monkeypatch):
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args):
+            calls.append(1)
+            return solve(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver_module, "solve_half_step_p1", counted(solve_half_step_p1))
+    monkeypatch.setattr(solver_module, "solve_half_step_p2", counted(solve_half_step_p2))
+    for recipe, order, budget, (first, last) in SHORTCUT_CASES:
+        problem = builtin(RECIPES[recipe].runs[0].problem)
+        presets = [preset for preset in RECIPES[recipe].runs if preset.order_p == order]
+        assert len(presets) >= 4
+        fixed_points = []
+        for preset in presets:
+            cfg = dataclasses.replace(preset.config(), max_iterations=budget)
+            columns, z_out, out_index = reference_run(problem, cfg)
+            calls.clear()
+            log = run(problem, cfg)
+            for name in COLUMNS:
+                assert getattr(log, name).tobytes() == columns[name].tobytes(), (preset.label, name)
+            assert log.subproblem_iters.dtype == columns["subproblem_iters"].dtype
+            assert log.z_out.tobytes() == z_out.tobytes()
+            assert log.out_index == out_index
+            assert log.termination == "budget_exhausted"
+            # the half-steps stop before the first k with z_k == z_{k-1}
+            zs = columns["z"]
+            k = next(k for k in range(1, budget + 1) if zs[k].tobytes() == zs[k - 1].tobytes())
+            assert len(calls) == k
+            # rows k - 1 onwards tie, and the first of them wins
+            assert log.out_index == k - 1
+            fixed_points.append(k)
+        assert min(fixed_points) == first and max(fixed_points) == last
+
+
+def test_subproblem_failure_keeps_its_residual(monkeypatch):
+    problem = builtin("modified_forsaken")
+    cfg = config(p=1, L=20.0, K=50, z0=(0.5, -0.5))
+    assert run(problem, cfg).failure_residual is None
+    calls = []
+
+    def failing_at_k3(F, L, z):
+        calls.append(1)
+        if len(calls) == 4:
+            raise ConvergenceError("stubbed failure", residual=0.25)
+        return solve_half_step_p1(F, L, z)
+
+    monkeypatch.setattr(solver_module, "solve_half_step_p1", failing_at_k3)
+    log = run(problem, cfg)
+    assert log.termination == "subproblem_failure"
+    assert len(log) == len(log.records) == 3
+    assert log.failure_residual == 0.25
+
+
+def test_log_retains_under_100_bytes_per_iterate():
+    problem = builtin("modified_forsaken")
+    cfg = config(p=1, L=20.0, K=5000, z0=(0.5, -0.5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = run(problem, cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 5001
+    assert retained / len(log) < 100
+
+
+def test_records_view_reads_the_columns():
+    log = run(builtin("modified_forsaken"), config(p=2, L=50000.0, K=30, z0=(0.5, -0.5)))
+    records = log.records
+    assert len(records) == len(log) == 31
+    for k, rec in enumerate(records):
+        assert rec.k == k and type(rec.k) is int
+        assert rec.z.tobytes() == log.z[k].tobytes()
+        assert rec.z_half.tobytes() == log.z_half[k].tobytes()
+        for name in FLOAT_FIELDS:
+            value = getattr(rec, name)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == getattr(log, name)[k].tobytes()
+            assert _fmt(value) == format(getattr(log, name)[k], ".17g")
+        assert type(rec.subproblem_iters) is int and rec.subproblem_iters == log.subproblem_iters[k]
+        scalars = {name: getattr(rec, name) for name in FLOAT_FIELDS + ("k", "subproblem_iters")}
+        assert json.loads(json.dumps(scalars)) == scalars
+    assert records[-1].k == 30 and records[-31].k == 0
+    assert [rec.k for rec in records[28:]] == [28, 29, 30]
+    for index in (31, -32):
+        with pytest.raises(IndexError):
+            records[index]
+    # each read builds a fresh record whose arrays are copies
+    first = records[0]
+    assert first is not records[0]
+    first.z[0] += 1.0
+    assert records[0].z.tobytes() == log.z[0].tobytes()
 
 
 class TestCycling:
