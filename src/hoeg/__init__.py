@@ -9,6 +9,7 @@ guarantees rest on.
 from .certify import (
     CertReport,
     certify_problem,
+    check_energy_bound,
     check_half_step_norm_bound,
     check_potential_inequality,
     check_rho_threshold,
@@ -20,7 +21,6 @@ from .competitive import Operator, OperatorMode
 from .dynamics import (
     ContinuousConfig,
     ContinuousLog,
-    check_energy_bound,
     normalized_field,
     resolvent_solve,
     simulate,

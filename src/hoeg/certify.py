@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .competitive import Operator, OperatorMode
+from .dynamics import ContinuousLog
 from .errors import DegenerateSampleError
 from .halfstep import check_order
 from .problems import ProblemSpec, _per_point, eval_jacobian, operator_rows
@@ -82,7 +83,7 @@ def _halton_box(box: np.ndarray, n: int, seed: int, copies: int = 1) -> np.ndarr
     return pts
 
 
-def sample_points(box: np.ndarray, n: int, seed: int, z_star=None) -> np.ndarray:
+def sample_points(box: np.ndarray, n: int, seed: int, z_star) -> np.ndarray:
     """Low-discrepancy points in the box, with a shrinking-ball tier at z_star.
 
     The i-th point depends only on (seed, i), so prefixes are stable across
@@ -91,16 +92,15 @@ def sample_points(box: np.ndarray, n: int, seed: int, z_star=None) -> np.ndarray
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
     pts = _halton_box(box, n, seed)
-    if z_star is not None:
-        z_star = np.asarray(z_star, dtype=float)
-        rng = np.random.default_rng(seed)
-        base_radius = 0.5 * float((box[:, 1] - box[:, 0]).max())
-        ball_positions = np.arange(_BALL_EVERY - 1, n, _BALL_EVERY)
-        for j, i in enumerate(ball_positions):
-            direction = rng.standard_normal(d)
-            direction /= max(np.linalg.norm(direction), 1e-300)
-            radius = base_radius * 0.5 ** min(j // _BALL_TIER, _MAX_TIER) * rng.random() ** (1.0 / d)
-            pts[i] = z_star + radius * direction
+    z_star = np.asarray(z_star, dtype=float)
+    rng = np.random.default_rng(seed)
+    base_radius = 0.5 * float((box[:, 1] - box[:, 0]).max())
+    ball_positions = np.arange(_BALL_EVERY - 1, n, _BALL_EVERY)
+    for j, i in enumerate(ball_positions):
+        direction = rng.standard_normal(d)
+        direction /= max(np.linalg.norm(direction), 1e-300)
+        radius = base_radius * 0.5 ** min(j // _BALL_TIER, _MAX_TIER) * rng.random() ** (1.0 / d)
+        pts[i] = z_star + radius * direction
     return pts
 
 
@@ -126,14 +126,16 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
     np.linalg.norm takes a BLAS dot of the vector with itself; the batched
     matmul makes the same dot call per row, where summing squares would not.
+    Like np.linalg.norm, it gives inf without a warning when a square overflows.
     """
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
 class RhoScan:
     value: float
-    worst_violator: Optional[np.ndarray]
+    worst_violator: np.ndarray
     samples_used: int
 
 
@@ -236,7 +238,7 @@ class CertReport:
     threshold_ok: bool
     threshold_Lp: float
     samples_used: int
-    worst_violator: Optional[np.ndarray]
+    worst_violator: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -250,7 +252,7 @@ class CertReport:
             "threshold_ok": self.threshold_ok,
             "threshold_Lp": self.threshold_Lp,
             "samples_used": self.samples_used,
-            "worst_violator": None if self.worst_violator is None else list(self.worst_violator),
+            "worst_violator": list(self.worst_violator),
         }
 
 
@@ -310,6 +312,17 @@ def fit_rate(log: TrajectoryLog) -> float:
     return float(slope)
 
 
+def _first_violation(margins: np.ndarray, tolerance) -> tuple:
+    """(ok, index of the first margin below -tolerance or None, smallest margin).
+
+    ``tolerance`` is a scalar or one value per margin.  A NaN margin counts as
+    a violation, and the smallest margin of no rows is inf.
+    """
+    violated = ~(margins >= -tolerance)
+    first = int(np.argmax(violated)) if violated.any() else None
+    return first is None, first, float(np.min(margins, initial=math.inf))
+
+
 @dataclass(frozen=True)
 class PrefixReport:
     ok: bool
@@ -318,55 +331,91 @@ class PrefixReport:
     slack: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged run's terms overflow; its margins report it
 def check_potential_inequality(problem: ProblemSpec, log: TrajectoryLog, z_star,
-                               p: int, Lp: float, mode: Optional[OperatorMode] = None,
-                               slack: Optional[float] = None) -> PrefixReport:
+                               p: int, Lp: float, mode: Optional[OperatorMode] = None) -> PrefixReport:
     """Check the telescoped step-energy inequality at every prefix of a run.
 
     For each K the weighted sum of <F(z_half), z_half - z*> must stay below
-    ||z* - z0||^2 - POTENTIAL_COEF * sum of squared displacements.
+    ||z* - z0||^2 - POTENTIAL_COEF * sum of squared displacements, up to a
+    slack of 1e-8 (1 + ||z* - z0||^2).  F is the field of ``mode``, so a
+    competitive run is checked against F_alpha.
     """
     z_star = np.asarray(z_star, dtype=float)
-    operator = Operator(problem, mode).at
+    operator = Operator(problem, mode)
     if not len(log):
         return PrefixReport(True, None, math.inf, 0.0)
-    z0 = log.z[0]
-    budget = float(np.sum((z_star - z0) ** 2))
-    if slack is None:
-        slack = 1e-8 * (1.0 + budget)
-    coef = math.factorial(p) / Lp
-    lhs = 0.0
-    disp_sq = 0.0
-    min_margin = math.inf
-    first_violation = None
-    rows = zip(log.z_half, log.lambda_k.tolist(), log.displacement_norm.tolist())
-    for k, (z_half, lam, r) in enumerate(rows):
-        F_half = operator(z_half)
-        lhs += lam * coef * float(np.sum(F_half * (z_half - z_star)))
-        disp_sq += r**2
-        margin = (budget - POTENTIAL_COEF * disp_sq) - lhs
-        if margin < min_margin:
-            min_margin = margin
-        if margin < -slack and first_violation is None:
-            first_violation = k
-    return PrefixReport(first_violation is None, first_violation, min_margin, slack)
+    budget = float(np.sum((z_star - log.z[0]) ** 2))
+    slack = 1e-8 * (1.0 + budget)
+    inner = np.sum(operator.rows(log.z_half) * (log.z_half - z_star), axis=1)
+    # cumsum adds in sequence, as a running total does
+    lhs = np.cumsum(log.lambda_k * (math.factorial(p) / Lp) * inner)
+    disp_sq = np.cumsum(np.float_power(log.displacement_norm, 2))
+    margins = (budget - POTENTIAL_COEF * disp_sq) - lhs
+    return PrefixReport(*_first_violation(margins, slack), slack)
 
 
-def check_half_step_norm_bound(log: TrajectoryLog, p: int, Lp: float,
-                               slack: float = 1e-8) -> PrefixReport:
-    """Check ||F(z_half)|| <= (3 L_p / p!) r^p at every recorded iterate."""
-    coef = 3.0 * Lp / math.factorial(p)
-    min_margin = math.inf
-    first_violation = None
-    rows = zip(log.displacement_norm.tolist(), log.op_norm_half.tolist())
-    for k, (r, op_norm) in enumerate(rows):
-        bound = coef * r**p
-        margin = bound - op_norm
-        if margin < min_margin:
-            min_margin = margin
-        if margin < -slack * max(1.0, bound) and first_violation is None:
-            first_violation = k
-    return PrefixReport(first_violation is None, first_violation, min_margin, slack)
+@np.errstate(over="ignore", invalid="ignore")  # as above
+def check_half_step_norm_bound(log: TrajectoryLog, p: int, Lp: float) -> PrefixReport:
+    """Check ||F(z_half)|| <= (3 L_p / p!) r^p at every recorded iterate.
+
+    A row violates the bound when it exceeds it by more than
+    1e-8 max(1, bound).
+    """
+    slack = 1e-8
+    bound = 3.0 * Lp / math.factorial(p) * np.float_power(log.displacement_norm, p)
+    margins = bound - log.op_norm_half
+    return PrefixReport(*_first_violation(margins, slack * np.maximum(1.0, bound)), slack)
+
+
+@dataclass(frozen=True)
+class EnergyReport:
+    integral_bound: float
+    integral_ok: bool
+    integral_first_violation: Optional[float]
+    integral_margin: float
+    rate_ok: bool
+    rate_first_violation: Optional[float]
+    rate_margin: float
+    slack: float
+
+
+def check_energy_bound(log: ContinuousLog, z_star, rho: float, D: float) -> EnergyReport:
+    """Check the flow's integral bound and the implied min-norm decay rate.
+
+    The integral of ||F||^(2/p) is bounded by D^2 / (2 - rho) and therefore
+    min_{s<=t} ||F(z(s))||^2 <= D^(2p) / ((2 - rho)^p t^p).  Both bounds get
+    the trapezoid discretization scale max(1e-9, dt^2 (1 + total)) as slack,
+    where total is the final integral.
+    """
+    if not rho < 2:
+        raise ValueError("the bound needs rho < 2")
+    z_star = np.asarray(z_star, dtype=float)
+    dist0 = float(np.linalg.norm(log.v[0] - z_star))
+    if D < dist0:
+        raise ValueError(f"D={D} is below the initial distance {dist0}")
+    p = log.order_p
+    total = float(log.running_integral[-1])
+    slack = max(1e-9, log.dt**2 * (1.0 + total))
+
+    bound = D * D / (2.0 - rho)
+    int_ok, int_first, int_margin = _first_violation(bound + slack - log.running_integral, 0.0)
+
+    min_sq = np.minimum.accumulate(log.op_norm) ** 2
+    t_pos = log.t[1:]
+    rate_bound = D ** (2 * p) / ((2.0 - rho) ** p * t_pos**p)
+    rate_ok, rate_first, rate_margin = _first_violation(rate_bound + slack - min_sq[1:], 0.0)
+
+    return EnergyReport(
+        integral_bound=bound,
+        integral_ok=int_ok,
+        integral_first_violation=None if int_ok else float(log.t[int_first]),
+        integral_margin=int_margin,
+        rate_ok=rate_ok,
+        rate_first_violation=None if rate_ok else float(t_pos[rate_first]),
+        rate_margin=rate_margin,
+        slack=float(slack),
+    )
 
 
 def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, p: int, q: float,
@@ -382,8 +431,7 @@ def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, p: int,
     """
     if problem.z_star is None:
         raise ValueError("need a stationary point for the decoupled certificate")
-    z_star = problem.z_star
-    D = max(L1 * float(np.linalg.norm(z_half - z_star)) for z_half in log.z_half)
+    D = float(np.max(L1 * _row_norms(log.z_half - problem.z_star)))
     exponent = (p + 1) / p
     if D == 0.0 and q > exponent:
         raise ValueError(f"D = 0 (the run stays at z*): D^((p+1)/p - q) is undefined for q = {q}")

@@ -163,6 +163,12 @@ def _run_summary(config: RunConfig, log: TrajectoryLog) -> dict:
     }
 
 
+def _run_config(args) -> RunConfig:
+    """The run that the options of ``_add_run_options`` describe."""
+    return RunConfig(problem=args.problem, p=args.p, Lp=args.Lp, K=args.K,
+                     z0=tuple(args.z0), alpha=args.alpha)
+
+
 def _summarised_run(problem, config: RunConfig) -> TrajectoryLog:
     """The run behind ``rate`` and ``certify --q``, whose outputs mean nothing if it diverged."""
     log = run(problem, config.solver_config(problem))
@@ -186,13 +192,10 @@ def _cmd_run(args) -> int:
         if not args.problem:
             print("error: --problem (or --config) is required", file=sys.stderr)
             return EXIT_USAGE
-        config = RunConfig(
-            problem=args.problem, p=args.p, Lp=args.Lp, K=args.K,
-            z0=tuple(args.z0), alpha=args.alpha,
-            outputs={k: v for k, v in
-                     (("csv", args.csv), ("svg", args.svg), ("json_summary", args.json))
-                     if v},
-        )
+        config = _run_config(args)
+        config.outputs = {k: v for k, v in
+                          (("csv", args.csv), ("svg", args.svg), ("json_summary", args.json))
+                          if v}
     problem = builtin(config.problem)
     log = run(problem, config.solver_config(problem))
     summary = _run_summary(config, log)
@@ -251,8 +254,7 @@ def _cmd_certify(args) -> int:
     )
     payload = report.to_dict()
     if args.q is not None:
-        run_config = RunConfig(problem=args.problem, p=args.p, Lp=args.Lp,
-                               K=args.K, z0=tuple(args.z0), alpha=args.alpha)
+        run_config = _run_config(args)
         log = _summarised_run(problem, run_config)
         L1 = problem.published_constants.get(1, report.L_hat.get(1))
         payload["decoupled"] = cert.decoupled_threshold_report(
@@ -268,9 +270,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_rate(args) -> int:
     problem = builtin(args.problem)
-    config = RunConfig(problem=args.problem, p=args.p, Lp=args.Lp, K=args.K,
-                       z0=tuple(args.z0), alpha=args.alpha)
-    log = _summarised_run(problem, config)
+    log = _summarised_run(problem, _run_config(args))
     print(json.dumps({"problem": args.problem, "p": args.p, "K": args.K,
                       "slope": cert.fit_rate(log)}, indent=2))
     return EXIT_OK
@@ -280,6 +280,15 @@ def _cmd_list(_args) -> int:
     for name in problem_names():
         print(name)
     return EXIT_OK
+
+
+def _add_run_options(parser: argparse.ArgumentParser, K: int, z0: tuple) -> None:
+    """--p --Lp --K --z0 --alpha, with the subcommand's own K and z0 defaults."""
+    parser.add_argument("--p", type=int, default=1)
+    parser.add_argument("--Lp", type=float, default=None)
+    parser.add_argument("--K", type=int, default=K)
+    parser.add_argument("--z0", type=_parse_vector, default=np.array(z0))
+    parser.add_argument("--alpha", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,11 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the solver on a problem")
     run_p.add_argument("--problem")
     run_p.add_argument("--config", help="JSON file with RunConfig fields")
-    run_p.add_argument("--p", type=int, default=1)
-    run_p.add_argument("--Lp", type=float, default=None)
-    run_p.add_argument("--K", type=int, default=1000)
-    run_p.add_argument("--z0", type=_parse_vector, default=np.array([0.5, -0.5]))
-    run_p.add_argument("--alpha", type=float, default=None)
+    _add_run_options(run_p, K=1000, z0=(0.5, -0.5))
     run_p.add_argument("--csv")
     run_p.add_argument("--json")
     run_p.add_argument("--svg")
@@ -318,25 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     cfy = sub.add_parser("certify", help="estimate assumption constants")
     cfy.add_argument("--problem", required=True)
-    cfy.add_argument("--p", type=int, default=1)
+    _add_run_options(cfy, K=2000, z0=(0.5, -0.5))
     cfy.add_argument("--q", type=float, default=None,
                      help="also certify the decoupled exponent against a run")
-    cfy.add_argument("--alpha", type=float, default=None)
     cfy.add_argument("--samples", type=int, default=10000)
     cfy.add_argument("--seed", type=int, default=0)
-    cfy.add_argument("--Lp", type=float, default=None)
-    cfy.add_argument("--K", type=int, default=2000)
-    cfy.add_argument("--z0", type=_parse_vector, default=np.array([0.5, -0.5]))
     cfy.add_argument("--json")
     cfy.set_defaults(func=_cmd_certify)
 
     rate = sub.add_parser("rate", help="fit the empirical convergence slope of a run")
     rate.add_argument("--problem", required=True)
-    rate.add_argument("--p", type=int, default=1)
-    rate.add_argument("--Lp", type=float, default=None)
-    rate.add_argument("--K", type=int, default=2000)
-    rate.add_argument("--z0", type=_parse_vector, default=np.array([1.0, 0.0]))
-    rate.add_argument("--alpha", type=float, default=None)
+    _add_run_options(rate, K=2000, z0=(1.0, 0.0))
     rate.set_defaults(func=_cmd_rate)
 
     lst = sub.add_parser("list", help="list built-in problems")

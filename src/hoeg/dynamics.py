@@ -77,18 +77,6 @@ class ContinuousLog:
     failed_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    integral_bound: float
-    integral_ok: bool
-    integral_first_violation: Optional[float]
-    integral_margin: float
-    rate_ok: bool
-    rate_first_violation: Optional[float]
-    rate_margin: float
-    slack: float
-
-
 def normalized_field(F_z, p: int) -> np.ndarray:
     """F / max(||F||, NORM_FLOOR)^(1-1/p); order 1 returns the field unchanged."""
     if p < 1:
@@ -253,47 +241,4 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
         energy=np.einsum("ij,ij->i", s_arr, s_arr),
         running_integral=np.array(integ),
         failed_at=failed_at,
-    )
-
-
-def check_energy_bound(log: ContinuousLog, z_star, rho: float, D: float,
-                       slack: Optional[float] = None) -> EnergyReport:
-    """Check the flow's integral bound and the implied min-norm decay rate.
-
-    The integral of ||F||^(2/p) is bounded by D^2 / (2 - rho) and therefore
-    min_{s<=t} ||F(z(s))||^2 <= D^(2p) / ((2 - rho)^p t^p).  The slack
-    defaults to the trapezoid discretization scale dt^2 * (1 + total).
-    """
-    if not rho < 2:
-        raise ValueError("the bound needs rho < 2")
-    z_star = np.asarray(z_star, dtype=float)
-    dist0 = float(np.linalg.norm(log.v[0] - z_star))
-    if D < dist0:
-        raise ValueError(f"D={D} is below the initial distance {dist0}")
-    p = log.order_p
-    total = float(log.running_integral[-1])
-    if slack is None:
-        slack = max(1e-9, log.dt**2 * (1.0 + total))
-
-    bound = D * D / (2.0 - rho)
-    margins = bound + slack - log.running_integral
-    int_ok = bool(np.all(margins >= 0))
-    int_first = None if int_ok else float(log.t[int(np.argmax(margins < 0))])
-
-    min_sq = np.minimum.accumulate(log.op_norm) ** 2
-    t_pos = log.t[1:]
-    rate_bound = D ** (2 * p) / ((2.0 - rho) ** p * t_pos**p)
-    rate_margins = rate_bound + slack - min_sq[1:]
-    rate_ok = bool(np.all(rate_margins >= 0))
-    rate_first = None if rate_ok else float(t_pos[int(np.argmax(rate_margins < 0))])
-
-    return EnergyReport(
-        integral_bound=bound,
-        integral_ok=int_ok,
-        integral_first_violation=int_first,
-        integral_margin=float(margins.min()),
-        rate_ok=rate_ok,
-        rate_first_violation=rate_first,
-        rate_margin=float(rate_margins.min()),
-        slack=float(slack),
     )

@@ -31,6 +31,8 @@ from .errors import ConvergenceError
 SUPPORTED_ORDERS = (1, 2)
 MAX_DOUBLINGS = 60   # grid points hi0 * 2^k, k <= 60, tried for a sign change
 GAP_RTOL = 1e-10     # accepted radii satisfy | ||d|| - r | <= GAP_RTOL * r
+MODEL_RTOL = 1e-10   # and a model residual <= MODEL_RTOL * max(1, ||F_k||)
+MAX_TRIALS = 200     # Newton/bisection trials inside the doubling bracket
 
 
 def check_order(p) -> None:
@@ -75,20 +77,18 @@ def solve_half_step_p1(F_k, L1: float, z_k) -> HalfStepResult:
     return HalfStepResult(z_k + d, vector_norm(d), vector_norm(g), 0)
 
 
-def solve_half_step_p2(F_k, J_k, L2: float, z_k, tol: float = 1e-10, max_iter: int = 200) -> HalfStepResult:
+def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     """Order-2 half-step: solve F_k + J_k d + L2 ||d|| d = 0 for d.
 
-    Stops once the model residual is <= tol * max(1, ||F_k||) and r is pinned
-    to 1e-10 r, by the gap | ||d|| - r | or by the width of the bracket around
-    r.  Raises ConvergenceError, carrying the last model
-    residual, when no sign change of the gap appears within 60 doublings,
-    when the gap is not finite, or when max_iter Newton/bisection trials do
-    not meet the stopping rule.
+    Stops once the model residual is <= MODEL_RTOL * max(1, ||F_k||) and r is
+    pinned to GAP_RTOL r, by the gap | ||d|| - r | or by the width of the
+    bracket around r.  Raises ConvergenceError, carrying the last model
+    residual, when no sign change of the gap appears within MAX_DOUBLINGS
+    doublings, when the gap is not finite, or when MAX_TRIALS
+    Newton/bisection trials do not meet the stopping rule.
     """
     if not L2 > 0:
         raise ValueError("L2 must be positive")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     F_k = np.asarray(F_k, dtype=float)
     J_k = np.asarray(J_k, dtype=float)
     z_k = np.asarray(z_k, dtype=float)
@@ -97,7 +97,7 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k, tol: float = 1e-10, max_iter: i
         return HalfStepResult(z_k.copy(), 0.0, 0.0, 0)
 
     eye = np.eye(len(z_k))
-    scale = tol * max(1.0, norm_F)
+    scale = MODEL_RTOL * max(1.0, norm_F)
     solves = 0
 
     def shifted_solve(r: float, rhs: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k, tol: float = 1e-10, max_iter: i
         r = r_lo
         d, norm_d = trial(r)
     last_move = math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_TRIALS):
         step = math.nan
         if d is not None and norm_d > 0.0:   # d underflows to 0 only for subnormal F
             residual = residual_of(d)

@@ -86,33 +86,20 @@ def eval_operator(problem: ProblemSpec, z) -> Vector:
 def operator_rows(problem: ProblemSpec, points) -> np.ndarray:
     """F at each row of an (n, d) array: the rows of eval_operator at those points.
 
-    grad_x and grad_y are called once per row; the sign flip of the y block
-    and the finiteness check are taken once over the whole array, so an
-    exception raised at a later row comes before the NumericError of an
-    earlier one.  The flip is the only arithmetic and is exact, so each row
-    equals eval_operator's bit for bit (for float blocks: an integer zero in
-    the y block flips to -0.0 here and to 0 there).
+    grad_x is called at every row, then grad_y at every row; the sign flip of
+    the y block and the finiteness check are taken once over the whole
+    array, so an exception raised by grad_x at a later row comes before one
+    raised by grad_y at an earlier row, and both before the NumericError.
+    The flip is the only arithmetic and is exact, so each row equals
+    eval_operator's bit for bit (for float blocks: an integer zero in the y
+    block flips to -0.0 here and to 0 there).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != problem.d:
         raise ValueError(f"expected an array of rows of length {problem.d}, got shape {points.shape}")
-    grad_x, grad_y = problem.grad_x, problem.grad_y
-    expected = ((problem.d_x,), (problem.d_y,))
-    X = np.empty((len(points), problem.d_x))
-    Y = np.empty((len(points), problem.d_y))
-    for i, z in enumerate(points):
-        gx, gy = grad_x(z), grad_y(z)
-        # a row store broadcasts, so a block of the wrong shape must be caught here;
-        # this is np.shape without its call overhead
-        try:
-            shapes = gx.shape, gy.shape
-        except AttributeError:
-            shapes = np.shape(gx), np.shape(gy)
-        if shapes != expected:
-            raise ValueError(f"operator of {problem.name!r} has blocks of shapes {shapes[0]} "
-                             f"and {shapes[1]} at {z}, expected {expected[0]} and {expected[1]}")
-        X[i] = gx
-        Y[i] = gy
+    what = f"block of the operator of {problem.name!r}"
+    X = _per_point(problem.grad_x, points, (problem.d_x,), f"the grad_x {what}")
+    Y = _per_point(problem.grad_y, points, (problem.d_y,), f"the grad_y {what}")
     out = np.concatenate([X, -Y], axis=1)
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
@@ -124,14 +111,19 @@ def operator_rows(problem: ProblemSpec, points) -> np.ndarray:
 def _per_point(fn, points: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """fn at each row of ``points``, one point at a time, into a preallocated array.
 
-    Serves the mixed Hessians of F_alpha's rows and the Jacobians of the L_2
-    estimate.  Each value must have exactly ``shape``.
+    Serves the gradient blocks of F's rows, the mixed Hessians of F_alpha's
+    rows and the Jacobians of the L_2 estimate.  Each value must have exactly
+    ``shape``: a row store broadcasts, so a wrong shape must be caught here.
     """
     out = np.empty((len(points),) + shape)
     for i, z in enumerate(points):
         value = fn(z)
-        if np.shape(value) != shape:
-            raise ValueError(f"{what} has shape {np.shape(value)}")
+        try:
+            value_shape = value.shape  # np.shape without its call overhead
+        except AttributeError:
+            value_shape = np.shape(value)
+        if value_shape != shape:
+            raise ValueError(f"{what} has shape {value_shape} at {z}, expected {shape}")
         out[i] = value
     return out
 

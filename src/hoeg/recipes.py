@@ -25,9 +25,6 @@ from .svgplot import line_plot_svg, trajectory_plot_svg
 GRID5 = ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (0.5, -0.5))
 GRID4 = ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (0.5, -0.5))
 
-CYCLE_WINDOW = 500
-CYCLE_THRESHOLD = 1e-3
-
 
 @dataclass(frozen=True)
 class RunPreset:
@@ -114,7 +111,7 @@ def _verdict(recipe: FigureRecipe, problem, logs) -> dict:
             "endpoint_distances": dists,
         }
     if recipe.verdict_kind == "cycling":
-        flags = [detect_cycling(log, CYCLE_WINDOW, CYCLE_THRESHOLD) for log in logs]
+        flags = [detect_cycling(log) for log in logs]
         return {"claim": "all runs cycle instead of converging", "ok": all(flags), "cycles": flags}
     if recipe.verdict_kind == "axis_endpoints":
         xs = [abs(float(log.z_out[0])) for log in logs]

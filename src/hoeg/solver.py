@@ -22,10 +22,12 @@ from .halfstep import check_order, solve_half_step_p1, solve_half_step_p2, vecto
 from .problems import ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
-TERM_EPSILON = "epsilon_reached"
 TERM_STATIONARY = "exact_stationary"
 TERM_SUBPROBLEM = "subproblem_failure"
 TERM_NUMERIC = "numeric_failure"
+
+CYCLE_WINDOW = 500      # detect_cycling looks at this many trailing iterates
+CYCLE_THRESHOLD = 1e-3  # a window whose operator norm dips to this is not a cycle
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,6 @@ class SolverConfig:
     max_iterations: int
     z0: np.ndarray
     operator_mode: OperatorMode = OperatorMode()
-    stop_norm: float = 0.0
 
     def __post_init__(self):
         check_order(self.order_p)
@@ -43,8 +44,6 @@ class SolverConfig:
             raise ValueError("lipschitz must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.stop_norm >= 0:
-            raise ValueError("stop_norm must be >= 0 (0 disables it)")
         object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))
 
 
@@ -180,9 +179,6 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
         if r == 0.0:
             termination = TERM_STATIONARY
             break
-        if config.stop_norm > 0 and op_norm <= config.stop_norm:
-            termination = TERM_EPSILON
-            break
         z_next = z - (full_step_coef * lam) * F_half
         if z_next.tobytes() == z.tobytes():  # bytes, since -0.0 == 0.0
             for column in columns:
@@ -198,20 +194,18 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     return TrajectoryLog(*columns, z_out, out_index, termination, failure_residual)
 
 
-def detect_cycling(log: TrajectoryLog, window: int, threshold: float) -> bool:
-    """Heuristic orbit detector over the trailing window of iterates.
+def detect_cycling(log: TrajectoryLog) -> bool:
+    """Heuristic orbit detector over the last CYCLE_WINDOW iterates.
 
-    Flags a cycle when the operator norm stays above the threshold while the
+    Flags a cycle when the operator norm stays above CYCLE_THRESHOLD while the
     iterates revisit earlier neighborhoods: the smallest distance between
     non-adjacent window members falls under 10% of the window's spread.
     """
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    pts = log.z[-window:]
+    pts = log.z[-CYCLE_WINDOW:]
     n = len(pts)
     if n < 2:
         return False
-    if log.op_norm_half[-window:].min() <= threshold:
+    if log.op_norm_half[-CYCLE_WINDOW:].min() <= CYCLE_THRESHOLD:
         return False
     dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     idx = np.arange(n)

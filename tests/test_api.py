@@ -1,0 +1,86 @@
+"""The public surface: exported names, config fields and parameter names.
+
+A new option or export shows up here as a test edit, so it is reviewed as one.
+"""
+
+import dataclasses
+import inspect
+
+import hoeg
+
+EXPORTS = [
+    "CapabilityError",
+    "CertReport",
+    "ContinuousConfig",
+    "ContinuousLog",
+    "ConvergenceError",
+    "DegenerateSampleError",
+    "HalfStepResult",
+    "IterateRecord",
+    "NumericError",
+    "Operator",
+    "OperatorMode",
+    "ProblemSpec",
+    "SolverConfig",
+    "TrajectoryLog",
+    "builtin",
+    "certify_problem",
+    "check_energy_bound",
+    "check_half_step_norm_bound",
+    "check_potential_inequality",
+    "check_rho_threshold",
+    "detect_cycling",
+    "estimate_q_rho",
+    "estimate_weak_mvi_rho",
+    "eval_jacobian",
+    "eval_operator",
+    "fit_rate",
+    "normalized_field",
+    "problem_names",
+    "resolvent_solve",
+    "run",
+    "simulate",
+    "solve_half_step_p1",
+    "solve_half_step_p2",
+]
+
+PARAMETERS = {
+    "builtin": ("name",),
+    "certify_problem": ("problem", "p", "q", "mode", "n_samples", "seed"),
+    "check_energy_bound": ("log", "z_star", "rho", "D"),
+    "check_half_step_norm_bound": ("log", "p", "Lp"),
+    "check_potential_inequality": ("problem", "log", "z_star", "p", "Lp", "mode"),
+    "check_rho_threshold": ("rho", "p", "Lp"),
+    "detect_cycling": ("log",),
+    "estimate_q_rho": ("problem", "z_star", "q", "n_samples", "seed", "mode"),
+    "estimate_weak_mvi_rho": ("problem", "z_star", "p", "n_samples", "seed", "mode"),
+    "eval_jacobian": ("problem", "z"),
+    "eval_operator": ("problem", "z"),
+    "fit_rate": ("log",),
+    "normalized_field": ("F_z", "p"),
+    "problem_names": (),
+    "resolvent_solve": ("v", "problem", "p", "path"),
+    "run": ("problem", "config"),
+    "simulate": ("problem", "config"),
+    "solve_half_step_p1": ("F_k", "L1", "z_k"),
+    "solve_half_step_p2": ("F_k", "J_k", "L2", "z_k"),
+}
+
+
+def test_exported_names():
+    assert hoeg.__all__ == EXPORTS
+
+
+def test_config_fields():
+    fields = {cls.__name__: tuple(f.name for f in dataclasses.fields(cls))
+              for cls in (hoeg.SolverConfig, hoeg.ContinuousConfig)}
+    assert fields == {
+        "SolverConfig": ("order_p", "lipschitz", "max_iterations", "z0", "operator_mode"),
+        "ContinuousConfig": ("order_p", "t_end", "dt", "z0"),
+    }
+
+
+def test_parameters_of_each_exported_function():
+    functions = {name: getattr(hoeg, name) for name in hoeg.__all__
+                 if inspect.isfunction(getattr(hoeg, name))}
+    assert {name: tuple(inspect.signature(fn).parameters) for name, fn in functions.items()} == PARAMETERS

@@ -30,6 +30,7 @@ from hoeg import (
 from hoeg.certify import (
     POTENTIAL_COEF,
     SKIP_NORM,
+    PrefixReport,
     RhoScan,
     _comonotonicity,
     _evaluated_pairs,
@@ -229,6 +230,90 @@ def test_half_step_norm_bound_on_published_constants():
     assert check_half_step_norm_bound(log, 2, 50000.0).ok
 
 
+def _potential_oracle(problem, log, z_star, p, Lp, mode=None):
+    """The row-by-row potential check that the column check replaced, kept as its reference."""
+    z_star = np.asarray(z_star, dtype=float)
+    operator = Operator(problem, mode).at
+    z0 = log.z[0]
+    budget = float(np.sum((z_star - z0) ** 2))
+    slack = 1e-8 * (1.0 + budget)
+    coef = math.factorial(p) / Lp
+    lhs = 0.0
+    disp_sq = 0.0
+    min_margin = math.inf
+    first_violation = None
+    rows = zip(log.z_half, log.lambda_k.tolist(), log.displacement_norm.tolist())
+    for k, (z_half, lam, r) in enumerate(rows):
+        F_half = operator(z_half)
+        lhs += lam * coef * float(np.sum(F_half * (z_half - z_star)))
+        disp_sq += r**2
+        margin = (budget - POTENTIAL_COEF * disp_sq) - lhs
+        if margin < min_margin:
+            min_margin = margin
+        if margin < -slack and first_violation is None:
+            first_violation = k
+    return first_violation is None, first_violation, min_margin, slack
+
+
+def _half_step_bound_oracle(log, p, Lp):
+    """The row-by-row half-step norm check that the column check replaced."""
+    slack = 1e-8
+    coef = 3.0 * Lp / math.factorial(p)
+    min_margin = math.inf
+    first_violation = None
+    rows = zip(log.displacement_norm.tolist(), log.op_norm_half.tolist())
+    for k, (r, op_norm) in enumerate(rows):
+        bound = coef * r**p
+        margin = bound - op_norm
+        if margin < min_margin:
+            min_margin = margin
+        if margin < -slack * max(1.0, bound) and first_violation is None:
+            first_violation = k
+    return first_violation is None, first_violation, min_margin, slack
+
+
+# (problem, p, Lp, z0, alpha) -> first violation of (half-step bound, potential); the runs
+# at Lp/1000 violate, the others pass
+_PREFIX_RUNS = {
+    ("modified_forsaken", 1, 20.0, (0.5, -0.5), None): (None, None),
+    ("modified_forsaken", 2, 50000.0, (0.5, -0.5), None): (None, None),
+    ("forsaken", 1, 20.0, (-1.0, -1.0), 10.0): (None, None),
+    ("forsaken", 2, 500.0, (-1.0, -1.0), 10.0): (None, None),
+    ("modified_forsaken", 1, 0.02, (0.5, -0.5), None): (0, 0),
+    ("modified_forsaken", 1, 0.02, (-1.0, -1.0), 10.0): (0, None),
+    ("forsaken", 2, 0.5, (0.5, -0.5), None): (3, 1),
+    ("x2y", 2, 0.5, (0.5, -0.5), None): (0, 264),
+    ("x2y", 2, 0.5, (1.0, 1.0), 10.0): (None, 113),
+    ("x2y", 2, 0.5, (0.5, -0.5), 10.0): (11, None),
+}
+
+
+@pytest.mark.parametrize("name, p, Lp, z0, alpha", list(_PREFIX_RUNS),
+                         ids=[f"{name}-p{p}-L{Lp:g}-z{z0[0]:g},{z0[1]:g}-alpha{alpha}"
+                              for name, p, Lp, z0, alpha in _PREFIX_RUNS])
+def test_prefix_checks_match_the_row_loops(name, p, Lp, z0, alpha):
+    problem = builtin(name)
+    mode = OperatorMode(alpha)
+    log = standard_run(name, p, Lp, z0, 400, alpha)
+    reports = (check_half_step_norm_bound(log, p, Lp),
+               check_potential_inequality(problem, log, problem.z_star, p, Lp, mode))
+    oracles = (_half_step_bound_oracle(log, p, Lp),
+               _potential_oracle(problem, log, problem.z_star, p, Lp, mode))
+    for report, oracle in zip(reports, oracles):
+        assert report == PrefixReport(*oracle)
+        assert report.min_margin.hex() == oracle[2].hex()  # == does not tell -0.0 from 0.0
+    assert tuple(report.first_violation_k for report in reports) == _PREFIX_RUNS[name, p, Lp, z0, alpha]
+
+
+def test_a_run_whose_squares_overflow_reports_its_violation():
+    # the displacements grow past 1e154 before the run fails, so r^2 overflows
+    problem = builtin("quadratic_monotone")
+    log = standard_run("quadratic_monotone", 1, 0.001, (1.0, 0.0), 400)
+    assert log.displacement_norm.max() > 1e155
+    report = check_potential_inequality(problem, log, problem.z_star, 1, 0.001)
+    assert (report.ok, report.first_violation_k, report.min_margin) == (False, 0, -math.inf)
+
+
 def test_certify_report_roundtrip():
     report = certify_problem(builtin("quadratic_monotone"), 1, n_samples=2000, seed=7)
     assert report.rho_hat_p <= 0.0
@@ -271,8 +356,8 @@ def test_certify_states_the_dimension_limit():
     assert report.rho_hat_p <= 0.0
     box = np.tile([-1.0, 1.0], (11, 1))
     with pytest.raises(ValueError, match=r"d <= 10, got d = 11"):
-        sample_points(box, 10, seed=0)
-    assert sample_points(box[:10], 10, seed=0).shape == (10, 10)
+        sample_points(box, 10, seed=0, z_star=np.zeros(11))
+    assert sample_points(box[:10], 10, seed=0, z_star=np.zeros(10)).shape == (10, 10)
 
 
 def _counting(problem):
@@ -393,9 +478,9 @@ class TestHaltonPrefixStability:
     BOX = np.array([[-2.0, 2.0], [-1.0, 3.0]])
 
     @_property
-    @given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 10**6), st.booleans())
-    def test_sample_points(self, m, extra, seed, with_ball):
-        z_star = np.array([0.3, 1.1]) if with_ball else None
+    @given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 10**6))
+    def test_sample_points(self, m, extra, seed):
+        z_star = np.array([0.3, 1.1])
         short = sample_points(self.BOX, m, seed, z_star)
         long = sample_points(self.BOX, m + extra, seed, z_star)
         assert np.array_equal(long[:m], short)

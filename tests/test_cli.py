@@ -10,7 +10,7 @@ import pytest
 import hoeg
 import hoeg.solver as solver_module
 from hoeg import certify as cert
-from hoeg.cli import RunConfig, main
+from hoeg.cli import RunConfig, _run_config, build_parser, main
 
 RUN = [sys.executable, "-m", "hoeg.cli"]
 # the child processes import the hoeg under test, installed or not
@@ -202,6 +202,17 @@ def test_malformed_config_is_usage_error(tmp_path, text, message):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, K, z0", [
+    (["run"], 1000, (0.5, -0.5)),
+    (["certify", "--problem", "x2y"], 2000, (0.5, -0.5)),
+    (["rate", "--problem", "x2y"], 2000, (1.0, 0.0)),
+])
+def test_each_subcommand_keeps_its_run_defaults(argv, K, z0):
+    # the run options are declared once; each subcommand still has its own K and z0
+    config = _run_config(build_parser().parse_args(argv))
+    assert (config.p, config.Lp, config.K, config.z0, config.alpha) == (1, None, K, z0, None)
 
 
 def test_unknown_problem_is_usage_error():

@@ -292,10 +292,19 @@ class TestEnergyBound:
             op_norm=np.ones(11), energy=np.zeros(11),
             running_integral=np.linspace(0.0, 10.0, 11),
         )
-        report = check_energy_bound(fake, np.zeros(2), rho=0.0, D=1.5, slack=1e-9)
+        report = check_energy_bound(fake, np.zeros(2), rho=0.0, D=1.5)
         assert not report.integral_ok
         assert report.integral_first_violation is not None
         assert report.integral_margin < 0
+
+    def test_a_log_of_one_point_has_no_rate_rows(self):
+        # a flow whose first step fails logs only t = 0, where the rate bound is not defined
+        z = np.array([[1.0, 0.0]])
+        log = ContinuousLog(order_p=1, dt=0.1, t=np.zeros(1), z=z, v=z, s=z - z, op_norm=np.ones(1),
+                            energy=np.zeros(1), running_integral=np.zeros(1), failed_at=0.1)
+        report = check_energy_bound(log, np.zeros(2), rho=0.0, D=1.0)
+        assert report.integral_ok and report.rate_ok
+        assert (report.rate_first_violation, report.rate_margin) == (None, np.inf)
 
     def test_preconditions(self):
         log = simulate(zero_field_problem(),
