@@ -181,8 +181,8 @@ def estimate_weak_mvi_rho(problem: ProblemSpec, z_star, p: int, n_samples: int, 
 
 def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
     """rho <= (15/16) (p!/L_p)^((p+1)/p), the convergence-theorem condition."""
-    if not Lp > 0:
-        raise ValueError("Lp must be positive")
+    if not 0 < Lp < math.inf:
+        raise ValueError(f"Lp must be positive and finite, got {Lp}")
     return rho <= (15.0 / 16.0) * (math.factorial(p) / Lp) ** ((p + 1) / p)
 
 

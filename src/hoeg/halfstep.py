@@ -68,8 +68,8 @@ class HalfStepResult:
 
 def solve_half_step_p1(F_k, L1: float, z_k) -> HalfStepResult:
     """Closed-form order-1 half-step z' = z_k - F_k / (2 L1)."""
-    if not L1 > 0:
-        raise ValueError("L1 must be positive")
+    if not 0 < L1 < math.inf:
+        raise ValueError(f"L1 must be positive and finite, got {L1}")
     F_k = np.asarray(F_k, dtype=float)
     z_k = np.asarray(z_k, dtype=float)
     d = -F_k / (2.0 * L1)
@@ -87,8 +87,8 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     doublings, when the gap is not finite, or when MAX_TRIALS
     Newton/bisection trials do not meet the stopping rule.
     """
-    if not L2 > 0:
-        raise ValueError("L2 must be positive")
+    if not 0 < L2 < math.inf:
+        raise ValueError(f"L2 must be positive and finite, got {L2}")
     F_k = np.asarray(F_k, dtype=float)
     J_k = np.asarray(J_k, dtype=float)
     z_k = np.asarray(z_k, dtype=float)

@@ -40,8 +40,8 @@ class SolverConfig:
 
     def __post_init__(self):
         check_order(self.order_p)
-        if not self.lipschitz > 0:
-            raise ValueError("lipschitz must be positive")
+        if not 0 < self.lipschitz < math.inf:
+            raise ValueError(f"lipschitz must be positive and finite, got {self.lipschitz}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))

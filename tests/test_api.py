@@ -1,12 +1,14 @@
-"""The public surface: exported names, config fields and parameter names.
+"""The public surface: exported names, config fields, parameter names and CLI options.
 
 A new option or export shows up here as a test edit, so it is reviewed as one.
 """
 
+import argparse
 import dataclasses
 import inspect
 
 import hoeg
+from hoeg.cli import build_parser
 
 EXPORTS = [
     "CapabilityError",
@@ -66,6 +68,17 @@ PARAMETERS = {
     "solve_half_step_p2": ("F_k", "J_k", "L2", "z_k"),
 }
 
+RUN_OPTIONS = ("--problem", "--p", "--Lp", "--K", "--z0", "--alpha")
+
+CLI_OPTIONS = {
+    "run": RUN_OPTIONS + ("--csv", "--json", "--svg"),
+    "reproduce": ("name", "--out-dir"),
+    "simulate": ("--problem", "--p", "--t-end", "--dt", "--z0", "--csv"),
+    "certify": RUN_OPTIONS + ("--q", "--samples", "--seed", "--json"),
+    "rate": RUN_OPTIONS,
+    "list": (),
+}
+
 
 def test_exported_names():
     assert hoeg.__all__ == EXPORTS
@@ -84,3 +97,12 @@ def test_parameters_of_each_exported_function():
     functions = {name: getattr(hoeg, name) for name in hoeg.__all__
                  if inspect.isfunction(getattr(hoeg, name))}
     assert {name: tuple(inspect.signature(fn).parameters) for name, fn in functions.items()} == PARAMETERS
+
+
+def test_cli_options():
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    options = {name: tuple(option for action in sub._actions if action.dest != "help"
+                           for option in action.option_strings or [action.dest])
+               for name, sub in subcommands.items()}
+    assert options == CLI_OPTIONS

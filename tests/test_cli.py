@@ -10,7 +10,7 @@ import pytest
 import hoeg
 import hoeg.solver as solver_module
 from hoeg import certify as cert
-from hoeg.cli import RunConfig, _run_config, build_parser, main
+from hoeg.cli import build_parser, main
 
 RUN = [sys.executable, "-m", "hoeg.cli"]
 # the child processes import the hoeg under test, installed or not
@@ -19,7 +19,6 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(hoeg.__file__)))
 
 def child_env(env_extra=None):
     env = dict(os.environ)
-    env.pop("HOEG_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # the rule the test process runs under
     env.update(env_extra or {})
@@ -99,53 +98,50 @@ def test_run_summary_keeps_the_failure_residual(monkeypatch, tmp_path, residual,
     assert summary["failure_residual"] == reported
 
 
-def test_config_file_roundtrip_is_bit_identical(tmp_path):
-    config = RunConfig(problem="forsaken", p=1, Lp=20.0, K=300, z0=(-1.0, -1.0), alpha=10.0)
-    path = tmp_path / "config.json"
-    path.write_text(config.to_json())
-    reloaded = RunConfig.from_json(path.read_text())
-    assert reloaded == config
-
-    csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for target in (csv_a, csv_b):
-        cfg = RunConfig.from_json(path.read_text())
-        cfg.outputs = {"csv": str(target)}
-        with open(tmp_path / "cfg_run.json", "w") as handle:
-            handle.write(cfg.to_json())
-        proc = invoke(["run", "--config", str(tmp_path / "cfg_run.json")])
-        assert proc.returncode == 0
-    assert csv_a.read_bytes() == csv_b.read_bytes()
-
-
 def test_alpha_selects_the_competitive_operator(tmp_path):
     run = ["run", "--problem", "forsaken", "--p", "1", "--Lp", "20", "--K", "300", "--z0=-1,-1"]
-    csv_flag, csv_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    csv_flag, csv_file = tmp_path / "flag.csv", tmp_path / "file.csv"
     competitive = invoke(run + ["--alpha", "10", "--csv", str(csv_flag)])
     standard = invoke(run)
     assert competitive.returncode == standard.returncode == 0
-    config = RunConfig(problem="forsaken", p=1, Lp=20.0, K=300, z0=(-1.0, -1.0), alpha=10.0,
-                       outputs={"csv": str(csv_config)})
-    (tmp_path / "config.json").write_text(config.to_json())
-    assert invoke(["run", "--config", str(tmp_path / "config.json")]).returncode == 0
-    assert csv_flag.read_bytes() == csv_config.read_bytes()
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--problem=forsaken\n--p=1\n--Lp=20\n--K=300\n--z0=-1,-1\n--alpha=10\n"
+                         f"--csv={csv_file}\n")
+    assert invoke(["run", f"@{args_file}"]).returncode == 0
+    assert csv_flag.read_bytes() == csv_file.read_bytes()
     assert json.loads(competitive.stdout)["z_out"] != json.loads(standard.stdout)["z_out"]
 
 
-def test_hoeg_seed_overrides_the_certify_seed():
+def test_certify_takes_its_seed_from_the_flag_only():
     certify = ["certify", "--problem", "quadratic_monotone", "--p", "1", "--samples", "500"]
-    overridden = invoke(certify + ["--seed", "5"], env_extra={"HOEG_SEED": "7"})
-    seeded = invoke(certify + ["--seed", "7"])
-    other = invoke(certify + ["--seed", "5"])
-    assert overridden.returncode == seeded.returncode == other.returncode == 0
-    assert overridden.stdout == seeded.stdout != other.stdout
+    with_env = invoke(certify + ["--seed", "5"], env_extra={"HOEG_SEED": "7"})
+    plain = invoke(certify + ["--seed", "5"])
+    other = invoke(certify + ["--seed", "7"])
+    assert with_env.returncode == plain.returncode == other.returncode == 0
+    assert with_env.stdout == plain.stdout != other.stdout
 
 
-def test_malformed_hoeg_seed_is_usage_error():
-    proc = invoke(["certify", "--problem", "x2y", "--p", "1", "--samples", "200"],
-                  env_extra={"HOEG_SEED": "abc"})
+def test_later_flags_override_the_args_file(tmp_path):
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--problem=quadratic_monotone\n--K=3\n--Lp=1.0\n")
+    proc = invoke(["run", f"@{args_file}", "--K", "7", "--p", "2", "--Lp", "5"])
+    assert proc.returncode == 0
+    summary = json.loads(proc.stdout)
+    assert (summary["p"], summary["K"], summary["records"]) == (2, 7, 8)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("--problem=forsaken\n--Lp=20\n--K=ten\n", "argument --K: invalid int value: 'ten'"),
+    (None, "No such file or directory"),
+])
+def test_bad_or_missing_args_file_is_usage_error(tmp_path, text, message):
+    args_file = tmp_path / "run.args"
+    if text is not None:
+        args_file.write_text(text)
+    proc = invoke(["run", f"@{args_file}"])
     assert proc.returncode == 2
-    assert "HOEG_SEED must be an integer, got 'abc'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_unsupported_certify_order_is_usage_error():
@@ -159,6 +155,10 @@ def test_unsupported_certify_order_is_usage_error():
     (["certify", "--problem", "x2y", "--samples", "200", "--q", "nan"], "q must be finite, got nan"),
     (["simulate", "--problem", "comonotone_toy", "--t-end", "1", "--dt", "0.3"],
      "dt = 0.3 does not divide t_end = 1.0"),
+    (["run", "--problem", "modified_forsaken", "--p", "1", "--Lp", "inf", "--K", "50"],
+     "lipschitz must be positive and finite, got inf"),
+    (["run", "--problem", "modified_forsaken", "--p", "2", "--Lp", "inf", "--K", "50"],
+     "lipschitz must be positive and finite, got inf"),
 ])
 def test_inputs_no_run_can_honour_are_usage_errors(args, message):
     proc = invoke(args)
@@ -176,43 +176,15 @@ def test_removed_options_are_usage_errors(args):
     assert invoke(args).returncode == 2
 
 
-@pytest.mark.parametrize("removed", [{"mode": "competitive"}, {"seed": 3}])
-def test_removed_config_fields_are_usage_errors(tmp_path, removed):
-    payload = {"problem": "forsaken", "Lp": 20.0, "K": 10, "alpha": 10.0, **removed}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(payload))
-    proc = invoke(["run", "--config", str(path)])
-    assert proc.returncode == 2
-    assert f"unknown config fields: {list(removed)}" in proc.stderr
-
-
-@pytest.mark.parametrize("text,message", [
-    ("5", "config must be a JSON object"),
-    ('{"z0": 3}', "config field 'z0' must be a list of numbers"),
-    ('{"K": "ten"}', "config field 'K' must be an integer"),
-    ('{"outputs": 5}', "config field 'outputs' must be an object of output paths"),
-])
-def test_malformed_config_is_usage_error(tmp_path, text, message):
-    path = tmp_path / "config.json"
-    payload = json.loads(text)
-    if isinstance(payload, dict):
-        payload = {"problem": "forsaken", "Lp": 20.0, "K": 10, **payload}
-    path.write_text(json.dumps(payload))
-    proc = invoke(["run", "--config", str(path)])
-    assert proc.returncode == 2
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
 @pytest.mark.parametrize("argv, K, z0", [
-    (["run"], 1000, (0.5, -0.5)),
+    (["run", "--problem", "x2y"], 1000, (0.5, -0.5)),
     (["certify", "--problem", "x2y"], 2000, (0.5, -0.5)),
     (["rate", "--problem", "x2y"], 2000, (1.0, 0.0)),
 ])
 def test_each_subcommand_keeps_its_run_defaults(argv, K, z0):
     # the run options are declared once; each subcommand still has its own K and z0
-    config = _run_config(build_parser().parse_args(argv))
-    assert (config.p, config.Lp, config.K, config.z0, config.alpha) == (1, None, K, z0, None)
+    args = build_parser().parse_args(argv)
+    assert (args.p, args.Lp, args.K, tuple(args.z0), args.alpha) == (1, None, K, z0, None)
 
 
 def test_unknown_problem_is_usage_error():
@@ -296,7 +268,6 @@ def test_certify_q_scans_each_exponent_once(monkeypatch, capsys):
         return rho_scan(*args, **kwargs)
 
     monkeypatch.setattr(cert, "_rho_scan", counted)
-    monkeypatch.delenv("HOEG_SEED", raising=False)
     assert main(["certify", "--problem", "modified_forsaken", "--p", "1", "--q", "2",
                  "--samples", "500", "--K", "50"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -11,6 +11,7 @@ from hoeg import (
     SolverConfig,
     builtin,
     certify_problem,
+    check_rho_threshold,
     estimate_weak_mvi_rho,
     eval_operator,
     run,
@@ -39,6 +40,18 @@ def test_every_entry_point_checks_the_one_list_of_orders():
                      lambda: estimate_weak_mvi_rho(problem, problem.z_star, p, 10, seed=0)):
             with pytest.raises(ValueError, match=rf"order p = {p} is not supported \(have \(1, 2\)\)"):
                 make()
+
+
+@pytest.mark.parametrize("L", [math.inf, math.nan])
+def test_every_lipschitz_check_needs_a_positive_finite_constant(L):
+    # an infinite L_1 used to make the order-1 step exactly 0 and stop at z0 as "stationary"
+    z = np.array([1.0, 1.0])
+    for make in (lambda: SolverConfig(1, L, 10, z),
+                 lambda: solve_half_step_p1(z, L, z),
+                 lambda: solve_half_step_p2(z, np.eye(2), L, z),
+                 lambda: check_rho_threshold(0.0, 1, L)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            make()
 
 
 class TestOrder1:
