@@ -17,7 +17,6 @@ from .certify import (
     estimate_weak_mvi_rho,
     fit_rate,
 )
-from .competitive import Operator, OperatorMode
 from .dynamics import (
     ContinuousConfig,
     ContinuousLog,
@@ -32,7 +31,7 @@ from .errors import (
     NumericError,
 )
 from .halfstep import HalfStepResult, solve_half_step_p1, solve_half_step_p2
-from .problems import ProblemSpec, builtin, eval_jacobian, eval_operator, problem_names
+from .problems import Operator, OperatorMode, ProblemSpec, builtin, problem_names
 from .solver import (
     IterateRecord,
     SolverConfig,
@@ -67,8 +66,6 @@ __all__ = [
     "detect_cycling",
     "estimate_q_rho",
     "estimate_weak_mvi_rho",
-    "eval_jacobian",
-    "eval_operator",
     "fit_rate",
     "normalized_field",
     "problem_names",

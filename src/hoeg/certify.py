@@ -9,17 +9,17 @@ with n samples for the same seed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .competitive import Operator, OperatorMode
 from .dynamics import ContinuousLog
 from .errors import DegenerateSampleError
 from .halfstep import check_order
-from .problems import ProblemSpec, _per_point, eval_jacobian, operator_rows
+from .problems import Operator, OperatorMode, ProblemSpec, _per_point
 from .solver import TrajectoryLog
 
 # Largest coefficient c such that, for every run of the iteration,
@@ -196,20 +196,20 @@ class _Pairs:
     F_b: np.ndarray
 
 
-def _evaluated_pairs(problem: ProblemSpec, n_pairs: int, seed: int) -> _Pairs:
-    a, b = sample_pairs(_sample_box(problem), n_pairs, seed)
-    return _Pairs(a, b, operator_rows(problem, a), operator_rows(problem, b))
+def _evaluated_pairs(field: Operator, n_pairs: int, seed: int) -> _Pairs:
+    a, b = sample_pairs(_sample_box(field.problem), n_pairs, seed)
+    return _Pairs(a, b, field.rows(a), field.rows(b))
 
 
-def _smoothness(problem: ProblemSpec, p: int, pairs: _Pairs) -> float:
+def _smoothness(field: Operator, p: int, pairs: _Pairs) -> float:
     """Sampled L_p: p! times the sup of ||F(b) - tau_{p-1}(b, a)|| / ||b - a||^p over the pairs."""
     step = pairs.b - pairs.a
     gap = _row_norms(step)
     kept = np.flatnonzero(gap >= 1e-12)
     expansion = pairs.F_a[kept]  # tau_{p-1}(b, a): F around a to degree p - 1, taken at b
     if p == 2:
-        J = _per_point(lambda z: eval_jacobian(problem, z), pairs.a[kept], (problem.d, problem.d),
-                       f"Jacobian of {problem.name!r}")
+        d = field.problem.d
+        J = _per_point(field.jacobian, pairs.a[kept], (d, d), f"Jacobian of {field.problem.name!r}")
         expansion = expansion + (J @ step[kept][..., None])[..., 0]
     # F(b) - expansion in this order: regrouping the terms moves the last bits
     err = _row_norms(pairs.F_b[kept] - expansion)
@@ -241,19 +241,10 @@ class CertReport:
     worst_violator: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "p": self.p,
-            "q": self.q,
-            "rho_hat_p": self.rho_hat_p,
-            "rho_hat_q": self.rho_hat_q,
-            "comono_hat": self.comono_hat,
-            "L_hat": {str(k): v for k, v in self.L_hat.items()},
-            "threshold_ok": self.threshold_ok,
-            "threshold_Lp": self.threshold_Lp,
-            "samples_used": self.samples_used,
-            "worst_violator": list(self.worst_violator),
-        }
+        out = dataclasses.asdict(self)
+        out["L_hat"] = {str(k): v for k, v in self.L_hat.items()}
+        out["worst_violator"] = list(self.worst_violator)
+        return out
 
 
 def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
@@ -278,8 +269,9 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
     points = sample_points(box, n_samples, seed, problem.z_star)
     scan_p = _rho_scan(operator, problem.z_star, (p + 1) / p, points)
     scan_q = _rho_scan(operator, problem.z_star, q, points)
-    pairs = _evaluated_pairs(problem, max(200, n_samples // 10), seed)
-    L_hat = {order: _smoothness(problem, order, pairs) for order in orders}
+    field = Operator(problem)  # the smoothness and comonotonicity constants are those of F
+    pairs = _evaluated_pairs(field, max(200, n_samples // 10), seed)
+    L_hat = {order: _smoothness(field, order, pairs) for order in orders}
     Lp = problem.published_constants.get(p, L_hat.get(p))
     return CertReport(
         problem=problem.name,

@@ -5,7 +5,8 @@ still write their outputs up to the failure), 2 usage error, 3 verdict
 failure, 4 I/O failure.  ``--alpha A`` selects the competitive operator
 F_alpha on every subcommand that takes it.  ``--seed`` selects the sample
 stream of ``certify``.  ``hoeg run @FILE`` reads flags from FILE, one per
-line (``--K=300``); a flag given after it on the command line wins.
+line (``--K=300`` or ``--K 300``); a flag given after it on the command line
+wins.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import sys
 import numpy as np
 
 from . import certify as cert
-from .competitive import OperatorMode
 from .dynamics import ContinuousConfig, simulate
 from .errors import ConvergenceError, NumericError
-from .problems import builtin, problem_names
+from .problems import OperatorMode, builtin, problem_names
 from .recipes import RECIPES, min_opnorm_svg, run_recipe
 from .solver import TERM_NUMERIC, TERM_SUBPROBLEM, SolverConfig, TrajectoryLog, run
 from .svgplot import trajectory_plot_svg
@@ -207,8 +207,24 @@ def _add_run_options(parser: argparse.ArgumentParser, K: int, z0: tuple) -> None
     parser.add_argument("--alpha", type=float, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An args file holds one flag per line: ``--name=value`` or ``--name value``.
+
+    Blank lines are skipped.  A line whose first token has no ``=`` is split
+    at its first run of whitespace, so ``--csv a b.csv`` gives the value
+    ``a b.csv``; a line ``--csv=a b.csv`` is one argument.
+    """
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list:
+        line = arg_line.strip()
+        if not line:
+            return []
+        head = line.split(maxsplit=1)
+        return [line] if "=" in head[0] else head
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hoeg",
         description="Higher-order extragradient solvers for min-max problems.",
     )

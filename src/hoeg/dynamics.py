@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericError
 from .halfstep import check_order, vector_norm
-from .problems import ProblemSpec, eval_jacobian, eval_operator
+from .problems import Operator, ProblemSpec
 
 RESOLVENT_TOL = 1e-10  # a resolvent solve stops at ||h|| <= RESOLVENT_TOL * max(1, ||v||)
 NORM_FLOOR = 1e-12     # G_p divides by max(||F||, NORM_FLOOR)^(1-1/p)
@@ -102,12 +102,13 @@ class _Path:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow at a far trial point fails the step test
-def resolvent_solve(v, problem: ProblemSpec, p: int, *, path: Optional[_Path] = None) -> np.ndarray:
+def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None) -> np.ndarray:
     """Solve z + G_p(z) = v by Newton's method from v, or from the caller's path.
 
-    The Newton matrix is M = I + (J - a F (F^T J) / n^2) / n^a with J from
-    ``eval_jacobian``, a = 1 - 1/p and n = max(||F||, NORM_FLOOR); below the
-    floor the F F^T term drops.  Each step forms P = M^-1 and takes
+    F is ``field.at`` and G_p its normalized form.  The Newton matrix is
+    M = I + (J - a F (F^T J) / n^2) / n^a with J = ``field.jacobian``,
+    a = 1 - 1/p and n = max(||F||, NORM_FLOOR); below the floor the F F^T
+    term drops.  Each step forms P = M^-1 and takes
     dz = -P h, halved until h = z + G_p(z) - v meets
     ||h(z + t dz)|| <= (1 - 1e-4 t) ||h(z)||.  The call returns as soon as
     ||h|| <= RESOLVENT_TOL * max(1, ||v||), which may be at the start.
@@ -136,19 +137,19 @@ def resolvent_solve(v, problem: ProblemSpec, p: int, *, path: Optional[_Path] = 
     if path is not None and path.P is not None and path.z is not None:
         z = path.z + path.P @ (v - path.v)
         try:
-            F = eval_operator(problem, z)
+            F = field.at(z)
         except NumericError:
             pass  # F is not finite at the predicted start: start from z'
     if F is None:
         z = v.copy() if path is None or path.z is None else path.z.copy()
-        F = eval_operator(problem, z)
+        F = field.at(z)
     h, r = residual(z, F)
     for _ in range(500):
         if r <= scale:
             if path is not None:
                 path.v, path.z = v, z
             return z
-        jac = eval_jacobian(problem, z)
+        jac = field.jacobian(z)
         if p > 1:
             norm = math.sqrt(F @ F)
             if norm > NORM_FLOOR:
@@ -165,7 +166,7 @@ def resolvent_solve(v, problem: ProblemSpec, p: int, *, path: Optional[_Path] = 
         t = 1.0
         for _ in range(30):
             z_try = z + t * dz
-            F_try = eval_operator(problem, z_try)
+            F_try = field.at(z_try)
             h_try, r_try = residual(z_try, F_try)
             if r_try <= (1.0 - 1e-4 * t) * r:
                 break
@@ -184,13 +185,14 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     """
     p = config.order_p
     dt = config.dt
+    field = Operator(problem)
     path = _Path()
 
     def solve(vv):
-        return resolvent_solve(vv, problem, p, path=path)
+        return resolvent_solve(vv, field, p, path=path)
 
     def op_norm(z):
-        return vector_norm(eval_operator(problem, z))
+        return vector_norm(field.at(z))
 
     v = config.z0.copy()
     ts, zs, vs, norms, integ = [], [], [], [], []

@@ -1,19 +1,22 @@
 """Saddle-point problems and the min-max operator F(z) = (grad_x f, -grad_y f).
 
 A problem bundles a saddle function f(x, y) with hand-coded derivative
-blocks.  The built-in registry covers the test problems used throughout the
-experiment suite; all of them are two-dimensional (d_x = d_y = 1) but the
-interfaces are dimension-generic.
+blocks, and ``Operator`` is the one code that evaluates its field, F or the
+competitive F_alpha, for the solver, certify and the flow.  The built-in
+registry covers the test problems used throughout the experiment suite; all
+of them are two-dimensional (d_x = d_y = 1) but the interfaces are
+dimension-generic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import CapabilityError, NumericError
 
 Vector = np.ndarray
 
@@ -59,53 +62,12 @@ class ProblemSpec:
         if self.z_star is not None:
             z = np.asarray(self.z_star, dtype=float)
             object.__setattr__(self, "z_star", z)
-            if np.linalg.norm(eval_operator(self, z)) > 1e-6:
+            if np.linalg.norm(Operator(self).at(z)) > 1e-6:
                 raise ValueError(f"z_star of {self.name!r} is not stationary to 1e-6")
 
     @property
     def d(self) -> int:
         return self.d_x + self.d_y
-
-
-def _coords(problem: ProblemSpec, z) -> Vector:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (problem.d,):
-        raise ValueError(f"expected a vector of length {problem.d}, got shape {z.shape}")
-    return z
-
-
-def eval_operator(problem: ProblemSpec, z) -> Vector:
-    """Evaluate F(z) = (grad_x f(z), -grad_y f(z))."""
-    z = _coords(problem, z)
-    out = np.concatenate([problem.grad_x(z), -problem.grad_y(z)])
-    if not np.isfinite(out).all():
-        raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
-    return out
-
-
-def operator_rows(problem: ProblemSpec, points) -> np.ndarray:
-    """F at each row of an (n, d) array: the rows of eval_operator at those points.
-
-    grad_x is called at every row, then grad_y at every row; the sign flip of
-    the y block and the finiteness check are taken once over the whole
-    array, so an exception raised by grad_x at a later row comes before one
-    raised by grad_y at an earlier row, and both before the NumericError.
-    The flip is the only arithmetic and is exact, so each row equals
-    eval_operator's bit for bit (for float blocks: an integer zero in the y
-    block flips to -0.0 here and to 0 there).
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != problem.d:
-        raise ValueError(f"expected an array of rows of length {problem.d}, got shape {points.shape}")
-    what = f"block of the operator of {problem.name!r}"
-    X = _per_point(problem.grad_x, points, (problem.d_x,), f"the grad_x {what}")
-    Y = _per_point(problem.grad_y, points, (problem.d_y,), f"the grad_y {what}")
-    out = np.concatenate([X, -Y], axis=1)
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        z = points[np.argmin(finite)]
-        raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
-    return out
 
 
 def _per_point(fn, points: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -128,6 +90,13 @@ def _per_point(fn, points: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     return out
 
 
+def _check_rows(values: np.ndarray, points: np.ndarray, what: str) -> None:
+    """Raise NumericError naming the first point whose row of ``values`` is not finite."""
+    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if not finite.all():
+        raise NumericError(f"non-finite {what} at {points[np.argmin(finite)]}")
+
+
 def central_difference(fn: Callable[[Vector], Vector], z: Vector) -> np.ndarray:
     """Jacobian of fn at z by central differences with step FD_STEP in each coordinate."""
     d = z.size
@@ -139,16 +108,122 @@ def central_difference(fn: Callable[[Vector], Vector], z: Vector) -> np.ndarray:
     return jac
 
 
-def eval_jacobian(problem: ProblemSpec, z) -> np.ndarray:
-    """Jacobian of F at z: analytic when provided, else central differences."""
-    z = _coords(problem, z)
-    if problem.operator_jacobian is not None:
-        jac = np.asarray(problem.operator_jacobian(z), dtype=float)
-    else:
-        jac = central_difference(lambda zz: eval_operator(problem, zz), z)
-    if not np.isfinite(jac).all():
-        raise NumericError(f"non-finite Jacobian for {problem.name!r} at {z}")
-    return jac
+@dataclass(frozen=True)
+class OperatorMode:
+    """Which field the solver follows: F when alpha is None, F_alpha for a value (0 included)."""
+
+    alpha: Optional[float] = None
+
+    def __post_init__(self):
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and >= 0")
+
+    @classmethod
+    def standard(cls) -> "OperatorMode":
+        return cls()
+
+    @classmethod
+    def competitive(cls, alpha: float) -> "OperatorMode":
+        return cls(float(alpha))
+
+
+def block_matrix(B: np.ndarray, alpha: float) -> np.ndarray:
+    """M = [[I, alpha B], [-alpha B^T, I]] for one mixed Hessian B, or for a stack of them.
+
+    ``B`` has shape (d_x, d_y) or (n, d_x, d_y); M has shape (d, d) or (n, d, d).
+    """
+    d_x, d_y = B.shape[-2:]
+    d = d_x + d_y
+    M = np.eye(d) if B.ndim == 2 else np.tile(np.eye(d), (len(B), 1, 1))
+    M[..., :d_x, d_x:] = alpha * B
+    M[..., d_x:, :d_x] = -alpha * B.swapaxes(-1, -2)
+    return M
+
+
+class Operator:
+    """The one code that evaluates a field: at a point, at the rows of an array, and its Jacobian.
+
+    The field is F(z) = (grad_x f(z), -grad_y f(z)), or F_alpha when the
+    mode sets alpha: F_alpha(z) solves M u = F(z) with
+    M = ``block_matrix(B, alpha)`` and B = grad_xy f(z).  M is the identity
+    plus a real skew-symmetric matrix, so its symmetric part is I and the
+    solve is always well posed; in particular F_alpha and F share their zero
+    set exactly.  A non-finite F, mixed Hessian or Jacobian raises
+    ``NumericError`` naming the point; a value of the wrong shape raises
+    ``ValueError``.
+    """
+
+    def __init__(self, problem: ProblemSpec, mode: Optional[OperatorMode] = None):
+        self.problem = problem
+        self.alpha = None if mode is None else mode.alpha
+        if self.alpha is not None and problem.mixed_hessian is None:
+            raise CapabilityError(f"{problem.name!r} has no mixed Hessian; competitive mode unavailable")
+
+    def _point(self, z) -> Vector:
+        z = np.asarray(z, dtype=float)
+        if z.shape != (self.problem.d,):
+            raise ValueError(f"expected a vector of length {self.problem.d}, got shape {z.shape}")
+        return z
+
+    def at(self, z) -> np.ndarray:
+        """The field at one point; F_alpha is one (d, d) solve."""
+        problem = self.problem
+        z = self._point(z)
+        F = np.concatenate([problem.grad_x(z), -problem.grad_y(z)])
+        if not np.isfinite(F).all():
+            raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
+        if self.alpha is None:
+            return F
+        B = np.asarray(problem.mixed_hessian(z), dtype=float)
+        if B.shape != (problem.d_x, problem.d_y):
+            raise ValueError(f"mixed Hessian of {problem.name!r} has shape {B.shape}")
+        if not np.isfinite(B).all():
+            raise NumericError(f"non-finite mixed Hessian for {problem.name!r} at {z}")
+        return np.linalg.solve(block_matrix(B, self.alpha), F)
+
+    def rows(self, Z) -> np.ndarray:
+        """The field at each row of an (n, d) array, each row bit-identical to ``at``.
+
+        grad_x is called at every row, then grad_y at every row; the sign
+        flip of the y block and the finiteness check are taken once over the
+        whole array, so an exception raised by grad_x at a later row comes
+        before one raised by grad_y at an earlier row, and both before the
+        NumericError.  The flip is exact (for float blocks: an integer zero
+        in the y block flips to -0.0 here and to 0 in ``at``).  F_alpha is
+        one solve on the (n, d, d) stack of block matrices; LAPACK factors
+        each matrix as it would alone.
+        """
+        problem = self.problem
+        Z = np.asarray(Z, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != problem.d:
+            raise ValueError(f"expected an array of rows of length {problem.d}, got shape {Z.shape}")
+        what = f"block of the operator of {problem.name!r}"
+        X = _per_point(problem.grad_x, Z, (problem.d_x,), f"the grad_x {what}")
+        Y = _per_point(problem.grad_y, Z, (problem.d_y,), f"the grad_y {what}")
+        F = np.concatenate([X, -Y], axis=1)
+        _check_rows(F, Z, f"operator value for {problem.name!r}")
+        if self.alpha is None:
+            return F
+        B = _per_point(problem.mixed_hessian, Z, (problem.d_x, problem.d_y),
+                       f"mixed Hessian of {problem.name!r}")
+        _check_rows(B, Z, f"mixed Hessian for {problem.name!r}")
+        return np.linalg.solve(block_matrix(B, self.alpha), F[..., None])[..., 0]
+
+    def jacobian(self, z) -> np.ndarray:
+        """Jacobian of the field at z: the problem's own for F when it has one, else differenced.
+
+        F_alpha has no analytic third derivatives, so it is always the
+        central difference of ``at``.
+        """
+        problem = self.problem
+        z = self._point(z)
+        if self.alpha is None and problem.operator_jacobian is not None:
+            jac = np.asarray(problem.operator_jacobian(z), dtype=float)
+        else:
+            jac = central_difference(self.at, z)
+        if not np.isfinite(jac).all():
+            raise NumericError(f"non-finite Jacobian for {problem.name!r} at {z}")
+        return jac
 
 
 # Degree-six polynomial well shared by the two hard examples.

@@ -17,8 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .competitive import OperatorMode
-from .problems import builtin
+from .problems import OperatorMode, builtin
 from .solver import SolverConfig, TrajectoryLog, detect_cycling, run
 from .svgplot import line_plot_svg, trajectory_plot_svg
 

@@ -16,10 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .competitive import Operator, OperatorMode
 from .errors import ConvergenceError, NumericError
 from .halfstep import check_order, solve_half_step_p1, solve_half_step_p2, vector_norm
-from .problems import ProblemSpec
+from .problems import Operator, OperatorMode, ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
 TERM_STATIONARY = "exact_stationary"

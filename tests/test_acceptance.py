@@ -13,6 +13,7 @@ import pytest
 
 from hoeg import (
     ContinuousConfig,
+    Operator,
     OperatorMode,
     SolverConfig,
     builtin,
@@ -23,7 +24,6 @@ from hoeg import (
     detect_cycling,
     estimate_q_rho,
     estimate_weak_mvi_rho,
-    eval_operator,
     fit_rate,
     run,
     simulate,
@@ -243,7 +243,7 @@ def test_criterion_8_certification_sanity():
     oracle = -np.inf
     for x in axis:
         col = np.stack([np.full(400, x), axis], 1)
-        vals = np.stack([eval_operator(mf, z) for z in col])
+        vals = np.stack([Operator(mf).at(z) for z in col])
         norms = np.linalg.norm(vals, axis=1)
         mask = norms > 1e-10
         inner = np.sum(vals[mask] * (col[mask] - mf.z_star), axis=1)

@@ -6,6 +6,12 @@ A new option or export shows up here as a test edit, so it is reviewed as one.
 import argparse
 import dataclasses
 import inspect
+import os
+import re
+import subprocess
+import sys
+
+import pytest
 
 import hoeg
 from hoeg.cli import build_parser
@@ -34,8 +40,6 @@ EXPORTS = [
     "detect_cycling",
     "estimate_q_rho",
     "estimate_weak_mvi_rho",
-    "eval_jacobian",
-    "eval_operator",
     "fit_rate",
     "normalized_field",
     "problem_names",
@@ -56,12 +60,10 @@ PARAMETERS = {
     "detect_cycling": ("log",),
     "estimate_q_rho": ("problem", "z_star", "q", "n_samples", "seed", "mode"),
     "estimate_weak_mvi_rho": ("problem", "z_star", "p", "n_samples", "seed", "mode"),
-    "eval_jacobian": ("problem", "z"),
-    "eval_operator": ("problem", "z"),
     "fit_rate": ("log",),
     "normalized_field": ("F_z", "p"),
     "problem_names": (),
-    "resolvent_solve": ("v", "problem", "p", "path"),
+    "resolvent_solve": ("v", "field", "p", "path"),
     "run": ("problem", "config"),
     "simulate": ("problem", "config"),
     "solve_half_step_p1": ("F_k", "L1", "z_k"),
@@ -106,3 +108,19 @@ def test_cli_options():
                            for option in action.option_strings or [action.dest])
                for name, sub in subcommands.items()}
     assert options == CLI_OPTIONS
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # the modules that `import hoeg` loads, beyond the interpreter's own at startup
+    probe = ("import sys; before = set(sys.modules); import hoeg; "
+             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hoeg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True).stdout.split()
+    assert sorted(set(loaded) - set(sys.stdlib_module_names)) == ["hoeg", "numpy"]
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(src), "pyproject.toml")
+    with open(pyproject, "rb") as handle:
+        dependencies = tomllib.load(handle)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in dependencies] == ["numpy"]

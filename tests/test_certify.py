@@ -21,8 +21,6 @@ from hoeg import (
     check_rho_threshold,
     estimate_q_rho,
     estimate_weak_mvi_rho,
-    eval_jacobian,
-    eval_operator,
     fit_rate,
     problem_names,
     run,
@@ -116,7 +114,7 @@ class TestRhoEstimates:
         for x in axis:
             for y in axis:
                 z = np.array([x, y])
-                F = eval_operator(p, z)
+                F = Operator(p).at(z)
                 norm = np.linalg.norm(F)
                 if norm < 1e-10:
                     continue
@@ -141,11 +139,11 @@ class TestRhoThreshold:
 class TestSmoothness:
     def test_identity_field_constant_is_one(self):
         p = builtin("quadratic_monotone")
-        assert _smoothness(p, 1, _evaluated_pairs(p, 2000, seed=0)) == pytest.approx(1.0, abs=1e-12)
+        assert _smoothness(Operator(p), 1, _evaluated_pairs(Operator(p), 2000, seed=0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_field_has_zero_second_order_constant(self):
         p = builtin("bilinear")
-        assert _smoothness(p, 2, _evaluated_pairs(p, 2000, seed=0)) <= 1e-9
+        assert _smoothness(Operator(p), 2, _evaluated_pairs(Operator(p), 2000, seed=0)) <= 1e-9
 
     def test_x2y_matches_pair_grid_oracle(self):
         # oracle: all ordered pairs from two offset lattices of 200 points each
@@ -160,19 +158,19 @@ class TestSmoothness:
         A, B = lattice(200, 0.0), lattice(200, 1e-3)
         oracle = 0.0
         for a in A:
-            Fa = eval_operator(p, a)
+            Fa = Operator(p).at(a)
             for b in B:
                 gap = np.linalg.norm(b - a)
                 if gap < 1e-12:
                     continue
-                oracle = max(oracle, np.linalg.norm(eval_operator(p, b) - Fa) / gap)
-        sampled = _smoothness(p, 1, _evaluated_pairs(p, 4000, seed=5))
+                oracle = max(oracle, np.linalg.norm(Operator(p).at(b) - Fa) / gap)
+        sampled = _smoothness(Operator(p), 1, _evaluated_pairs(Operator(p), 4000, seed=5))
         assert abs(sampled - oracle) <= 0.1 * oracle
 
 
 def test_comonotonicity_estimate_is_exact_on_the_toy():
     # the ratio is the same at every pair; short probe pairs add O(eps/gap) noise
-    value = _comonotonicity(_evaluated_pairs(builtin("comonotone_toy"), 2000, seed=0))
+    value = _comonotonicity(_evaluated_pairs(Operator(builtin("comonotone_toy")), 2000, seed=0))
     assert value == pytest.approx(-0.2 / 1.04, abs=1e-9)
 
 
@@ -519,10 +517,10 @@ def _smoothness_oracle(problem, p, n_pairs, seed):
         gap = float(np.linalg.norm(z_b - z_a))
         if gap < 1e-12:
             continue
-        expansion = eval_operator(problem, z_a)
+        expansion = Operator(problem).at(z_a)
         if p == 2:
-            expansion = expansion + eval_jacobian(problem, z_a) @ (z_b - z_a)
-        err = float(np.linalg.norm(eval_operator(problem, z_b) - expansion))
+            expansion = expansion + Operator(problem).jacobian(z_a) @ (z_b - z_a)
+        err = float(np.linalg.norm(Operator(problem).at(z_b) - expansion))
         best = max(best, err / gap**p)
     return math.factorial(p) * best
 
@@ -532,7 +530,7 @@ def _comonotonicity_oracle(problem, n_pairs, seed):
     a, b = sample_pairs(problem.sample_box, n_pairs, seed)
     worst = np.inf
     for z_a, z_b in zip(a, b):
-        dF = eval_operator(problem, z_a) - eval_operator(problem, z_b)
+        dF = Operator(problem).at(z_a) - Operator(problem).at(z_b)
         denom = float(np.sum(dF * dF))
         if denom < SKIP_NORM**2:
             continue
@@ -570,9 +568,9 @@ class TestArrayEstimatesMatchThePointLoops:
     @given(st.sampled_from(_ORACLE_PROBLEMS), st.integers(1, 600), st.integers(0, 10**6))
     def test_pair_estimates(self, name, n, seed):
         problem = builtin(name)
-        pairs = _evaluated_pairs(problem, n, seed)
+        pairs = _evaluated_pairs(Operator(problem), n, seed)
         for p in (1, 2):
-            assert _smoothness(problem, p, pairs) == _smoothness_oracle(problem, p, n, seed)
+            assert _smoothness(Operator(problem), p, pairs) == _smoothness_oracle(problem, p, n, seed)
         assert _comonotonicity(pairs) == _comonotonicity_oracle(problem, n, seed)
 
 
@@ -602,7 +600,7 @@ def test_competitive_scan_on_a_non_square_block_layout():
     rows = Operator(problem, None).rows(points)
     assert rows.shape == (n, 3)
     for z, row in zip(points, rows):
-        assert np.array_equal(row, eval_operator(problem, z))
+        assert np.array_equal(row, Operator(problem).at(z))
     report = certify_problem(problem, 1, mode=mode, n_samples=n, seed=seed)
     oracle = _scan_oracle(problem, problem.z_star, 2.0, n, seed, mode)
     assert (report.rho_hat_p, report.samples_used) == (oracle.value, oracle.samples_used)

@@ -334,3 +334,12 @@ def test_main_callable_in_process(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "forsaken" in out
+
+
+def test_args_file_lines_take_either_flag_form(tmp_path):
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--problem=quadratic_monotone\n\n  \n--K 3\n--csv=a b.csv\n"
+                         "--json  out dir/s.json \n--Lp=1.0\n")
+    args = build_parser().parse_args(["run", f"@{args_file}"])
+    assert (args.problem, args.K, args.Lp) == ("quadratic_monotone", 3, 1.0)
+    assert (args.csv, args.json) == ("a b.csv", "out dir/s.json")

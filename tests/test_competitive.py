@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,21 +9,23 @@ from hypothesis import strategies as st
 
 from hoeg import (
     CapabilityError,
+    NumericError,
     Operator,
     OperatorMode,
     ProblemSpec,
+    SolverConfig,
     builtin,
     estimate_q_rho,
-    eval_operator,
+    run,
 )
-from hoeg.competitive import block_matrix
+from hoeg.problems import block_matrix, central_difference
 
 
 def test_alpha_zero_is_the_plain_operator():
     for name in ("forsaken", "x2y", "bilinear"):
         p = builtin(name)
         z = np.array([0.7, -1.1])
-        assert np.allclose(Operator(p, OperatorMode(0.0)).at(z), eval_operator(p, z), atol=1e-15)
+        assert np.allclose(Operator(p, OperatorMode(0.0)).at(z), Operator(p).at(z), atol=1e-15)
 
 
 def test_bilinear_hand_value():
@@ -85,7 +89,7 @@ def test_small_alpha_limit():
         for _ in range(5):
             z = rng.uniform(-1, 1, 2)
             fa_norm = np.linalg.norm(Operator(p, OperatorMode(1e-8)).at(z))
-            gap = abs(fa_norm - np.linalg.norm(eval_operator(p, z)))
+            gap = abs(fa_norm - np.linalg.norm(Operator(p).at(z)))
             assert gap <= 1e-6
 
 
@@ -96,7 +100,7 @@ def test_zero_sets_coincide():
         assert np.linalg.norm(Operator(p, OperatorMode(10.0)).at(p.z_star)) <= 1e-6
         for _ in range(20):
             z = rng.uniform(-1.4, 1.4, 2)
-            f_norm = np.linalg.norm(eval_operator(p, z))
+            f_norm = np.linalg.norm(Operator(p).at(z))
             fa_norm = np.linalg.norm(Operator(p, OperatorMode(10.0)).at(z))
             if f_norm > 1e-6:
                 assert fa_norm > 0.0
@@ -110,7 +114,7 @@ def test_competitive_norm_is_within_the_block_matrix_bounds(name, x, y, alpha):
     # F and F_alpha vanish together.  hypot keeps the norms of tiny fields from underflowing.
     p = builtin(name)
     z = np.array([x, y])
-    M, F = block_matrix(p.mixed_hessian(z), alpha), eval_operator(p, z)
+    M, F = block_matrix(p.mixed_hessian(z), alpha), Operator(p).at(z)
     f_norm = math.hypot(*F)
     fa_norm = math.hypot(*Operator(p, OperatorMode(alpha)).at(z))
     # subnormal results round to a multiple of math.ulp(0.0), not to a relative 1e-12
@@ -131,3 +135,44 @@ def test_competitive_system_shapes():
     M = block_matrix(p.mixed_hessian(np.array([1.0, 1.0])), 2.0)
     assert M.shape == (2, 2)
     assert np.allclose(M, [[1.0, 4.0], [-4.0, 1.0]])
+
+
+def test_a_non_finite_mixed_hessian_names_the_point():
+    # F = (0.3, -0.5) there, but M u = F with an infinite B would solve to u = 0
+    problem = dataclasses.replace(builtin("bilinear"), name="inf_hessian",
+                                  mixed_hessian=lambda z: np.array([[np.inf if z[0] == 0.5 else 1.0]]))
+    z = np.array([0.5, 0.3])
+    assert np.array_equal(Operator(problem).at(z), [0.3, -0.5])
+    operator = Operator(problem, OperatorMode(10))
+    message = re.escape(f"non-finite mixed Hessian for 'inf_hessian' at {z}")
+    with pytest.raises(NumericError, match=message):
+        operator.at(z)
+    with pytest.raises(NumericError, match=message):
+        operator.rows(np.array([[0.1, 0.2], z, z]))
+    with pytest.raises(NumericError, match=message):
+        run(problem, SolverConfig(order_p=1, lipschitz=1.0, max_iterations=5, z0=z,
+                                  operator_mode=OperatorMode(10)))
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0, 10.0])
+def test_a_differenced_jacobian_is_the_central_difference_of_the_field(alpha):
+    problem = builtin("x2y")
+    if alpha is None:  # no analytic Jacobian: F is differenced too
+        problem = dataclasses.replace(problem, name="x2y_fd", operator_jacobian=None)
+    operator = Operator(problem, OperatorMode(alpha))
+    for z in np.random.default_rng(3).uniform(-1.0, 1.0, (20, 2)):
+        assert operator.jacobian(z).tobytes() == central_difference(operator.at, z).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0])
+def test_a_non_finite_differenced_jacobian_is_a_numeric_error(alpha):
+    # F is finite at z +- FD_STEP, and its difference overflows
+    steep = ProblemSpec(name="steep", d_x=1, d_y=1, f=lambda z: 0.0,
+                        grad_x=lambda z: np.array([math.copysign(1e308, z[0])]),
+                        grad_y=lambda z: np.array([0.0]),
+                        mixed_hessian=lambda z: np.array([[0.0]]))
+    operator = Operator(steep, OperatorMode(alpha))
+    assert np.isfinite(operator.at([1e-5, 0.0])).all()
+    # run and resolvent_solve evaluate Jacobians with overflow warnings off, as here
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite Jacobian for 'steep'"):
+        operator.jacobian([0.0, 0.0])

@@ -10,10 +10,10 @@ from hoeg import (
     ContinuousLog,
     ConvergenceError,
     NumericError,
+    Operator,
     ProblemSpec,
     builtin,
     check_energy_bound,
-    eval_operator,
     normalized_field,
     resolvent_solve,
     simulate,
@@ -58,17 +58,17 @@ class TestNormalizedField:
 
 class TestResolvent:
     def test_identity_field_halves(self):
-        z = resolvent_solve([2.0, 0.0], builtin("quadratic_monotone"), 1)
+        z = resolvent_solve([2.0, 0.0], Operator(builtin("quadratic_monotone")), 1)
         assert np.allclose(z, [1.0, 0.0], atol=1e-9)
 
     def test_zero_field_is_identity_map(self):
         for p in (1, 2):
-            z = resolvent_solve([0.3, -0.7], zero_field_problem(), p)
+            z = resolvent_solve([0.3, -0.7], Operator(zero_field_problem()), p)
             assert np.allclose(z, [0.3, -0.7], atol=1e-12)
 
     def test_order2_square_root_equation(self):
         # on the first axis: z + sqrt(z) = 2 has the root z = 1
-        z = resolvent_solve([2.0, 0.0], builtin("quadratic_monotone"), 2)
+        z = resolvent_solve([2.0, 0.0], Operator(builtin("quadratic_monotone")), 2)
         assert np.allclose(z, [1.0, 0.0], atol=1e-8)
 
     def test_residual_recomputed_independently(self):
@@ -76,14 +76,14 @@ class TestResolvent:
         rng = np.random.default_rng(2)
         for _ in range(20):
             v = rng.uniform(-2, 2, 2)
-            z = resolvent_solve(v, p, 1)
-            res = np.linalg.norm(z + normalized_field(eval_operator(p, z), 1) - v)
+            z = resolvent_solve(v, Operator(p), 1)
+            res = np.linalg.norm(z + normalized_field(Operator(p).at(z), 1) - v)
             assert res <= 1e-10 * max(1.0, np.linalg.norm(v))
 
     def test_singular_newton_matrix_is_a_typed_failure(self):
         # F = -z makes I + J the zero matrix
         with pytest.raises(ConvergenceError, match="singular") as singular:
-            resolvent_solve([3.0, 4.0], linear_problem(-np.eye(2)), 1)
+            resolvent_solve([3.0, 4.0], Operator(linear_problem(-np.eye(2))), 1)
         assert singular.value.residual == 5.0
 
     def test_overflowing_trial_point_is_a_typed_failure(self):
@@ -94,7 +94,7 @@ class TestResolvent:
             grad_y=lambda z: -z[1:],
         )
         with pytest.raises(NumericError):
-            resolvent_solve([0.5, 0.0], problem, 1)
+            resolvent_solve([0.5, 0.0], Operator(problem), 1)
 
 
 # Random linear fields F = A z: A with arbitrary (often indefinite) symmetric
@@ -111,7 +111,7 @@ class TestResolventProperties:
     @_property
     @given(_monotone, _points)
     def test_order1_monotone_matches_linear_solve(self, A, v):
-        z = resolvent_solve(v, linear_problem(A), 1)
+        z = resolvent_solve(v, Operator(linear_problem(A)), 1)
         exact = np.linalg.solve(np.eye(2) + A, v)
         # ||(I + A)^-1|| <= 1, so the error is at most the residual tolerance
         assert np.linalg.norm(z - exact) <= 1e-9 * max(1.0, np.linalg.norm(v))
@@ -124,7 +124,7 @@ class TestResolventProperties:
         # sqrt(s) = (sqrt(c + 4 ||v||) - sqrt(c)) / 2, written without cancellation
         v = size * np.array([np.cos(angle), np.sin(angle)])
         s = (2 * size / (np.sqrt(c + 4 * size) + np.sqrt(c))) ** 2
-        z = resolvent_solve(v, linear_problem(c * np.eye(2)), 2)
+        z = resolvent_solve(v, Operator(linear_problem(c * np.eye(2))), 2)
         assert np.linalg.norm(z - s * v / size) <= 1e-9 * max(1.0, size)
 
     @_property
@@ -132,11 +132,11 @@ class TestResolventProperties:
     def test_returned_point_meets_the_tolerance(self, A, v, p, analytic):
         problem = linear_problem(A, analytic)
         try:
-            z = resolvent_solve(v, problem, p)
+            z = resolvent_solve(v, Operator(problem), p)
         except ConvergenceError as exc:
             assert np.isfinite(exc.residual)
             return
-        residual = z + normalized_field(eval_operator(problem, z), p) - v
+        residual = z + normalized_field(Operator(problem).at(z), p) - v
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(v))
 
 
@@ -251,12 +251,12 @@ class TestTangentPredictor:
         )
         path = _Path(v=np.array([1.0, 0.0]), z=np.array([0.5, 0.0]), P=100.0 * np.eye(2))
         v = np.array([1.2, 0.0])
-        z = resolvent_solve(v, problem, 1, path=path)
+        z = resolvent_solve(v, Operator(problem), 1, path=path)
         assert np.linalg.norm(z - v / 2.0) <= 1e-10
         assert path.z is z and np.array_equal(path.v, v)
         assert np.array_equal(path.P, 0.5 * np.eye(2))
         with pytest.raises(NumericError):
-            resolvent_solve(v, problem, 1, path=_Path(z=np.array([20.5, 0.0])))
+            resolvent_solve(v, Operator(problem), 1, path=_Path(z=np.array([20.5, 0.0])))
 
 
 class TestEnergyBound:

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hoeg import (
     ContinuousConfig,
     ConvergenceError,
+    Operator,
     SolverConfig,
     builtin,
     certify_problem,
     check_rho_threshold,
     estimate_weak_mvi_rho,
-    eval_operator,
     run,
     solve_half_step_p1,
     solve_half_step_p2,
@@ -68,7 +68,7 @@ class TestOrder1:
     def test_modified_forsaken_from_origin(self):
         p = builtin("modified_forsaken")
         z = np.zeros(2)
-        res = solve_half_step_p1(eval_operator(p, z), 20.0, z)
+        res = solve_half_step_p1(Operator(p).at(z), 20.0, z)
         assert np.allclose(res.z_half, [0.0375, 0.0])
 
     def test_residual_certificate(self):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hoeg import NumericError, ProblemSpec, builtin, eval_jacobian, eval_operator, problem_names
-from hoeg.problems import operator_rows
+from hoeg import NumericError, Operator, ProblemSpec, builtin, problem_names
 
 ALL_NAMES = ["bilinear", "comonotone_toy", "forsaken", "modified_forsaken", "quadratic_monotone", "x2y"]
 
@@ -18,13 +17,13 @@ def test_unknown_name_is_lookup_error():
 
 def test_x2y_operator_values():
     p = builtin("x2y")
-    assert np.allclose(eval_operator(p, [0.0, 3.0]), [0.0, 0.0])
-    assert np.allclose(eval_operator(p, [1.0, 1.0]), [2.0, -1.0])
+    assert np.allclose(Operator(p).at([0.0, 3.0]), [0.0, 0.0])
+    assert np.allclose(Operator(p).at([1.0, 1.0]), [2.0, -1.0])
 
 
 def test_modified_forsaken_operator_at_origin():
     p = builtin("modified_forsaken")
-    assert np.allclose(eval_operator(p, [0.0, 0.0]), [-1.5, 0.0])
+    assert np.allclose(Operator(p).at([0.0, 0.0]), [-1.5, 0.0])
 
 
 def test_forsaken_operator_matches_hand_derivative():
@@ -32,20 +31,20 @@ def test_forsaken_operator_matches_hand_derivative():
     p = builtin("forsaken")
     x, y = 0.3, -0.7
     h1 = lambda t: t / 2 - 2 * t**3 + t**5
-    assert np.allclose(eval_operator(p, [x, y]), [y - 0.45 + h1(x), h1(y) - x])
+    assert np.allclose(Operator(p).at([x, y]), [y - 0.45 + h1(x), h1(y) - x])
 
 
 def test_jacobian_constants():
-    assert np.allclose(eval_jacobian(builtin("bilinear"), [3.0, -2.0]), [[0, 1], [-1, 0]])
-    assert np.allclose(eval_jacobian(builtin("quadratic_monotone"), [0.3, 0.8]), np.eye(2))
-    assert np.allclose(eval_jacobian(builtin("x2y"), [1.0, 1.0]), [[2, 2], [-2, 0]])
+    assert np.allclose(Operator(builtin("bilinear")).jacobian([3.0, -2.0]), [[0, 1], [-1, 0]])
+    assert np.allclose(Operator(builtin("quadratic_monotone")).jacobian([0.3, 0.8]), np.eye(2))
+    assert np.allclose(Operator(builtin("x2y")).jacobian([1.0, 1.0]), [[2, 2], [-2, 0]])
 
 
 def test_stationary_points_are_stationary():
     for name in ALL_NAMES:
         p = builtin(name)
         assert p.z_star is not None
-        assert np.linalg.norm(eval_operator(p, p.z_star)) <= 1e-6
+        assert np.linalg.norm(Operator(p).at(p.z_star)) <= 1e-6
 
 
 def test_finite_difference_matches_analytic_jacobian():
@@ -59,23 +58,23 @@ def test_finite_difference_matches_analytic_jacobian():
         lo, hi = p.sample_box[:, 0], p.sample_box[:, 1]
         for _ in range(100):
             z = lo + (hi - lo) * rng.random(p.d)
-            analytic = eval_jacobian(p, z)
-            fd = eval_jacobian(stripped, z)
+            analytic = Operator(p).jacobian(z)
+            fd = Operator(stripped).jacobian(z)
             assert np.max(np.abs(fd - analytic)) <= 1e-5
 
 
 def test_operator_is_deterministic():
     p = builtin("forsaken")
     z = np.array([0.123456, -0.654321])
-    a = eval_operator(p, z)
-    b = eval_operator(p, z)
+    a = Operator(p).at(z)
+    b = Operator(p).at(z)
     assert a.tobytes() == b.tobytes()
 
 
 def test_dimension_mismatch_rejected():
     p = builtin("x2y")
     with pytest.raises(ValueError):
-        eval_operator(p, [1.0, 2.0, 3.0])
+        Operator(p).at([1.0, 2.0, 3.0])
 
 
 def test_non_finite_gradient_raises_numeric_error():
@@ -87,20 +86,20 @@ def test_non_finite_gradient_raises_numeric_error():
         sample_box=np.array([[-1, 1], [-1, 1]]),
     )
     with pytest.raises(NumericError):
-        eval_operator(bad, [1.0, 0.0])
+        Operator(bad).at([1.0, 0.0])
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_operator_rows_are_the_pointwise_operator(name):
     p = builtin(name)
     points = np.random.default_rng(0).uniform(-2.0, 2.0, (50, p.d))
-    rows = operator_rows(p, points)
+    rows = Operator(p).rows(points)
     assert rows.shape == (50, p.d)
     for z, row in zip(points, rows):
-        assert np.array_equal(row, eval_operator(p, z))
-    assert operator_rows(p, points[:0]).shape == (0, p.d)
+        assert np.array_equal(row, Operator(p).at(z))
+    assert Operator(p).rows(points[:0]).shape == (0, p.d)
     with pytest.raises(ValueError, match="rows of length 2"):
-        operator_rows(p, points[0])
+        Operator(p).rows(points[0])
 
 
 def test_comonotone_toy_constant():
@@ -111,7 +110,7 @@ def test_comonotone_toy_constant():
     expected = gamma / (gamma**2 + 1)
     for _ in range(20):
         a, b = rng.uniform(-2, 2, size=(2, 2))
-        dF = eval_operator(p, a) - eval_operator(p, b)
+        dF = Operator(p).at(a) - Operator(p).at(b)
         ratio = np.dot(dF, a - b) / np.dot(dF, dF)
         assert ratio == pytest.approx(expected, abs=1e-12)
 

@@ -15,7 +15,6 @@ from hoeg import (
     SolverConfig,
     builtin,
     detect_cycling,
-    eval_operator,
     run,
 )
 from hoeg.cli import _fmt
@@ -59,7 +58,7 @@ def test_tiny_fields_keep_their_norms():
         log = run(problem, config(p=p, L=1.0, K=50, z0=z0))
         assert log.termination == "budget_exhausted"
         first = log.records[0]
-        assert first.op_norm_half == math.hypot(*eval_operator(problem, first.z_half)) > 0.0
+        assert first.op_norm_half == math.hypot(*Operator(problem).at(first.z_half)) > 0.0
 
 
 def test_modified_forsaken_reaches_stationary_point():
@@ -78,9 +77,9 @@ def test_order1_step_relations_hold_exactly():
     p = builtin("modified_forsaken")
     log = run(p, config(p=1, L=20.0, K=50, z0=(0.5, -0.5)))
     for rec, nxt in zip(log.records, log.records[1:]):
-        F_k = eval_operator(p, rec.z)
+        F_k = Operator(p).at(rec.z)
         assert np.array_equal(rec.z_half, rec.z - F_k / 40.0)
-        F_half = eval_operator(p, rec.z_half)
+        F_half = Operator(p).at(rec.z_half)
         assert np.array_equal(nxt.z, rec.z - F_half / 80.0)
         assert rec.lambda_k == 0.5
 
@@ -92,7 +91,7 @@ def test_order2_step_relations_hold_exactly():
     for rec, nxt in zip(log.records, log.records[1:]):
         assert rec.displacement_norm > 0.0
         assert rec.lambda_k == 0.5 / rec.displacement_norm
-        F_half = eval_operator(p, rec.z_half)
+        F_half = Operator(p).at(rec.z_half)
         assert np.array_equal(nxt.z, rec.z - (2.0 / (2.0 * L) * rec.lambda_k) * F_half)
 
 
