@@ -14,16 +14,9 @@ from .certify import (
     check_potential_inequality,
     check_rho_threshold,
     estimate_q_rho,
-    estimate_weak_mvi_rho,
     fit_rate,
 )
-from .dynamics import (
-    ContinuousConfig,
-    ContinuousLog,
-    normalized_field,
-    resolvent_solve,
-    simulate,
-)
+from .dynamics import ContinuousConfig, ContinuousLog, resolvent_solve, simulate
 from .errors import (
     CapabilityError,
     ConvergenceError,
@@ -32,13 +25,7 @@ from .errors import (
 )
 from .halfstep import HalfStepResult, solve_half_step_p1, solve_half_step_p2
 from .problems import Operator, OperatorMode, ProblemSpec, builtin, problem_names
-from .solver import (
-    IterateRecord,
-    SolverConfig,
-    TrajectoryLog,
-    detect_cycling,
-    run,
-)
+from .solver import SolverConfig, TrajectoryLog, detect_cycling, run
 
 __version__ = "0.1.0"
 
@@ -50,7 +37,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateSampleError",
     "HalfStepResult",
-    "IterateRecord",
     "NumericError",
     "Operator",
     "OperatorMode",
@@ -65,9 +51,7 @@ __all__ = [
     "check_rho_threshold",
     "detect_cycling",
     "estimate_q_rho",
-    "estimate_weak_mvi_rho",
     "fit_rate",
-    "normalized_field",
     "problem_names",
     "resolvent_solve",
     "run",

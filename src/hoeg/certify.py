@@ -165,18 +165,14 @@ def _rho_scan(operator: Operator, z_star, q: float, points: np.ndarray) -> RhoSc
 
 def estimate_q_rho(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
                    mode: Optional[OperatorMode] = None) -> float:
-    """Largest sampled violation of <F(z), z - z*> >= -(rho/2) ||F(z)||^q."""
+    """Largest sampled violation of <F(z), z - z*> >= -(rho/2) ||F(z)||^q.
+
+    The order-p weak-MVI constant of the convergence theorem is q = (p+1)/p.
+    """
     _check_scan(n_samples, q)
     operator = Operator(problem, mode)
     points = sample_points(_sample_box(problem), n_samples, seed, z_star)
     return _rho_scan(operator, z_star, q, points).value
-
-
-def estimate_weak_mvi_rho(problem: ProblemSpec, z_star, p: int, n_samples: int, seed: int,
-                          mode: Optional[OperatorMode] = None) -> float:
-    """Order-p variant: exponent (p+1)/p on the operator norm."""
-    check_order(p)
-    return estimate_q_rho(problem, z_star, (p + 1) / p, n_samples, seed, mode)
 
 
 def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
@@ -209,7 +205,7 @@ def _smoothness(field: Operator, p: int, pairs: _Pairs) -> float:
     expansion = pairs.F_a[kept]  # tau_{p-1}(b, a): F around a to degree p - 1, taken at b
     if p == 2:
         d = field.problem.d
-        J = _per_point(field.jacobian, pairs.a[kept], (d, d), f"Jacobian of {field.problem.name!r}")
+        J = _per_point(field.jacobian, pairs.a[kept], ((d, d), f"Jacobian of {field.problem.name!r}"))
         expansion = expansion + (J @ step[kept][..., None])[..., 0]
     # F(b) - expansion in this order: regrouping the terms moves the last bits
     err = _row_norms(pairs.F_b[kept] - expansion)

@@ -70,17 +70,14 @@ class ContinuousLog:
     t: np.ndarray
     z: np.ndarray
     v: np.ndarray
-    s: np.ndarray
     op_norm: np.ndarray
-    energy: np.ndarray            # ||s(t)||^2
+    energy: np.ndarray            # ||s(t)||^2 = ||v(t) - z0||^2
     running_integral: np.ndarray  # trapezoid integral of ||F(z)||^(2/p)
     failed_at: Optional[float] = None
 
 
 def normalized_field(F_z, p: int) -> np.ndarray:
     """F / max(||F||, NORM_FLOOR)^(1-1/p); order 1 returns the field unchanged."""
-    if p < 1:
-        raise ValueError("order must be >= 1")
     F_z = np.asarray(F_z, dtype=float)
     if p == 1:
         return F_z
@@ -122,8 +119,10 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
 
     A singular Newton matrix, a step rejected down to t = 2^-29, or 500 steps
     raise ``ConvergenceError`` with the residual reached; a non-finite F
-    raises ``NumericError``.
+    raises ``NumericError``; an order outside ``SUPPORTED_ORDERS`` raises
+    ValueError.
     """
+    check_order(p)
     v = np.asarray(v, dtype=float)
     scale = RESOLVENT_TOL * max(1.0, math.sqrt(v @ v))
     a = 1.0 - 1.0 / p
@@ -229,18 +228,16 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
         integ.append(integ[-1] + 0.5 * dt * (norms[-1] ** (2.0 / p) + f ** (2.0 / p)))
         norms.append(f)
 
-    t = np.array(ts)
     v_arr = np.stack(vs)
-    s_arr = v_arr - config.z0
+    s = v_arr - config.z0
     return ContinuousLog(
         order_p=p,
         dt=dt,
-        t=t,
+        t=np.array(ts),
         z=np.stack(zs),
         v=v_arr,
-        s=s_arr,
         op_norm=np.array(norms),
-        energy=np.einsum("ij,ij->i", s_arr, s_arr),
+        energy=np.einsum("ij,ij->i", s, s),
         running_integral=np.array(integ),
         failed_at=failed_at,
     )

@@ -1,11 +1,12 @@
 """Saddle-point problems and the min-max operator F(z) = (grad_x f, -grad_y f).
 
-A problem bundles a saddle function f(x, y) with hand-coded derivative
-blocks, and ``Operator`` is the one code that evaluates its field, F or the
-competitive F_alpha, for the solver, certify and the flow.  The built-in
-registry covers the test problems used throughout the experiment suite; all
-of them are two-dimensional (d_x = d_y = 1) but the interfaces are
-dimension-generic.
+A problem is the hand-coded derivative blocks of a saddle function f(x, y);
+f itself is never evaluated, since the method and its certificates need only
+F and its derivatives.  ``Operator`` is the one code that evaluates the
+field, F or the competitive F_alpha, for the solver, certify and the flow.
+The built-in registry covers the test problems used throughout the
+experiment suite; all of them are two-dimensional (d_x = d_y = 1) but the
+interfaces are dimension-generic.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class ProblemSpec:
     name: str
     d_x: int
     d_y: int
-    f: Callable[[Vector], float]
     grad_x: Callable[[Vector], Vector]
     grad_y: Callable[[Vector], Vector]
     mixed_hessian: Optional[Callable[[Vector], np.ndarray]] = None
@@ -70,23 +70,31 @@ class ProblemSpec:
         return self.d_x + self.d_y
 
 
-def _per_point(fn, points: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+def _shaped(value, z, block: tuple):
+    """``value``, computed at z; a ValueError unless it has the shape of ``block = (shape, name)``.
+
+    A row store and a concatenation both accept a wrong shape, the first by
+    broadcasting and the second by a wrong split, so it must be caught here.
+    """
+    try:
+        value_shape = value.shape  # np.shape without its call overhead
+    except AttributeError:
+        value_shape = np.shape(value)
+    if value_shape != block[0]:
+        raise ValueError(f"{block[1]} has shape {value_shape} at {z}, expected {block[0]}")
+    return value
+
+
+def _per_point(fn, points: np.ndarray, block: tuple) -> np.ndarray:
     """fn at each row of ``points``, one point at a time, into a preallocated array.
 
     Serves the gradient blocks of F's rows, the mixed Hessians of F_alpha's
-    rows and the Jacobians of the L_2 estimate.  Each value must have exactly
-    ``shape``: a row store broadcasts, so a wrong shape must be caught here.
+    rows and the Jacobians of the L_2 estimate; each value must have the
+    shape of ``block``.
     """
-    out = np.empty((len(points),) + shape)
+    out = np.empty((len(points),) + block[0])
     for i, z in enumerate(points):
-        value = fn(z)
-        try:
-            value_shape = value.shape  # np.shape without its call overhead
-        except AttributeError:
-            value_shape = np.shape(value)
-        if value_shape != shape:
-            raise ValueError(f"{what} has shape {value_shape} at {z}, expected {shape}")
-        out[i] = value
+        out[i] = _shaped(fn(z), z, block)
     return out
 
 
@@ -158,6 +166,11 @@ class Operator:
         self.alpha = None if mode is None else mode.alpha
         if self.alpha is not None and problem.mixed_hessian is None:
             raise CapabilityError(f"{problem.name!r} has no mixed Hessian; competitive mode unavailable")
+        # (shape, name) of each block, for the shape checks of ``at`` and ``rows``
+        of = f"of the operator of {problem.name!r}"
+        self._x_block = ((problem.d_x,), f"the grad_x block {of}")
+        self._y_block = ((problem.d_y,), f"the grad_y block {of}")
+        self._B_block = ((problem.d_x, problem.d_y), f"mixed Hessian of {problem.name!r}")
 
     def _point(self, z) -> Vector:
         z = np.asarray(z, dtype=float)
@@ -169,14 +182,13 @@ class Operator:
         """The field at one point; F_alpha is one (d, d) solve."""
         problem = self.problem
         z = self._point(z)
-        F = np.concatenate([problem.grad_x(z), -problem.grad_y(z)])
+        F = np.concatenate([_shaped(problem.grad_x(z), z, self._x_block),
+                            -_shaped(problem.grad_y(z), z, self._y_block)])
         if not np.isfinite(F).all():
             raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
         if self.alpha is None:
             return F
-        B = np.asarray(problem.mixed_hessian(z), dtype=float)
-        if B.shape != (problem.d_x, problem.d_y):
-            raise ValueError(f"mixed Hessian of {problem.name!r} has shape {B.shape}")
+        B = _shaped(np.asarray(problem.mixed_hessian(z), dtype=float), z, self._B_block)
         if not np.isfinite(B).all():
             raise NumericError(f"non-finite mixed Hessian for {problem.name!r} at {z}")
         return np.linalg.solve(block_matrix(B, self.alpha), F)
@@ -197,15 +209,13 @@ class Operator:
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != problem.d:
             raise ValueError(f"expected an array of rows of length {problem.d}, got shape {Z.shape}")
-        what = f"block of the operator of {problem.name!r}"
-        X = _per_point(problem.grad_x, Z, (problem.d_x,), f"the grad_x {what}")
-        Y = _per_point(problem.grad_y, Z, (problem.d_y,), f"the grad_y {what}")
+        X = _per_point(problem.grad_x, Z, self._x_block)
+        Y = _per_point(problem.grad_y, Z, self._y_block)
         F = np.concatenate([X, -Y], axis=1)
         _check_rows(F, Z, f"operator value for {problem.name!r}")
         if self.alpha is None:
             return F
-        B = _per_point(problem.mixed_hessian, Z, (problem.d_x, problem.d_y),
-                       f"mixed Hessian of {problem.name!r}")
+        B = _per_point(problem.mixed_hessian, Z, self._B_block)
         _check_rows(B, Z, f"mixed Hessian for {problem.name!r}")
         return np.linalg.solve(block_matrix(B, self.alpha), F[..., None])[..., 0]
 
@@ -220,17 +230,15 @@ class Operator:
         if self.alpha is None and problem.operator_jacobian is not None:
             jac = np.asarray(problem.operator_jacobian(z), dtype=float)
         else:
-            jac = central_difference(self.at, z)
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below names the point
+                jac = central_difference(self.at, z)
         if not np.isfinite(jac).all():
             raise NumericError(f"non-finite Jacobian for {problem.name!r} at {z}")
         return jac
 
 
-# Degree-six polynomial well shared by the two hard examples.
-def _h(t):
-    return t**2 / 4 - t**4 / 2 + t**6 / 6
-
-
+# Derivatives h1 = h' and h2 = h'' of the degree-six well
+# h(t) = t^2/4 - t^4/2 + t^6/6 shared by the two hard examples.
 def _h1(t):
     return t / 2 - 2 * t**3 + t**5
 
@@ -249,7 +257,6 @@ def _coupled_well(name, shift, z_star, half_width, constants):
         name=name,
         d_x=1,
         d_y=1,
-        f=lambda z: z[0] * (z[1] - shift) + _h(z[0]) - _h(z[1]),
         grad_x=lambda z: np.array([z[1] - shift + _h1(z[0])]),
         grad_y=lambda z: np.array([z[0] - _h1(z[1])]),
         mixed_hessian=lambda z: np.array([[1.0]]),
@@ -279,11 +286,11 @@ def _make_modified_forsaken():
 
 
 def _make_x2y():
+    # f(x, y) = x^2 y
     return ProblemSpec(
         name="x2y",
         d_x=1,
         d_y=1,
-        f=lambda z: z[0] ** 2 * z[1],
         grad_x=lambda z: np.array([2 * z[0] * z[1]]),
         grad_y=lambda z: np.array([z[0] ** 2]),
         mixed_hessian=lambda z: np.array([[2 * z[0]]]),
@@ -295,11 +302,11 @@ def _make_x2y():
 
 
 def _make_bilinear():
+    # f(x, y) = x y
     return ProblemSpec(
         name="bilinear",
         d_x=1,
         d_y=1,
-        f=lambda z: z[0] * z[1],
         grad_x=lambda z: np.array([z[1]]),
         grad_y=lambda z: np.array([z[0]]),
         mixed_hessian=lambda z: np.array([[1.0]]),
@@ -311,11 +318,11 @@ def _make_bilinear():
 
 
 def _make_quadratic_monotone():
+    # f(x, y) = (x^2 - y^2) / 2
     return ProblemSpec(
         name="quadratic_monotone",
         d_x=1,
         d_y=1,
-        f=lambda z: 0.5 * z[0] ** 2 - 0.5 * z[1] ** 2,
         grad_x=lambda z: np.array([z[0]]),
         grad_y=lambda z: np.array([-z[1]]),
         mixed_hessian=lambda z: np.array([[0.0]]),
@@ -331,12 +338,11 @@ COMONOTONE_GAMMA = -0.2
 
 
 def _make_comonotone_toy():
-    g = COMONOTONE_GAMMA
+    g = COMONOTONE_GAMMA  # f(x, y) = g (x^2 - y^2) / 2 + x y
     return ProblemSpec(
         name="comonotone_toy",
         d_x=1,
         d_y=1,
-        f=lambda z: 0.5 * g * (z[0] ** 2 - z[1] ** 2) + z[0] * z[1],
         grad_x=lambda z: np.array([g * z[0] + z[1]]),
         grad_y=lambda z: np.array([z[0] - g * z[1]]),
         mixed_hessian=lambda z: np.array([[1.0]]),

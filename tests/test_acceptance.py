@@ -23,7 +23,6 @@ from hoeg import (
     check_rho_threshold,
     detect_cycling,
     estimate_q_rho,
-    estimate_weak_mvi_rho,
     fit_rate,
     run,
     simulate,
@@ -229,13 +228,13 @@ def test_criterion_8_certification_sanity():
     monotone_ok = True
     for name in ("quadratic_monotone", "bilinear"):
         problem = builtin(name)
-        monotone_ok &= estimate_weak_mvi_rho(problem, problem.z_star, 1, 5000, seed=7) <= 0.0
+        monotone_ok &= estimate_q_rho(problem, problem.z_star, 2.0, 5000, seed=7) <= 0.0
 
     forsaken = builtin("forsaken")
-    rho_std = estimate_weak_mvi_rho(forsaken, forsaken.z_star, 1, 20000, seed=7)
+    rho_std = estimate_q_rho(forsaken, forsaken.z_star, 2.0, 20000, seed=7)
     std_fails = not check_rho_threshold(rho_std, 1, 20.0)
-    rho_comp = estimate_weak_mvi_rho(forsaken, forsaken.z_star, 1, 20000, seed=7,
-                                     mode=OperatorMode.competitive(2.0))
+    rho_comp = estimate_q_rho(forsaken, forsaken.z_star, 2.0, 20000, seed=7,
+                              mode=OperatorMode.competitive(2.0))
     comp_passes = rho_comp <= 0.0
 
     mf = builtin("modified_forsaken")
@@ -275,7 +274,7 @@ def test_criterion_9_determinism():
     sims_equal = sim_bytes() == sim_bytes()
 
     rho_values = {
-        estimate_weak_mvi_rho(problem, problem.z_star, 1, 4000, seed=17)
+        estimate_q_rho(problem, problem.z_star, 2.0, 4000, seed=17)
         for _ in range(3)
     }
     certs_equal = len(rho_values) == 1

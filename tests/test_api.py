@@ -24,7 +24,6 @@ EXPORTS = [
     "ConvergenceError",
     "DegenerateSampleError",
     "HalfStepResult",
-    "IterateRecord",
     "NumericError",
     "Operator",
     "OperatorMode",
@@ -39,9 +38,7 @@ EXPORTS = [
     "check_rho_threshold",
     "detect_cycling",
     "estimate_q_rho",
-    "estimate_weak_mvi_rho",
     "fit_rate",
-    "normalized_field",
     "problem_names",
     "resolvent_solve",
     "run",
@@ -59,9 +56,7 @@ PARAMETERS = {
     "check_rho_threshold": ("rho", "p", "Lp"),
     "detect_cycling": ("log",),
     "estimate_q_rho": ("problem", "z_star", "q", "n_samples", "seed", "mode"),
-    "estimate_weak_mvi_rho": ("problem", "z_star", "p", "n_samples", "seed", "mode"),
     "fit_rate": ("log",),
-    "normalized_field": ("F_z", "p"),
     "problem_names": (),
     "resolvent_solve": ("v", "field", "p", "path"),
     "run": ("problem", "config"),
@@ -88,10 +83,14 @@ def test_exported_names():
 
 def test_config_fields():
     fields = {cls.__name__: tuple(f.name for f in dataclasses.fields(cls))
-              for cls in (hoeg.SolverConfig, hoeg.ContinuousConfig)}
+              for cls in (hoeg.SolverConfig, hoeg.ContinuousConfig, hoeg.ProblemSpec, hoeg.ContinuousLog)}
     assert fields == {
         "SolverConfig": ("order_p", "lipschitz", "max_iterations", "z0", "operator_mode"),
         "ContinuousConfig": ("order_p", "t_end", "dt", "z0"),
+        "ProblemSpec": ("name", "d_x", "d_y", "grad_x", "grad_y", "mixed_hessian", "operator_jacobian",
+                        "z_star", "sample_box", "published_constants"),
+        "ContinuousLog": ("order_p", "dt", "t", "z", "v", "op_norm", "energy", "running_integral",
+                          "failed_at"),
     }
 
 

@@ -20,7 +20,6 @@ from hoeg import (
     check_potential_inequality,
     check_rho_threshold,
     estimate_q_rho,
-    estimate_weak_mvi_rho,
     fit_rate,
     problem_names,
     run,
@@ -59,25 +58,25 @@ class TestRhoEstimates:
     def test_monotone_problems_have_nonpositive_rho(self):
         for name in ("quadratic_monotone", "bilinear"):
             p = builtin(name)
-            assert estimate_weak_mvi_rho(p, p.z_star, 1, 5000, seed=7) <= 0.0
+            assert estimate_q_rho(p, p.z_star, 2.0, 5000, seed=7) <= 0.0
 
     def test_forsaken_standard_field_fails_threshold(self):
         p = builtin("forsaken")
-        rho = estimate_weak_mvi_rho(p, p.z_star, 1, 20000, seed=7)
+        rho = estimate_q_rho(p, p.z_star, 2.0, 20000, seed=7)
         assert rho > 0
         assert not check_rho_threshold(rho, 1, 20.0)
 
     def test_forsaken_competitive_field_satisfies_mvi(self):
         p = builtin("forsaken")
         for alpha in (2.0, 10.0):
-            rho = estimate_weak_mvi_rho(p, p.z_star, 1, 20000, seed=7,
-                                        mode=OperatorMode.competitive(alpha))
+            rho = estimate_q_rho(p, p.z_star, 2.0, 20000, seed=7,
+                                 mode=OperatorMode.competitive(alpha))
             assert rho <= 0.0
 
     def test_q_variant_reproduces_order_form_bitwise(self):
         p = builtin("modified_forsaken")
         for order in (1, 2):
-            a = estimate_weak_mvi_rho(p, p.z_star, order, 3000, seed=3)
+            a = certify_problem(p, order, n_samples=3000, seed=3).rho_hat_p
             b = estimate_q_rho(p, p.z_star, (order + 1) / order, 3000, seed=3)
             assert a == b
 
@@ -87,23 +86,23 @@ class TestRhoEstimates:
 
     def test_monotone_in_sample_count(self):
         p = builtin("modified_forsaken")
-        values = [estimate_weak_mvi_rho(p, p.z_star, 1, n, seed=11) for n in (500, 1000, 2000, 4000)]
+        values = [estimate_q_rho(p, p.z_star, 2.0, n, seed=11) for n in (500, 1000, 2000, 4000)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_comonotone_toy_matches_analytic_constant(self):
         p = builtin("comonotone_toy")
-        rho = estimate_weak_mvi_rho(p, p.z_star, 1, 2000, seed=0)
+        rho = estimate_q_rho(p, p.z_star, 2.0, 2000, seed=0)
         assert rho == pytest.approx(2 * 0.2 / 1.04, abs=1e-12)
 
     def test_degenerate_when_field_is_zero(self):
         from hoeg import ProblemSpec
         zero = ProblemSpec(
-            name="zero", d_x=1, d_y=1, f=lambda z: 0.0,
+            name="zero", d_x=1, d_y=1,
             grad_x=lambda z: np.zeros(1), grad_y=lambda z: np.zeros(1),
             z_star=np.zeros(2), sample_box=np.array([[-1, 1], [-1, 1]]),
         )
         with pytest.raises(DegenerateSampleError):
-            estimate_weak_mvi_rho(zero, zero.z_star, 1, 100, seed=0)
+            estimate_q_rho(zero, zero.z_star, 2.0, 100, seed=0)
 
     def test_mforsaken_sampler_matches_dense_grid(self):
         # brute-force oracle: 400x400 grid of the q=2 violation ratio
@@ -337,7 +336,6 @@ def _quadratic(d_half):
     """Monotone quadratic 0.5 ||x||^2 - 0.5 ||y||^2 with d_x = d_y = d_half."""
     return ProblemSpec(
         name=f"quadratic_{2 * d_half}d", d_x=d_half, d_y=d_half,
-        f=lambda z: 0.5 * float(z[:d_half] @ z[:d_half] - z[d_half:] @ z[d_half:]),
         grad_x=lambda z: z[:d_half].copy(),
         grad_y=lambda z: -z[d_half:],
         operator_jacobian=lambda z: np.eye(2 * d_half),
@@ -383,9 +381,6 @@ def test_certify_validates_before_sampling():
     def q_rho(n_samples=200, q=2.0):
         return lambda problem: estimate_q_rho(problem, problem.z_star, q, n_samples, seed=0)
 
-    def weak_mvi_rho(n_samples):
-        return lambda problem: estimate_weak_mvi_rho(problem, problem.z_star, 1, n_samples, seed=0)
-
     boxless = dataclasses.replace(_quadratic(1), name="boxless", sample_box=None)
     cases = [
         (boxless, certify(), r"'boxless' has no sample_box"),
@@ -396,7 +391,6 @@ def test_certify_validates_before_sampling():
     for n_samples in (0, -5):
         message = f"n_samples must be a positive integer, got {n_samples}"
         cases += [(_quadratic(1), call(n_samples=n_samples), message) for call in (certify, q_rho)]
-        cases.append((_quadratic(1), weak_mvi_rho(n_samples), message))
     for q in (math.nan, math.inf):
         cases += [(_quadratic(1), call(q=q), f"q must be finite, got {q}") for call in (certify, q_rho)]
     for problem, call, message in cases:
@@ -413,12 +407,6 @@ def test_certify_needs_an_L_p_before_sampling():
         certify_problem(problem, 2, n_samples=200, seed=0)
     assert not any(calls.values())
     assert set(certify_problem(problem, 1, n_samples=200, seed=0).L_hat) == {1}
-
-
-def test_weak_mvi_rho_checks_the_order():
-    problem = builtin("x2y")
-    with pytest.raises(ValueError, match=r"order p = 0 is not supported"):
-        estimate_weak_mvi_rho(problem, problem.z_star, 0, 100, seed=0)
 
 
 @pytest.mark.parametrize("n", [1000, 3000])
@@ -461,9 +449,10 @@ def test_a_non_finite_sample_names_the_first_such_point():
 
 
 def test_a_gradient_block_of_the_wrong_shape_is_a_value_error():
-    # F has d + 1 entries: a wrong split cannot hide in the total length
-    problem = dataclasses.replace(builtin("x2y"), grad_y=lambda z: np.array([z[0] ** 2, 0.0]))
+    # F has d + 1 entries: a wrong split cannot hide in the total length.  The
+    # spec's own z_star check evaluates F through Operator.at, so it is the first to raise.
     with pytest.raises(ValueError, match=r"operator of 'x2y'"):
+        problem = dataclasses.replace(builtin("x2y"), grad_y=lambda z: np.array([z[0] ** 2, 0.0]))
         certify_problem(problem, 1, n_samples=200, seed=0)
 
 
@@ -578,7 +567,6 @@ def _tall_block():
     """d_x = 2, d_y = 1: f = (x1^2 + x2^2 - y^2 + x1^2 y + x2 y^2) / 2, mixed Hessian (x1, y)^T."""
     return ProblemSpec(
         name="tall_block", d_x=2, d_y=1,
-        f=lambda z: 0.5 * (z[0] ** 2 + z[1] ** 2 - z[2] ** 2 + z[0] ** 2 * z[2] + z[1] * z[2] ** 2),
         grad_x=lambda z: np.array([z[0] + z[0] * z[2], z[1] + 0.5 * z[2] ** 2]),
         grad_y=lambda z: np.array([-z[2] + 0.5 * z[0] ** 2 + z[1] * z[2]]),
         mixed_hessian=lambda z: np.array([[z[0]], [z[2]]]),

@@ -44,7 +44,7 @@ def test_x2y_y_axis_is_fixed_for_all_alpha():
 def test_missing_mixed_hessian_is_capability_error():
     p = builtin("x2y")
     stripped = ProblemSpec(
-        name="nohess", d_x=1, d_y=1, f=p.f, grad_x=p.grad_x, grad_y=p.grad_y,
+        name="nohess", d_x=1, d_y=1, grad_x=p.grad_x, grad_y=p.grad_y,
         sample_box=p.sample_box,
     )
     with pytest.raises(CapabilityError):
@@ -167,7 +167,7 @@ def test_a_differenced_jacobian_is_the_central_difference_of_the_field(alpha):
 @pytest.mark.parametrize("alpha", [None, 0.0])
 def test_a_non_finite_differenced_jacobian_is_a_numeric_error(alpha):
     # F is finite at z +- FD_STEP, and its difference overflows
-    steep = ProblemSpec(name="steep", d_x=1, d_y=1, f=lambda z: 0.0,
+    steep = ProblemSpec(name="steep", d_x=1, d_y=1,
                         grad_x=lambda z: np.array([math.copysign(1e308, z[0])]),
                         grad_y=lambda z: np.array([0.0]),
                         mixed_hessian=lambda z: np.array([[0.0]]))

@@ -14,11 +14,10 @@ from hoeg import (
     ProblemSpec,
     builtin,
     check_energy_bound,
-    normalized_field,
     resolvent_solve,
     simulate,
 )
-from hoeg.dynamics import _Path
+from hoeg.dynamics import _Path, normalized_field
 
 GAMMA = -0.2
 COMONO_RHO = -2 * GAMMA / (GAMMA**2 + 1)  # weak-MVI constant of the toy linear field
@@ -26,7 +25,7 @@ COMONO_RHO = -2 * GAMMA / (GAMMA**2 + 1)  # weak-MVI constant of the toy linear 
 
 def zero_field_problem():
     return ProblemSpec(
-        name="zero", d_x=1, d_y=1, f=lambda z: 0.0,
+        name="zero", d_x=1, d_y=1,
         grad_x=lambda z: np.zeros(1), grad_y=lambda z: np.zeros(1),
         z_star=np.zeros(2), sample_box=np.array([[-1, 1], [-1, 1]]),
     )
@@ -36,7 +35,7 @@ def linear_problem(A, analytic=True):
     """F(z) = A z on R^2, with its Jacobian A or, when not analytic, none."""
     A = np.array(A, dtype=float)
     return ProblemSpec(
-        name="linear", d_x=1, d_y=1, f=lambda z: 0.0,
+        name="linear", d_x=1, d_y=1,
         grad_x=lambda z: (A @ z)[:1], grad_y=lambda z: -(A @ z)[1:],
         operator_jacobian=(lambda z: A) if analytic else None,
     )
@@ -89,7 +88,7 @@ class TestResolvent:
     def test_overflowing_trial_point_is_a_typed_failure(self):
         # I + J is 1e-10 in its first entry, so the first trial lands where F overflows
         problem = ProblemSpec(
-            name="steep", d_x=1, d_y=1, f=lambda z: 0.0,
+            name="steep", d_x=1, d_y=1,
             grad_x=lambda z: np.array([-(1 - 1e-10) * z[0] + z[0] ** 101]),
             grad_y=lambda z: -z[1:],
         )
@@ -172,7 +171,8 @@ class TestSimulate:
     def test_shift_variable_bookkeeping(self):
         log = simulate(builtin("comonotone_toy"),
                        ContinuousConfig(order_p=1, t_end=1.0, dt=0.01, z0=np.array([1.0, 1.0])))
-        assert np.array_equal(log.s, log.v - np.array([1.0, 1.0]))
+        s = log.v - np.array([1.0, 1.0])  # the shift variable s(t) = v(t) - z0
+        assert np.array_equal(log.energy, np.einsum("ij,ij->i", s, s))
         assert log.energy[0] == 0.0
         assert np.all(np.diff(log.running_integral) >= 0.0)
         assert np.all(np.diff(log.t) > 0)
@@ -244,7 +244,7 @@ class TestTangentPredictor:
         # F = z inside the disc of radius 2 and not finite outside it.  A
         # stale P = 100 I predicts z' + 100 (v - v') = (20.5, 0), outside the disc.
         problem = ProblemSpec(
-            name="disc", d_x=1, d_y=1, f=lambda z: 0.0,
+            name="disc", d_x=1, d_y=1,
             grad_x=lambda z: z[:1] if z @ z <= 4.0 else np.array([np.inf]),
             grad_y=lambda z: -z[1:],
             operator_jacobian=lambda z: np.eye(2),
@@ -288,7 +288,7 @@ class TestEnergyBound:
         t = np.linspace(0.0, 1.0, 11)
         flat = np.tile(np.array([1.0, 0.0]), (11, 1))
         fake = ContinuousLog(
-            order_p=1, dt=0.1, t=t, z=flat, v=flat, s=flat - flat[0],
+            order_p=1, dt=0.1, t=t, z=flat, v=flat,
             op_norm=np.ones(11), energy=np.zeros(11),
             running_integral=np.linspace(0.0, 10.0, 11),
         )
@@ -300,7 +300,7 @@ class TestEnergyBound:
     def test_a_log_of_one_point_has_no_rate_rows(self):
         # a flow whose first step fails logs only t = 0, where the rate bound is not defined
         z = np.array([[1.0, 0.0]])
-        log = ContinuousLog(order_p=1, dt=0.1, t=np.zeros(1), z=z, v=z, s=z - z, op_norm=np.ones(1),
+        log = ContinuousLog(order_p=1, dt=0.1, t=np.zeros(1), z=z, v=z, op_norm=np.ones(1),
                             energy=np.zeros(1), running_integral=np.zeros(1), failed_at=0.1)
         report = check_energy_bound(log, np.zeros(2), rho=0.0, D=1.0)
         assert report.integral_ok and report.rate_ok

@@ -13,7 +13,7 @@ from hoeg import (
     builtin,
     certify_problem,
     check_rho_threshold,
-    estimate_weak_mvi_rho,
+    resolvent_solve,
     run,
     solve_half_step_p1,
     solve_half_step_p2,
@@ -37,7 +37,7 @@ def test_every_entry_point_checks_the_one_list_of_orders():
         for make in (lambda: SolverConfig(p, 1.0, 10, z0),
                      lambda: ContinuousConfig(p, 1.0, 0.1, z0),
                      lambda: certify_problem(problem, p, n_samples=10),
-                     lambda: estimate_weak_mvi_rho(problem, problem.z_star, p, 10, seed=0)):
+                     lambda: resolvent_solve(z0, Operator(problem), p)):
             with pytest.raises(ValueError, match=rf"order p = {p} is not supported \(have \(1, 2\)\)"):
                 make()
 

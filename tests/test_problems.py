@@ -1,7 +1,11 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 
-from hoeg import NumericError, Operator, ProblemSpec, builtin, problem_names
+from hoeg import NumericError, Operator, OperatorMode, ProblemSpec, SolverConfig, builtin, problem_names, run
 
 ALL_NAMES = ["bilinear", "comonotone_toy", "forsaken", "modified_forsaken", "quadratic_monotone", "x2y"]
 
@@ -52,7 +56,7 @@ def test_finite_difference_matches_analytic_jacobian():
     for name in ALL_NAMES:
         p = builtin(name)
         stripped = ProblemSpec(
-            name=p.name + "_fd", d_x=p.d_x, d_y=p.d_y, f=p.f,
+            name=p.name + "_fd", d_x=p.d_x, d_y=p.d_y,
             grad_x=p.grad_x, grad_y=p.grad_y, sample_box=p.sample_box,
         )
         lo, hi = p.sample_box[:, 0], p.sample_box[:, 1]
@@ -80,7 +84,6 @@ def test_dimension_mismatch_rejected():
 def test_non_finite_gradient_raises_numeric_error():
     bad = ProblemSpec(
         name="bad", d_x=1, d_y=1,
-        f=lambda z: z[0] / z[1],
         grad_x=lambda z: np.array([1.0 / z[1]]) if z[1] != 0 else np.array([np.inf]),
         grad_y=lambda z: np.array([0.0]),
         sample_box=np.array([[-1, 1], [-1, 1]]),
@@ -118,3 +121,61 @@ def test_comonotone_toy_constant():
 def test_published_constants():
     assert builtin("modified_forsaken").published_constants == {1: 20.0, 2: 50000.0}
     assert builtin("x2y").published_constants == {1: 20.0, 2: 500.0}
+
+
+def _partial(fn, z, j):
+    """Central difference of fn at z in coordinate j, with step 1e-5, as a column."""
+    e = np.zeros(z.size)
+    e[j] = 1e-5
+    return ((fn(z + e) - fn(z - e)) / 2e-5)[:, None]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_derivative_blocks_are_those_of_one_saddle_function(name):
+    # No f is given, so the blocks are checked against each other on a 9 x 9 grid of
+    # the sample box: grad_xy f = d(grad_x)/dy = (d(grad_y)/dx)^T.  With symmetric
+    # diagonal blocks, automatic at d_x = d_y = 1, that makes (grad_x, grad_y) the
+    # gradient of some f.  Every built-in is polynomial of degree <= 5 on a box of
+    # half-width <= 2; the largest deviation is 4e-11, against a tolerance of 1e-8.
+    p = builtin(name)
+    assert (p.d_x, p.d_y) == (1, 1)
+    axes = [np.linspace(lo, hi, 9) for lo, hi in p.sample_box]
+    for z in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, p.d):
+        B = p.mixed_hessian(z)
+        assert np.allclose(_partial(p.grad_x, z, 1), B, rtol=0.0, atol=1e-8)
+        assert np.allclose(_partial(p.grad_y, z, 0).T, B, rtol=0.0, atol=1e-8)
+
+
+_WRONG_SHAPE = {"grad_x": lambda z: z.copy(), "grad_y": lambda z: z.copy(),
+                "mixed_hessian": lambda z: np.ones((1, 2))}
+
+
+@pytest.mark.parametrize("block", sorted(_WRONG_SHAPE))
+def test_at_and_rows_reject_a_block_of_the_wrong_shape_alike(block):
+    # a grad_x of shape (2,) at d_x = 1 used to give a length-3 F from ``at``
+    # and a bare numpy broadcast error from ``run``
+    blocks = {"grad_x": lambda z: z[:1], "grad_y": lambda z: -z[1:],
+              "mixed_hessian": lambda z: np.ones((1, 1)), block: _WRONG_SHAPE[block]}
+    problem = ProblemSpec(name="wrong", d_x=1, d_y=1, **blocks)
+    mode = OperatorMode(1.0 if block == "mixed_hessian" else None)
+    z = np.array([1.0, 2.0])
+    expected = (1, 1) if block == "mixed_hessian" else (1,)
+    message = re.escape(f"has shape {_WRONG_SHAPE[block](z).shape} at {z}, expected {expected}")
+    with pytest.raises(ValueError, match=message) as at_error:
+        Operator(problem, mode).at(z)
+    with pytest.raises(ValueError) as rows_error:
+        Operator(problem, mode).rows(z[None])
+    assert str(at_error.value) == str(rows_error.value)
+    with pytest.raises(ValueError, match=message):
+        run(problem, SolverConfig(1, 1.0, 3, z, operator_mode=mode))
+
+
+def test_an_overflowing_differenced_jacobian_warns_nothing():
+    # the difference of +-1e308 overflows: a NumericError naming the point, and no RuntimeWarning
+    steep = ProblemSpec(name="steep", d_x=1, d_y=1,
+                        grad_x=lambda z: np.array([math.copysign(1e308, z[0])]),
+                        grad_y=lambda z: np.array([0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=re.escape("non-finite Jacobian for 'steep' at [0. 0.]")):
+            Operator(steep).jacobian([0.0, 0.0])
