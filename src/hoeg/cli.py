@@ -61,13 +61,16 @@ def _solver_config(args, problem) -> SolverConfig:
                         z0=args.z0, operator_mode=OperatorMode(args.alpha))
 
 
+_CSV_BLOCK_ROWS = 1024  # _write_csv formats and writes this many rows at a time
+
+
 def _write_csv(path: str, columns: dict) -> None:
-    """One row per index of the named columns.
+    """One row per index of the named columns, written in blocks of ``_CSV_BLOCK_ROWS``.
 
     A 2-D column ``z`` expands to ``z_0, z_1, ...``; integer columns print
     as integers and the others with 17 significant digits.
     """
-    header, cells = [], []
+    header, fields = [], []
     for name, values in columns.items():
         fmt = str if np.issubdtype(values.dtype, np.integer) else _fmt
         if values.ndim == 1:
@@ -75,10 +78,17 @@ def _write_csv(path: str, columns: dict) -> None:
             values = values[:, None]
         else:
             header += [f"{name}_{i}" for i in range(values.shape[1])]
-        cells += [[fmt(v) for v in column] for column in values.T.tolist()]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+        fields += [(fmt, column) for column in values.T]
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(fields[0][1]), _CSV_BLOCK_ROWS):
+            cells = [map(fmt, column[start:start + _CSV_BLOCK_ROWS].tolist()) for fmt, column in fields]
+            handle.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+def _finite_or_none(x):
+    """x as a float, or None where strict JSON has no number for it (inf, nan, or no value)."""
+    return float(x) if x is not None and math.isfinite(x) else None
 
 
 def _run_summary(args, log: TrajectoryLog) -> dict:
@@ -86,9 +96,6 @@ def _run_summary(args, log: TrajectoryLog) -> dict:
         slope = cert.fit_rate(log)
     except ValueError:
         slope = None
-    residual = log.failure_residual
-    if residual is not None and not math.isfinite(residual):
-        residual = None  # strict JSON has no inf; the termination still names the failure
     return {
         "problem": args.problem,
         "p": args.p,
@@ -96,7 +103,7 @@ def _run_summary(args, log: TrajectoryLog) -> dict:
         "z_out": [float(v) for v in log.z_out],
         "out_index": log.out_index,
         "termination": log.termination,
-        "failure_residual": residual,
+        "failure_residual": _finite_or_none(log.failure_residual),
         "min_opnorm": float(log.op_norm_half.min()),
         "fitted_slope": slope,
         "records": len(log),
@@ -152,8 +159,8 @@ def _cmd_simulate(args) -> int:
                               "energy": log.energy, "integral": log.running_integral})
     print(json.dumps({
         "problem": args.problem, "p": args.p, "t_end": args.t_end, "dt": args.dt,
-        "final_opnorm": float(log.op_norm[-1]),
-        "integral": float(log.running_integral[-1]),
+        "final_opnorm": _finite_or_none(log.op_norm[-1]),
+        "integral": _finite_or_none(log.running_integral[-1]),
         "samples": len(log.t),
         "failed_at": log.failed_at,
     }, indent=2))

@@ -65,6 +65,13 @@ class ContinuousConfig:
 
 @dataclass(frozen=True)
 class ContinuousLog:
+    """One row per logged step of a flow, from t = 0.
+
+    ``running_integral`` is the trapezoid sum of ||F(z)||^(2/p) over the
+    rows, added in sequence; ``failed_at`` is the time of the step whose
+    resolvent failed, or None.
+    """
+
     order_p: int
     dt: float
     t: np.ndarray
@@ -72,7 +79,7 @@ class ContinuousLog:
     v: np.ndarray
     op_norm: np.ndarray
     energy: np.ndarray            # ||s(t)||^2 = ||v(t) - z0||^2
-    running_integral: np.ndarray  # trapezoid integral of ||F(z)||^(2/p)
+    running_integral: np.ndarray
     failed_at: Optional[float] = None
 
 
@@ -176,11 +183,14 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
     raise ConvergenceError(f"resolvent stalled after 500 steps (residual {r:.3e})", residual=r)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an ||F|| past the float range logs inf, as run does
 def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     """Integrate the flow and log every step; v(0) = z0, so s(0) = 0.
 
     Every resolvent solve starts from the previous one through one shared
-    ``_Path``; the first starts from z0.
+    ``_Path``; the first starts from z0.  The z, v and op_norm columns are
+    allocated once for the ``n_steps + 1`` rows; a failed flow returns copies
+    of the rows it logged.
     """
     p = config.order_p
     dt = config.dt
@@ -190,21 +200,13 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     def solve(vv):
         return resolvent_solve(vv, field, p, path=path)
 
-    def op_norm(z):
-        return vector_norm(field.at(z))
-
     v = config.z0.copy()
-    ts, zs, vs, norms, integ = [], [], [], [], []
+    n = config.n_steps + 1
+    zs, vs, norms = np.empty((n, v.size)), np.empty((n, v.size)), np.empty(n)
     failed_at = None
     z = solve(v)  # a failure here has nothing integrated yet, so it propagates
-
-    ts.append(0.0)
-    zs.append(z.copy())
-    vs.append(v.copy())
-    norms.append(op_norm(z))
-    integ.append(0.0)
-
-    for i in range(1, config.n_steps + 1):
+    zs[0], vs[0], norms[0] = z, v, vector_norm(field.at(z))
+    for i in range(1, n):
         try:
             k1 = z - v
             v2 = v + 0.5 * dt * k1
@@ -220,24 +222,23 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
             z = solve(v)
         except (ConvergenceError, NumericError):
             failed_at = i * dt
+            zs, vs, norms = zs[:i].copy(), vs[:i].copy(), norms[:i].copy()  # keep no unused rows
             break
-        ts.append(i * dt)
-        zs.append(z.copy())
-        vs.append(v.copy())
-        f = op_norm(z)
-        integ.append(integ[-1] + 0.5 * dt * (norms[-1] ** (2.0 / p) + f ** (2.0 / p)))
-        norms.append(f)
+        zs[i], vs[i], norms[i] = z, v, vector_norm(field.at(z))
 
-    v_arr = np.stack(vs)
-    s = v_arr - config.z0
+    m = len(norms)
+    s = vs - config.z0
+    a = np.float_power(norms, 2.0 / p)  # the C pow, as a float ** is
+    integral = np.zeros(m)
+    np.cumsum(0.5 * dt * (a[:-1] + a[1:]), out=integral[1:])  # adds in sequence
     return ContinuousLog(
         order_p=p,
         dt=dt,
-        t=np.array(ts),
-        z=np.stack(zs),
-        v=v_arr,
-        op_norm=np.array(norms),
+        t=np.arange(m) * dt,
+        z=zs,
+        v=vs,
+        op_norm=norms,
         energy=np.einsum("ij,ij->i", s, s),
-        running_integral=np.array(integ),
+        running_integral=integral,
         failed_at=failed_at,
     )

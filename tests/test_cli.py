@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import hoeg
 import hoeg.solver as solver_module
 from hoeg import certify as cert
-from hoeg.cli import build_parser, main
+from hoeg.cli import _write_csv, build_parser, main
 
 RUN = [sys.executable, "-m", "hoeg.cli"]
 # the child processes import the hoeg under test, installed or not
@@ -226,6 +227,36 @@ def test_simulate_keeps_csv_on_resolvent_failure(tmp_path):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "t,z_0,z_1,v_0,v_1,opnorm,energy,integral"
     assert len(lines) == 1 + 190 == 1 + summary["samples"]
+
+
+def test_simulate_with_an_overflowing_integral_prints_strict_json():
+    # ||F|| = 1.4e160: the squares in the norm and the integrand overflow
+    proc = invoke(["simulate", "--problem", "bilinear", "--t-end", "0.05", "--dt", "0.01",
+                   "--z0", "1e160,1e160"])
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
+    assert summary["integral"] is None
+    assert summary["final_opnorm"] == pytest.approx(math.sqrt(2.0) * 1e160)
+    assert summary["failed_at"] is None
+
+
+def test_write_csv_peak_memory_does_not_grow_with_the_table(tmp_path):
+    # 50 001 rows of 8 columns make a 7.8 MB file; formatting it whole peaked at 57 MB
+    rng = np.random.default_rng(0)
+    n = 50001
+    columns = {"t": np.arange(n) * 1e-3, "z": rng.random((n, 2)), "v": rng.random((n, 2)),
+               "opnorm": rng.random(n), "energy": rng.random(n), "integral": rng.random(n)}
+    path = tmp_path / "flow.csv"
+    tracemalloc.start()
+    try:
+        _write_csv(str(path), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,z_0,z_1,v_0,v_1,opnorm,energy,integral" and len(lines) == 1 + n
+    assert lines[-1].split(",")[2] == format(columns["z"][-1, 1], ".17g")
 
 
 def test_run_keeps_csv_on_numeric_failure(tmp_path):

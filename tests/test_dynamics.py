@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +204,58 @@ class TestSimulate:
         change1 = np.linalg.norm(ends[1] - ends[0])
         change2 = np.linalg.norm(ends[2] - ends[1])
         assert change2 <= change1 / 10.0
+
+
+FAILING_FLOW = ("modified_forsaken", ContinuousConfig(order_p=1, t_end=5.0, dt=0.01, z0=np.array([-1.0, -1.0])))
+
+
+class TestFlowLog:
+    def test_an_overflowing_field_norm_logs_an_infinite_integral(self):
+        # ||F|| = 1.4e160 is a double, but its square and the integrand's overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = simulate(builtin("bilinear"),
+                           ContinuousConfig(order_p=1, t_end=0.05, dt=0.01, z0=np.array([1e160, 1e160])))
+        assert log.failed_at is None and len(log.t) == 6
+        assert np.all(np.isfinite(log.op_norm))
+        assert log.running_integral[0] == 0.0 and np.all(log.running_integral[1:] == np.inf)
+
+    @pytest.mark.parametrize("name, config", [
+        ("comonotone_toy", ContinuousConfig(order_p=1, t_end=5.0, dt=1e-3, z0=np.array([1.0, 1.0]))),
+        ("comonotone_toy", ContinuousConfig(order_p=2, t_end=10.0, dt=1e-2, z0=np.array([1.0, 1.0]))),
+        FAILING_FLOW,
+    ], ids=["p1", "p2", "failing"])
+    def test_time_and_integral_match_the_sequential_sums_bit_for_bit(self, name, config):
+        log = simulate(builtin(name), config)
+        p, dt = config.order_p, config.dt
+        norms = log.op_norm.tolist()
+        integral = [0.0]
+        for a, b in zip(norms, norms[1:]):
+            integral.append(integral[-1] + 0.5 * dt * (a ** (2.0 / p) + b ** (2.0 / p)))
+        assert log.t.tolist() == [i * dt for i in range(len(norms))]
+        assert log.running_integral.tolist() == integral
+        if name == FAILING_FLOW[0]:
+            assert len(norms) == 190 and log.failed_at == pytest.approx(1.9)
+
+    def test_the_log_peaks_under_160_bytes_per_step(self):
+        # z, v, t, op_norm, energy and the integral hold 64 B per step at d = 2;
+        # a list of row copies and float objects took 595 B
+        toy = builtin("comonotone_toy")
+        simulate(toy, ContinuousConfig(order_p=1, t_end=0.01, dt=1e-3, z0=np.array([1.0, 1.0])))
+        tracemalloc.start()
+        try:
+            log = simulate(toy, ContinuousConfig(order_p=1, t_end=5.0, dt=1e-3, z0=np.array([1.0, 1.0])))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log.t) == 5001
+        assert peak / 5000 < 160
+        # a failed flow keeps copies of its rows, not views of the full-length columns
+        name, config = FAILING_FLOW
+        log = simulate(builtin(name), config)
+        assert log.failed_at is not None
+        for column in (log.t, log.z, log.v, log.op_norm, log.energy, log.running_integral):
+            assert len(column) == 190 and column.base is None
 
 
 @pytest.fixture(scope="module")
