@@ -88,8 +88,7 @@ def normalized_field(F_z, p: int) -> np.ndarray:
     F_z = np.asarray(F_z, dtype=float)
     if p == 1:
         return F_z
-    norm = float(np.linalg.norm(F_z))
-    return F_z / max(norm, NORM_FLOOR) ** (1.0 - 1.0 / p)
+    return F_z / max(vector_norm(F_z), NORM_FLOOR) ** (1.0 - 1.0 / p)
 
 
 @dataclass
@@ -131,13 +130,13 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
     """
     check_order(p)
     v = np.asarray(v, dtype=float)
-    scale = RESOLVENT_TOL * max(1.0, math.sqrt(v @ v))
+    scale = RESOLVENT_TOL * max(1.0, vector_norm(v))
     a = 1.0 - 1.0 / p
 
     def residual(z, F):
         # h = z + G_p(z) - v and ||h||; G_1 is F itself
         h = z + F - v if p == 1 else z + normalized_field(F, p) - v
-        return h, math.sqrt(h @ h)
+        return h, vector_norm(h)
 
     F = None
     if path is not None and path.P is not None and path.z is not None:
@@ -189,8 +188,8 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
 
     Every resolvent solve starts from the previous one through one shared
     ``_Path``; the first starts from z0.  The z, v and op_norm columns are
-    allocated once for the ``n_steps + 1`` rows; a failed flow returns copies
-    of the rows it logged.
+    allocated once for the ``n_steps + 1`` rows; a failed flow returns the
+    rows it logged.
     """
     p = config.order_p
     dt = config.dt
@@ -222,7 +221,7 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
             z = solve(v)
         except (ConvergenceError, NumericError):
             failed_at = i * dt
-            zs, vs, norms = zs[:i].copy(), vs[:i].copy(), norms[:i].copy()  # keep no unused rows
+            zs, vs, norms = zs[:i], vs[:i], norms[:i]
             break
         zs[i], vs[i], norms[i] = z, v, vector_norm(field.at(z))
 

@@ -230,13 +230,14 @@ def test_simulate_keeps_csv_on_resolvent_failure(tmp_path):
 
 
 def test_simulate_with_an_overflowing_integral_prints_strict_json():
-    # ||F|| = 1.4e160: the squares in the norm and the integrand overflow
+    # ||F|| = 1e160 at t = 0: the squares in the norm and the integrand overflow
     proc = invoke(["simulate", "--problem", "bilinear", "--t-end", "0.05", "--dt", "0.01",
                    "--z0", "1e160,1e160"])
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
     assert summary["integral"] is None
-    assert summary["final_opnorm"] == pytest.approx(math.sqrt(2.0) * 1e160)
+    # F(x, y) = (y, -x): ||F(z)|| falls as exp(-t/2) from ||R(z0)|| = 1e160
+    assert summary["final_opnorm"] == pytest.approx(math.exp(-0.025) * 1e160, rel=1e-9)
     assert summary["failed_at"] is None
 
 
