@@ -110,14 +110,6 @@ def _run_summary(args, log: TrajectoryLog) -> dict:
     }
 
 
-def _summarised_run(problem, args) -> TrajectoryLog:
-    """The run behind ``rate`` and ``certify --q``, whose outputs mean nothing if it diverged."""
-    log = run(problem, _solver_config(args, problem))
-    if log.termination == TERM_NUMERIC:
-        raise NumericError(f"the run diverged after {len(log)} iterates")
-    return log
-
-
 def _write_run_svg(path: str, log: TrajectoryLog) -> None:
     if log.z.shape[1] == 2:
         base, ext = os.path.splitext(path)
@@ -171,6 +163,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.q is None and args.Lp is not None:
+        raise ValueError("--Lp sets the Lipschitz constant of the --q run; pass it with --q")
     problem = builtin(args.problem)
     report = cert.certify_problem(
         problem, args.p, q=args.q, mode=OperatorMode(args.alpha),
@@ -178,7 +172,10 @@ def _cmd_certify(args) -> int:
     )
     payload = report.to_dict()
     if args.q is not None:
-        log = _summarised_run(problem, args)
+        # the decoupled certificate of a diverged run means nothing
+        log = run(problem, _solver_config(args, problem))
+        if log.termination == TERM_NUMERIC:
+            raise NumericError(f"the run diverged after {len(log)} iterates")
         L1 = problem.published_constants.get(1, report.L_hat.get(1))
         payload["decoupled"] = cert.decoupled_threshold_report(
             problem, log, args.p, args.q,
@@ -188,14 +185,6 @@ def _cmd_certify(args) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
     print(json.dumps(payload, indent=2))
-    return EXIT_OK
-
-
-def _cmd_rate(args) -> int:
-    problem = builtin(args.problem)
-    log = _summarised_run(problem, args)
-    print(json.dumps({"problem": args.problem, "p": args.p, "K": args.K,
-                      "slope": cert.fit_rate(log)}, indent=2))
     return EXIT_OK
 
 
@@ -269,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     cfy.add_argument("--seed", type=int, default=0)
     cfy.add_argument("--json")
     cfy.set_defaults(func=_cmd_certify)
-
-    rate = sub.add_parser("rate", help="fit the empirical convergence slope of a run")
-    rate.add_argument("--problem", required=True)
-    _add_run_options(rate, K=2000, z0=(1.0, 0.0))
-    rate.set_defaults(func=_cmd_rate)
 
     lst = sub.add_parser("list", help="list built-in problems")
     lst.set_defaults(func=_cmd_list)

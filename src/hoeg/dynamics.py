@@ -104,7 +104,8 @@ class _Path:
     P: Optional[np.ndarray] = None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow at a far trial point fails the step test
+# F overflowing at a trial point raises NumericError in ``field.at``; this mutes only the warning
+@np.errstate(over="ignore", invalid="ignore")
 def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None) -> np.ndarray:
     """Solve z + G_p(z) = v by Newton's method from v, or from the caller's path.
 
@@ -156,9 +157,10 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
             return z
         jac = field.jacobian(z)
         if p > 1:
-            norm = math.sqrt(F @ F)
+            norm = vector_norm(F)
             if norm > NORM_FLOOR:
-                jac = jac - a * np.outer(F, F @ jac) / norm**2
+                u = F / norm  # F F^T / n^2 is u u^T, whose parts stay finite where F @ F overflows
+                jac = jac - a * np.outer(u, u @ jac)
             jac = jac / max(norm, NORM_FLOOR) ** a
         try:
             P = np.linalg.inv(np.eye(z.size) + jac)

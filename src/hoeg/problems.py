@@ -247,119 +247,82 @@ def _h2(t):
     return 0.5 - 6 * t**2 + 5 * t**4
 
 
-def _box(half_width: float) -> np.ndarray:
-    return np.array([[-half_width, half_width], [-half_width, half_width]])
+def _planar(name, grad_x, grad_y, mixed_hessian, operator_jacobian, half_width,
+            z_star=None, published_constants=None):
+    """A problem with d_x = d_y = 1, sampled on [-half_width, half_width]^2; z_star defaults to 0.
 
-
-def _coupled_well(name, shift, z_star, half_width, constants):
-    # f(x, y) = x (y - shift) + h(x) - h(y)
+    The box, and the default z_star and constants, are built anew on every call.
+    """
     return ProblemSpec(
         name=name,
         d_x=1,
         d_y=1,
-        grad_x=lambda z: np.array([z[1] - shift + _h1(z[0])]),
-        grad_y=lambda z: np.array([z[0] - _h1(z[1])]),
-        mixed_hessian=lambda z: np.array([[1.0]]),
-        operator_jacobian=lambda z: np.array([[_h2(z[0]), 1.0], [-1.0, _h2(z[1])]]),
-        z_star=z_star,
-        sample_box=_box(half_width),
-        published_constants=constants,
+        grad_x=grad_x,
+        grad_y=grad_y,
+        mixed_hessian=mixed_hessian,
+        operator_jacobian=operator_jacobian,
+        z_star=np.zeros(2) if z_star is None else z_star,
+        sample_box=np.array([[-half_width, half_width], [-half_width, half_width]]),
+        published_constants={} if published_constants is None else published_constants,
     )
 
 
-def _make_forsaken():
-    # Root of F refined to machine precision; rounds to the (0.0780, 0.4119)
-    # usually quoted for this problem.
-    return _coupled_well(
-        "forsaken", 0.45, np.array([0.07802666873846009, 0.41193385136581984]), 1.5, {}
-    )
-
-
-def _make_modified_forsaken():
-    return _coupled_well(
-        "modified_forsaken",
-        1.5,
-        np.array([1.3114748057843684, 1.475932757992642]),
-        2.0,
-        {1: 20.0, 2: 50000.0},
-    )
-
-
-def _make_x2y():
-    # f(x, y) = x^2 y
-    return ProblemSpec(
-        name="x2y",
-        d_x=1,
-        d_y=1,
-        grad_x=lambda z: np.array([2 * z[0] * z[1]]),
-        grad_y=lambda z: np.array([z[0] ** 2]),
-        mixed_hessian=lambda z: np.array([[2 * z[0]]]),
-        operator_jacobian=lambda z: np.array([[2 * z[1], 2 * z[0]], [-2 * z[0], 0.0]]),
-        z_star=np.zeros(2),
-        sample_box=_box(1.0),
-        published_constants={1: 20.0, 2: 500.0},
-    )
-
-
-def _make_bilinear():
-    # f(x, y) = x y
-    return ProblemSpec(
-        name="bilinear",
-        d_x=1,
-        d_y=1,
-        grad_x=lambda z: np.array([z[1]]),
-        grad_y=lambda z: np.array([z[0]]),
-        mixed_hessian=lambda z: np.array([[1.0]]),
-        operator_jacobian=lambda z: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        z_star=np.zeros(2),
-        sample_box=_box(2.0),
-        published_constants={},
-    )
-
-
-def _make_quadratic_monotone():
-    # f(x, y) = (x^2 - y^2) / 2
-    return ProblemSpec(
-        name="quadratic_monotone",
-        d_x=1,
-        d_y=1,
-        grad_x=lambda z: np.array([z[0]]),
-        grad_y=lambda z: np.array([-z[1]]),
-        mixed_hessian=lambda z: np.array([[0.0]]),
-        operator_jacobian=lambda z: np.eye(2),
-        z_star=np.zeros(2),
-        sample_box=_box(2.0),
-        published_constants={},
+def _coupled_well(name, shift, z_star, half_width, constants=None):
+    # f(x, y) = x (y - shift) + h(x) - h(y)
+    return _planar(
+        name,
+        lambda z: np.array([z[1] - shift + _h1(z[0])]),
+        lambda z: np.array([z[0] - _h1(z[1])]),
+        lambda z: np.array([[1.0]]),
+        lambda z: np.array([[_h2(z[0]), 1.0], [-1.0, _h2(z[1])]]),
+        half_width, z_star, constants,
     )
 
 
 # Linear field gamma*I + rotation: comonotone with constant gamma/(gamma^2+1).
 COMONOTONE_GAMMA = -0.2
 
-
-def _make_comonotone_toy():
-    g = COMONOTONE_GAMMA  # f(x, y) = g (x^2 - y^2) / 2 + x y
-    return ProblemSpec(
-        name="comonotone_toy",
-        d_x=1,
-        d_y=1,
-        grad_x=lambda z: np.array([g * z[0] + z[1]]),
-        grad_y=lambda z: np.array([z[0] - g * z[1]]),
-        mixed_hessian=lambda z: np.array([[1.0]]),
-        operator_jacobian=lambda z: np.array([[g, 1.0], [-1.0, g]]),
-        z_star=np.zeros(2),
-        sample_box=_box(2.0),
-        published_constants={},
-    )
-
-
+# Each entry builds its problem anew, so every ``builtin`` call gets fresh arrays.
 _REGISTRY = {
-    "forsaken": _make_forsaken,
-    "modified_forsaken": _make_modified_forsaken,
-    "x2y": _make_x2y,
-    "bilinear": _make_bilinear,
-    "quadratic_monotone": _make_quadratic_monotone,
-    "comonotone_toy": _make_comonotone_toy,
+    # Root of F refined to machine precision; rounds to the (0.0780, 0.4119)
+    # usually quoted for this problem.
+    "forsaken": lambda: _coupled_well(
+        "forsaken", 0.45, (0.07802666873846009, 0.41193385136581984), 1.5),
+    "modified_forsaken": lambda: _coupled_well(
+        "modified_forsaken", 1.5, (1.3114748057843684, 1.475932757992642), 2.0,
+        {1: 20.0, 2: 50000.0}),
+    "x2y": lambda: _planar(  # f(x, y) = x^2 y
+        "x2y",
+        lambda z: np.array([2 * z[0] * z[1]]),
+        lambda z: np.array([z[0] ** 2]),
+        lambda z: np.array([[2 * z[0]]]),
+        lambda z: np.array([[2 * z[1], 2 * z[0]], [-2 * z[0], 0.0]]),
+        1.0, published_constants={1: 20.0, 2: 500.0},
+    ),
+    "bilinear": lambda: _planar(  # f(x, y) = x y
+        "bilinear",
+        lambda z: np.array([z[1]]),
+        lambda z: np.array([z[0]]),
+        lambda z: np.array([[1.0]]),
+        lambda z: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        2.0,
+    ),
+    "quadratic_monotone": lambda: _planar(  # f(x, y) = (x^2 - y^2) / 2
+        "quadratic_monotone",
+        lambda z: np.array([z[0]]),
+        lambda z: np.array([-z[1]]),
+        lambda z: np.array([[0.0]]),
+        lambda z: np.eye(2),
+        2.0,
+    ),
+    "comonotone_toy": lambda g=COMONOTONE_GAMMA: _planar(  # f(x, y) = g (x^2 - y^2) / 2 + x y
+        "comonotone_toy",
+        lambda z: np.array([g * z[0] + z[1]]),
+        lambda z: np.array([z[0] - g * z[1]]),
+        lambda z: np.array([[1.0]]),
+        lambda z: np.array([[g, 1.0], [-1.0, g]]),
+        2.0,
+    ),
 }
 
 

@@ -72,7 +72,6 @@ CLI_OPTIONS = {
     "reproduce": ("name", "--out-dir"),
     "simulate": ("--problem", "--p", "--t-end", "--dt", "--z0", "--csv"),
     "certify": RUN_OPTIONS + ("--q", "--samples", "--seed", "--json"),
-    "rate": RUN_OPTIONS,
     "list": (),
 }
 

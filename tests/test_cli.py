@@ -180,7 +180,6 @@ def test_removed_options_are_usage_errors(args):
 @pytest.mark.parametrize("argv, K, z0", [
     (["run", "--problem", "x2y"], 1000, (0.5, -0.5)),
     (["certify", "--problem", "x2y"], 2000, (0.5, -0.5)),
-    (["rate", "--problem", "x2y"], 2000, (1.0, 0.0)),
 ])
 def test_each_subcommand_keeps_its_run_defaults(argv, K, z0):
     # the run options are declared once; each subcommand still has its own K and z0
@@ -284,13 +283,6 @@ def test_a_diverged_run_reports_finite_norms_in_strict_json(tmp_path):
     assert summary["min_opnorm"] == 1.414213562373095e+200
 
 
-def test_rate_of_a_diverged_run_is_a_solver_failure():
-    proc = invoke(["rate", "--problem", "modified_forsaken", "--p", "1", "--Lp", "0.05",
-                   "--K", "2000"])
-    assert proc.returncode == 1
-    assert "diverged" in proc.stderr
-
-
 def test_certify_q_scans_each_exponent_once(monkeypatch, capsys):
     scans = []
     rho_scan = cert._rho_scan
@@ -327,6 +319,14 @@ def test_certify_decoupled_section(tmp_path):
     assert report["decoupled"]["D"] > 0
 
 
+def test_certify_lipschitz_without_q_is_usage_error():
+    # --Lp sets only the --q run, so alone it would be silently ignored
+    proc = invoke(["certify", "--problem", "x2y", "--Lp", "3", "--samples", "200"])
+    assert proc.returncode == 2
+    assert "--Lp" in proc.stderr and "--q" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_decoupled_certificate_of_a_run_at_z_star_is_usage_error():
     # D = 0 and (p+1)/p - q < 0: the threshold D^((p+1)/p - q) does not exist
     proc = invoke(["certify", "--problem", "x2y", "--q", "3", "--z0", "0,0", "--samples", "200"])
@@ -334,10 +334,10 @@ def test_decoupled_certificate_of_a_run_at_z_star_is_usage_error():
     assert "D = 0" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_rate_subcommand():
-    proc = invoke(["rate", "--problem", "bilinear", "--Lp", "1", "--K", "500", "--z0", "1,0"])
+def test_run_reports_the_fitted_slope():
+    proc = invoke(["run", "--problem", "bilinear", "--Lp", "1", "--K", "500", "--z0", "1,0"])
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["slope"] <= -0.75
+    assert json.loads(proc.stdout)["fitted_slope"] <= -0.75
 
 
 def test_run_svg_output(tmp_path):

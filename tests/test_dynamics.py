@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -96,6 +97,15 @@ class TestResolvent:
         )
         with pytest.raises(NumericError):
             resolvent_solve([0.5, 0.0], Operator(problem), 1)
+
+    def test_order2_solve_where_the_square_of_norm_F_overflows_meets_the_stop_rule(self):
+        # x2y has F(1e78, 1e78) = (2e156, -1e156): ||F|| is a double, F @ F is not
+        v = np.array([1e78, 1e78])
+        field = Operator(builtin("x2y"))
+        z = resolvent_solve(v, field, 2)
+        F = field.at(z)
+        h = z + F / math.hypot(*F) ** 0.5 - v
+        assert math.hypot(*h) <= 1e-10 * math.hypot(*v)
 
 
 # Random linear fields F = A z: A with arbitrary (often indefinite) symmetric

@@ -14,6 +14,13 @@ def test_registry_names():
     assert problem_names() == ALL_NAMES
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_each_builtin_call_returns_fresh_arrays(name):
+    first, second = builtin(name), builtin(name)
+    assert not np.shares_memory(first.z_star, second.z_star)
+    assert not np.shares_memory(first.sample_box, second.sample_box)
+
+
 def test_unknown_name_is_lookup_error():
     with pytest.raises(KeyError):
         builtin("no_such_problem")
