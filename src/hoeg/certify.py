@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ContinuousLog
-from .errors import DegenerateSampleError
+from .errors import DegenerateSampleError, NumericError
 from .halfstep import check_order
 from .problems import Operator, OperatorMode, ProblemSpec, _per_point
 from .solver import TrajectoryLog
@@ -57,6 +57,12 @@ def _check_halton_dimension(d: int, copies: int) -> None:
     if d > max_d:
         raise ValueError(f"Halton sampling of {copies} point(s) per sample supports "
                          f"dimension d <= {max_d}, got d = {d}")
+
+
+def _z_star(problem: ProblemSpec) -> np.ndarray:
+    if problem.z_star is None:
+        raise ValueError(f"{problem.name!r} has no known stationary point to certify against")
+    return problem.z_star
 
 
 def _sample_box(problem: ProblemSpec) -> np.ndarray:
@@ -163,14 +169,15 @@ def _rho_scan(operator: Operator, z_star, q: float, points: np.ndarray) -> RhoSc
     return RhoScan(float(ratio[worst]), points[used[worst]], len(used))
 
 
-def estimate_q_rho(problem: ProblemSpec, z_star, q: float, n_samples: int, seed: int,
+def estimate_q_rho(problem: ProblemSpec, q: float, n_samples: int, seed: int,
                    mode: Optional[OperatorMode] = None) -> float:
-    """Largest sampled violation of <F(z), z - z*> >= -(rho/2) ||F(z)||^q.
+    """Largest sampled violation of <F(z), z - z*> >= -(rho/2) ||F(z)||^q, with z* the problem's.
 
     The order-p weak-MVI constant of the convergence theorem is q = (p+1)/p.
     """
     _check_scan(n_samples, q)
     operator = Operator(problem, mode)
+    z_star = _z_star(problem)
     points = sample_points(_sample_box(problem), n_samples, seed, z_star)
     return _rho_scan(operator, z_star, q, points).value
 
@@ -212,6 +219,7 @@ def _smoothness(field: Operator, p: int, pairs: _Pairs) -> float:
     return float(math.factorial(p) * np.max(err / np.float_power(gap[kept], p), initial=0.0))
 
 
+@np.errstate(over="ignore")  # as in _row_norms, a square that overflows is inf
 def _comonotonicity(pairs: _Pairs) -> float:
     """Largest c with <F(a)-F(b), a-b> >= c ||F(a)-F(b)||^2 over the pairs."""
     dF = pairs.F_a - pairs.F_b
@@ -252,8 +260,7 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
     if q is None:
         q = (p + 1) / p
     _check_scan(n_samples, q)
-    if problem.z_star is None:
-        raise ValueError(f"{problem.name!r} has no known stationary point to certify against")
+    z_star = _z_star(problem)
     box = _sample_box(problem)
     _check_halton_dimension(box.shape[0], copies=2)  # the smoothness and comonotonicity pairs
     # L_2 is estimated only from an analytic Jacobian
@@ -262,13 +269,15 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
         raise ValueError(f"no L_{p} available for {problem.name!r}")
     operator = Operator(problem, mode)
     # both scans read the same points; each still evaluates F at all of them
-    points = sample_points(box, n_samples, seed, problem.z_star)
-    scan_p = _rho_scan(operator, problem.z_star, (p + 1) / p, points)
-    scan_q = _rho_scan(operator, problem.z_star, q, points)
+    points = sample_points(box, n_samples, seed, z_star)
+    scan_p = _rho_scan(operator, z_star, (p + 1) / p, points)
+    scan_q = _rho_scan(operator, z_star, q, points)
     field = Operator(problem)  # the smoothness and comonotonicity constants are those of F
     pairs = _evaluated_pairs(field, max(200, n_samples // 10), seed)
     L_hat = {order: _smoothness(field, order, pairs) for order in orders}
     Lp = problem.published_constants.get(p, L_hat.get(p))
+    if p not in problem.published_constants and not math.isfinite(Lp):
+        raise NumericError(f"the sampled L_{p} of {problem.name!r} is not finite ({Lp})")
     return CertReport(
         problem=problem.name,
         p=p,
@@ -320,17 +329,17 @@ class PrefixReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverged run's terms overflow; its margins report it
-def check_potential_inequality(problem: ProblemSpec, log: TrajectoryLog, z_star,
-                               p: int, Lp: float, mode: Optional[OperatorMode] = None) -> PrefixReport:
+def check_potential_inequality(problem: ProblemSpec, log: TrajectoryLog) -> PrefixReport:
     """Check the telescoped step-energy inequality at every prefix of a run.
 
     For each K the weighted sum of <F(z_half), z_half - z*> must stay below
     ||z* - z0||^2 - POTENTIAL_COEF * sum of squared displacements, up to a
-    slack of 1e-8 (1 + ||z* - z0||^2).  F is the field of ``mode``, so a
-    competitive run is checked against F_alpha.
+    slack of 1e-8 (1 + ||z* - z0||^2).  z* is the problem's; p, L_p and the
+    field are the run's, so a competitive run is checked against F_alpha.
     """
-    z_star = np.asarray(z_star, dtype=float)
-    operator = Operator(problem, mode)
+    z_star = _z_star(problem)
+    p, Lp = log.config.order_p, log.config.lipschitz
+    operator = Operator(problem, log.config.operator_mode)
     if not len(log):
         return PrefixReport(True, None, math.inf, 0.0)
     budget = float(np.sum((z_star - log.z[0]) ** 2))
@@ -344,12 +353,13 @@ def check_potential_inequality(problem: ProblemSpec, log: TrajectoryLog, z_star,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as above
-def check_half_step_norm_bound(log: TrajectoryLog, p: int, Lp: float) -> PrefixReport:
-    """Check ||F(z_half)|| <= (3 L_p / p!) r^p at every recorded iterate.
+def check_half_step_norm_bound(log: TrajectoryLog) -> PrefixReport:
+    """Check ||F(z_half)|| <= (3 L_p / p!) r^p at every recorded iterate, with the run's p and L_p.
 
     A row violates the bound when it exceeds it by more than
     1e-8 max(1, bound).
     """
+    p, Lp = log.config.order_p, log.config.lipschitz
     slack = 1e-8
     bound = 3.0 * Lp / math.factorial(p) * np.float_power(log.displacement_norm, p)
     margins = bound - log.op_norm_half
@@ -368,23 +378,20 @@ class EnergyReport:
     slack: float
 
 
-def check_energy_bound(log: ContinuousLog, z_star, rho: float, D: float) -> EnergyReport:
+def check_energy_bound(problem: ProblemSpec, log: ContinuousLog, rho: float) -> EnergyReport:
     """Check the flow's integral bound and the implied min-norm decay rate.
 
-    The integral of ||F||^(2/p) is bounded by D^2 / (2 - rho) and therefore
-    min_{s<=t} ||F(z(s))||^2 <= D^(2p) / ((2 - rho)^p t^p).  Both bounds get
-    the trapezoid discretization scale max(1e-9, dt^2 (1 + total)) as slack,
-    where total is the final integral.
+    With D = ||z0 - z*||, the integral of ||F||^(2/p) is at most
+    D^2 / (2 - rho), so min_{s<=t} ||F(z(s))||^2 <= D^(2p) / ((2 - rho)^p t^p).
+    Both bounds get the trapezoid discretization scale
+    max(1e-9, dt^2 (1 + total)) as slack, where total is the final integral.
     """
     if not rho < 2:
         raise ValueError("the bound needs rho < 2")
-    z_star = np.asarray(z_star, dtype=float)
-    dist0 = float(np.linalg.norm(log.v[0] - z_star))
-    if D < dist0:
-        raise ValueError(f"D={D} is below the initial distance {dist0}")
-    p = log.order_p
+    D = float(np.linalg.norm(log.config.z0 - _z_star(problem)))
+    p = log.config.order_p
     total = float(log.running_integral[-1])
-    slack = max(1e-9, log.dt**2 * (1.0 + total))
+    slack = max(1e-9, log.config.dt**2 * (1.0 + total))
 
     bound = D * D / (2.0 - rho)
     int_ok, int_first, int_margin = _first_violation(bound + slack - log.running_integral, 0.0)
@@ -406,20 +413,19 @@ def check_energy_bound(log: ContinuousLog, z_star, rho: float, D: float) -> Ener
     )
 
 
-def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, p: int, q: float,
-                               Lp: float, L1: float, rho_hat_q: float) -> dict:
+def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, report: CertReport) -> dict:
     """Certify the decoupled-exponent condition against a finished run.
 
-    ``rho_hat_q`` is the sampled exponent-q constant (``CertReport.rho_hat_q``
-    or ``estimate_q_rho``).  The trajectory constant is
-    D = max_k L1 ||z_half - z*||; the threshold is read as
+    q and its sampled constant rho_hat_q are the report's, p and Lp the
+    run's, and L1 the published L_1, else the sampled one.  The trajectory
+    constant is D = max_k L1 ||z_half - z*||; the threshold is read as
     (15/16) * D^((p+1)/p - q) * (p!/Lp)^((p+1)/p).  The grouping of
     the D factors is ambiguous in its source; this reading matches the
     constant used by the balanced case and is flagged in the report.
     """
-    if problem.z_star is None:
-        raise ValueError("need a stationary point for the decoupled certificate")
-    D = float(np.max(L1 * _row_norms(log.z_half - problem.z_star)))
+    p, Lp, q = log.config.order_p, log.config.lipschitz, report.q
+    L1 = problem.published_constants.get(1, report.L_hat.get(1))
+    D = float(np.max(L1 * _row_norms(log.z_half - _z_star(problem))))
     exponent = (p + 1) / p
     if D == 0.0 and q > exponent:
         raise ValueError(f"D = 0 (the run stays at z*): D^((p+1)/p - q) is undefined for q = {q}")
@@ -427,9 +433,9 @@ def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, p: int,
     return {
         "D": D,
         "q": q,
-        "rho_hat_q": rho_hat_q,
+        "rho_hat_q": report.rho_hat_q,
         "threshold": threshold,
-        "ok": bool(rho_hat_q <= threshold),
+        "ok": bool(report.rho_hat_q <= threshold),
         "threshold_reading": "(15/16) * D**((p+1)/p - q) * (p!/Lp)**((p+1)/p)",
         "note": "threshold grouping is one of several readings of the stated condition",
     }

@@ -176,11 +176,7 @@ def _cmd_certify(args) -> int:
         log = run(problem, _solver_config(args, problem))
         if log.termination == TERM_NUMERIC:
             raise NumericError(f"the run diverged after {len(log)} iterates")
-        L1 = problem.published_constants.get(1, report.L_hat.get(1))
-        payload["decoupled"] = cert.decoupled_threshold_report(
-            problem, log, args.p, args.q,
-            _lipschitz(args, problem), L1, report.rho_hat_q,
-        )
+        payload["decoupled"] = cert.decoupled_threshold_report(problem, log, report)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

@@ -65,15 +65,14 @@ class ContinuousConfig:
 
 @dataclass(frozen=True)
 class ContinuousLog:
-    """One row per logged step of a flow, from t = 0.
+    """One row per logged step of the flow of ``config``, from t = 0.
 
     ``running_integral`` is the trapezoid sum of ||F(z)||^(2/p) over the
     rows, added in sequence; ``failed_at`` is the time of the step whose
     resolvent failed, or None.
     """
 
-    order_p: int
-    dt: float
+    config: ContinuousConfig
     t: np.ndarray
     z: np.ndarray
     v: np.ndarray
@@ -233,8 +232,7 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     integral = np.zeros(m)
     np.cumsum(0.5 * dt * (a[:-1] + a[1:]), out=integral[1:])  # adds in sequence
     return ContinuousLog(
-        order_p=p,
-        dt=dt,
+        config=config,
         t=np.arange(m) * dt,
         z=zs,
         v=vs,

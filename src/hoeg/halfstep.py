@@ -66,6 +66,7 @@ class HalfStepResult:
     iterations_used: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # vector_norm falls back to hypot where d @ d overflows
 def solve_half_step_p1(F_k, L1: float, z_k) -> HalfStepResult:
     """Closed-form order-1 half-step z' = z_k - F_k / (2 L1)."""
     if not 0 < L1 < math.inf:

@@ -13,11 +13,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .problems import OperatorMode, builtin
+from .problems import OperatorMode, ProblemSpec, builtin
 from .solver import SolverConfig, TrajectoryLog, detect_cycling, run
 from .svgplot import line_plot_svg, trajectory_plot_svg
 
@@ -45,11 +45,48 @@ class RunPreset:
         )
 
 
+def converge_to_star(problem: ProblemSpec, logs: Sequence[TrajectoryLog]) -> dict:
+    dists = [float(np.linalg.norm(log.z_out - problem.z_star)) for log in logs]
+    return {
+        "claim": f"all runs converge to {tuple(round(float(c), 4) for c in problem.z_star)} within 1e-2",
+        "ok": all(d <= 1e-2 for d in dists),
+        "endpoint_distances": dists,
+    }
+
+
+def cycling(problem: ProblemSpec, logs: Sequence[TrajectoryLog]) -> dict:
+    flags = [detect_cycling(log) for log in logs]
+    return {"claim": "all runs cycle instead of converging", "ok": all(flags), "cycles": flags}
+
+
+def axis_endpoints(problem: ProblemSpec, logs: Sequence[TrajectoryLog]) -> dict:
+    xs = [abs(float(log.z_out[0])) for log in logs]
+    per_order = {}
+    for log in logs:
+        per_order.setdefault(log.config.order_p, []).append(float(log.z_out[1]))
+    spreads = {p: max(ys) - min(ys) for p, ys in per_order.items()}
+    return {
+        "claim": "endpoints sit on the y-axis (|x| <= 1e-2) and differ across starts by > 0.1",
+        "ok": all(x <= 1e-2 for x in xs) and all(s > 0.1 for s in spreads.values()),
+        "abs_x": xs,
+        "y_spread_by_order": {str(p): s for p, s in spreads.items()},
+    }
+
+
+def near_origin(problem: ProblemSpec, logs: Sequence[TrajectoryLog]) -> dict:
+    dists = [float(np.linalg.norm(log.z_out)) for log in logs]
+    return {
+        "claim": "all runs end within 1e-2 of the origin",
+        "ok": all(d <= 1e-2 for d in dists),
+        "endpoint_distances": dists,
+    }
+
+
 @dataclass(frozen=True)
 class FigureRecipe:
     name: str
     runs: Tuple[RunPreset, ...]
-    verdict_kind: str  # converge_to_star | cycling | axis_endpoints | near_origin
+    verdict: Callable[[ProblemSpec, Sequence[TrajectoryLog]], dict]
 
 
 def _presets(problem, orders_L, grid, alpha=None):
@@ -67,27 +104,27 @@ RECIPES = {
     "mforsaken": FigureRecipe(
         "mforsaken",
         _presets("modified_forsaken", ((1, 20.0), (2, 50000.0)), GRID5),
-        "converge_to_star",
+        converge_to_star,
     ),
     "forsaken_F": FigureRecipe(
         "forsaken_F",
         _presets("forsaken", ((1, 20.0), (2, 500.0)), ((-1.0, -1.0),)),
-        "cycling",
+        cycling,
     ),
     "forsaken_Falpha": FigureRecipe(
         "forsaken_Falpha",
         _presets("forsaken", ((1, 20.0), (2, 500.0)), ((-1.0, -1.0),), alpha=10.0),
-        "converge_to_star",
+        converge_to_star,
     ),
     "x2y_F": FigureRecipe(
         "x2y_F",
         _presets("x2y", ((1, 20.0), (2, 500.0)), GRID4),
-        "axis_endpoints",
+        axis_endpoints,
     ),
     "x2y_Falpha": FigureRecipe(
         "x2y_Falpha",
         _presets("x2y", ((1, 20.0), (2, 500.0)), GRID4, alpha=10.0),
-        "near_origin",
+        near_origin,
     ),
 }
 
@@ -99,39 +136,6 @@ def min_opnorm_svg(path: str, runs: Sequence[Tuple[str, TrajectoryLog]], title: 
         running = np.clip(log.running_min_sq(), 1e-300, sys.float_info.max)
         series.append((label, np.arange(1, len(running) + 1), running))
     line_plot_svg(path, series, title=title, xlabel="k+1", ylabel="min ||F||^2", logx=True, logy=True)
-
-
-def _verdict(recipe: FigureRecipe, problem, logs) -> dict:
-    if recipe.verdict_kind == "converge_to_star":
-        dists = [float(np.linalg.norm(log.z_out - problem.z_star)) for log in logs]
-        return {
-            "claim": f"all runs converge to {tuple(round(float(c), 4) for c in problem.z_star)} within 1e-2",
-            "ok": all(d <= 1e-2 for d in dists),
-            "endpoint_distances": dists,
-        }
-    if recipe.verdict_kind == "cycling":
-        flags = [detect_cycling(log) for log in logs]
-        return {"claim": "all runs cycle instead of converging", "ok": all(flags), "cycles": flags}
-    if recipe.verdict_kind == "axis_endpoints":
-        xs = [abs(float(log.z_out[0])) for log in logs]
-        per_order = {}
-        for preset, log in zip(recipe.runs, logs):
-            per_order.setdefault(preset.order_p, []).append(float(log.z_out[1]))
-        spreads = {p: max(ys) - min(ys) for p, ys in per_order.items()}
-        return {
-            "claim": "endpoints sit on the y-axis (|x| <= 1e-2) and differ across starts by > 0.1",
-            "ok": all(x <= 1e-2 for x in xs) and all(s > 0.1 for s in spreads.values()),
-            "abs_x": xs,
-            "y_spread_by_order": {str(p): s for p, s in spreads.items()},
-        }
-    if recipe.verdict_kind == "near_origin":
-        dists = [float(np.linalg.norm(log.z_out)) for log in logs]
-        return {
-            "claim": "all runs end within 1e-2 of the origin",
-            "ok": all(d <= 1e-2 for d in dists),
-            "endpoint_distances": dists,
-        }
-    raise ValueError(f"unknown verdict kind {recipe.verdict_kind!r}")
 
 
 def run_recipe(name: str, out_dir: str) -> dict:
@@ -156,7 +160,7 @@ def run_recipe(name: str, out_dir: str) -> dict:
     min_opnorm_svg(os.path.join(out_dir, f"{name}_min_opnorm.svg"),
                    [(preset.label, log) for preset, log in zip(recipe.runs, logs)], title=name)
 
-    verdict = {"recipe": name, **_verdict(recipe, problem, logs)}
+    verdict = {"recipe": name, **recipe.verdict(problem, logs)}
     with open(os.path.join(out_dir, f"{name}_verdict.json"), "w", encoding="utf-8") as handle:
         json.dump(verdict, handle, indent=2)
     return verdict

@@ -151,9 +151,9 @@ def test_criterion_5_lemma_suite_over_seeded_runs():
             rng = np.random.default_rng(seed)
             z0 = rng.uniform(-half_width, half_width, 2)
             log = run(problem, solver_config(p, L, 400, z0))
-            if not check_half_step_norm_bound(log, p, L).ok:
+            if not check_half_step_norm_bound(log).ok:
                 failures.append(f"{name} p{p} seed {seed}: half-step norm bound")
-            if not check_potential_inequality(problem, log, problem.z_star, p, L).ok:
+            if not check_potential_inequality(problem, log).ok:
                 failures.append(f"{name} p{p} seed {seed}: potential inequality")
     elapsed = time.time() - start
     assert elapsed < 30.0
@@ -212,8 +212,8 @@ def test_criterion_7_continuous_time():
     log_toy = simulate(toy, ContinuousConfig(order_p=1, t_end=50.0, dt=0.01, z0=np.array([1.0, 1.0])))
     monotone_ok = bool(np.all(np.diff(log_toy.op_norm) <= 1e-9))
 
-    report_quad = check_energy_bound(log_quad, np.zeros(2), rho=0.0, D=1.0)
-    report_toy = check_energy_bound(log_toy, np.zeros(2), rho=COMONO_RHO, D=np.sqrt(2.0))
+    report_quad = check_energy_bound(quad, log_quad, rho=0.0)
+    report_toy = check_energy_bound(toy, log_toy, rho=COMONO_RHO)
     energy_ok = (report_quad.integral_ok and report_quad.rate_ok
                  and report_toy.integral_ok and report_toy.rate_ok)
     elapsed = time.time() - start
@@ -228,12 +228,12 @@ def test_criterion_8_certification_sanity():
     monotone_ok = True
     for name in ("quadratic_monotone", "bilinear"):
         problem = builtin(name)
-        monotone_ok &= estimate_q_rho(problem, problem.z_star, 2.0, 5000, seed=7) <= 0.0
+        monotone_ok &= estimate_q_rho(problem, 2.0, 5000, seed=7) <= 0.0
 
     forsaken = builtin("forsaken")
-    rho_std = estimate_q_rho(forsaken, forsaken.z_star, 2.0, 20000, seed=7)
+    rho_std = estimate_q_rho(forsaken, 2.0, 20000, seed=7)
     std_fails = not check_rho_threshold(rho_std, 1, 20.0)
-    rho_comp = estimate_q_rho(forsaken, forsaken.z_star, 2.0, 20000, seed=7,
+    rho_comp = estimate_q_rho(forsaken, 2.0, 20000, seed=7,
                               mode=OperatorMode.competitive(2.0))
     comp_passes = rho_comp <= 0.0
 
@@ -247,7 +247,7 @@ def test_criterion_8_certification_sanity():
         mask = norms > 1e-10
         inner = np.sum(vals[mask] * (col[mask] - mf.z_star), axis=1)
         oracle = max(oracle, float(np.max(-2.0 * inner / norms[mask] ** 2)))
-    sampled = estimate_q_rho(mf, mf.z_star, 2.0, 20000, seed=7)
+    sampled = estimate_q_rho(mf, 2.0, 20000, seed=7)
     grid_ok = abs(sampled - oracle) <= 0.05 * abs(oracle)
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -274,7 +274,7 @@ def test_criterion_9_determinism():
     sims_equal = sim_bytes() == sim_bytes()
 
     rho_values = {
-        estimate_q_rho(problem, problem.z_star, 2.0, 4000, seed=17)
+        estimate_q_rho(problem, 2.0, 4000, seed=17)
         for _ in range(3)
     }
     certs_equal = len(rho_values) == 1

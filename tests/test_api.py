@@ -50,12 +50,12 @@ EXPORTS = [
 PARAMETERS = {
     "builtin": ("name",),
     "certify_problem": ("problem", "p", "q", "mode", "n_samples", "seed"),
-    "check_energy_bound": ("log", "z_star", "rho", "D"),
-    "check_half_step_norm_bound": ("log", "p", "Lp"),
-    "check_potential_inequality": ("problem", "log", "z_star", "p", "Lp", "mode"),
+    "check_energy_bound": ("problem", "log", "rho"),
+    "check_half_step_norm_bound": ("log",),
+    "check_potential_inequality": ("problem", "log"),
     "check_rho_threshold": ("rho", "p", "Lp"),
     "detect_cycling": ("log",),
-    "estimate_q_rho": ("problem", "z_star", "q", "n_samples", "seed", "mode"),
+    "estimate_q_rho": ("problem", "q", "n_samples", "seed", "mode"),
     "fit_rate": ("log",),
     "problem_names": (),
     "resolvent_solve": ("v", "field", "p", "path"),
@@ -82,14 +82,17 @@ def test_exported_names():
 
 def test_config_fields():
     fields = {cls.__name__: tuple(f.name for f in dataclasses.fields(cls))
-              for cls in (hoeg.SolverConfig, hoeg.ContinuousConfig, hoeg.ProblemSpec, hoeg.ContinuousLog)}
+              for cls in (hoeg.SolverConfig, hoeg.ContinuousConfig, hoeg.ProblemSpec, hoeg.ContinuousLog,
+                          hoeg.TrajectoryLog)}
     assert fields == {
         "SolverConfig": ("order_p", "lipschitz", "max_iterations", "z0", "operator_mode"),
         "ContinuousConfig": ("order_p", "t_end", "dt", "z0"),
         "ProblemSpec": ("name", "d_x", "d_y", "grad_x", "grad_y", "mixed_hessian", "operator_jacobian",
                         "z_star", "sample_box", "published_constants"),
-        "ContinuousLog": ("order_p", "dt", "t", "z", "v", "op_norm", "energy", "running_integral",
-                          "failed_at"),
+        "ContinuousLog": ("config", "t", "z", "v", "op_norm", "energy", "running_integral", "failed_at"),
+        "TrajectoryLog": ("config", "z", "z_half", "lambda_k", "displacement_norm", "op_norm_half",
+                          "subproblem_residual", "subproblem_iters", "z_out", "out_index", "termination",
+                          "failure_residual"),
     }
 
 

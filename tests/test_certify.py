@@ -44,7 +44,7 @@ from hoeg.solver import TrajectoryLog
 def column_log(op_norms):
     """A log built from columns, with the given operator norms and placeholder rows."""
     n = len(op_norms)
-    return TrajectoryLog(np.zeros((n, 2)), np.zeros((n, 2)), np.full(n, 0.5), np.ones(n),
+    return TrajectoryLog(SolverConfig(1, 1.0, max(n - 1, 1), np.zeros(2)), np.zeros((n, 2)), np.zeros((n, 2)), np.full(n, 0.5), np.ones(n),
                          np.asarray(op_norms, dtype=float), np.zeros(n), np.zeros(n, dtype=np.int64),
                          np.zeros(2), 0, "budget_exhausted")
 
@@ -58,18 +58,18 @@ class TestRhoEstimates:
     def test_monotone_problems_have_nonpositive_rho(self):
         for name in ("quadratic_monotone", "bilinear"):
             p = builtin(name)
-            assert estimate_q_rho(p, p.z_star, 2.0, 5000, seed=7) <= 0.0
+            assert estimate_q_rho(p, 2.0, 5000, seed=7) <= 0.0
 
     def test_forsaken_standard_field_fails_threshold(self):
         p = builtin("forsaken")
-        rho = estimate_q_rho(p, p.z_star, 2.0, 20000, seed=7)
+        rho = estimate_q_rho(p, 2.0, 20000, seed=7)
         assert rho > 0
         assert not check_rho_threshold(rho, 1, 20.0)
 
     def test_forsaken_competitive_field_satisfies_mvi(self):
         p = builtin("forsaken")
         for alpha in (2.0, 10.0):
-            rho = estimate_q_rho(p, p.z_star, 2.0, 20000, seed=7,
+            rho = estimate_q_rho(p, 2.0, 20000, seed=7,
                                  mode=OperatorMode.competitive(alpha))
             assert rho <= 0.0
 
@@ -77,21 +77,21 @@ class TestRhoEstimates:
         p = builtin("modified_forsaken")
         for order in (1, 2):
             a = certify_problem(p, order, n_samples=3000, seed=3).rho_hat_p
-            b = estimate_q_rho(p, p.z_star, (order + 1) / order, 3000, seed=3)
+            b = estimate_q_rho(p, (order + 1) / order, 3000, seed=3)
             assert a == b
 
     def test_quadratic_q2_nonpositive(self):
         p = builtin("quadratic_monotone")
-        assert estimate_q_rho(p, p.z_star, 2.0, 3000, seed=1) <= 0.0
+        assert estimate_q_rho(p, 2.0, 3000, seed=1) <= 0.0
 
     def test_monotone_in_sample_count(self):
         p = builtin("modified_forsaken")
-        values = [estimate_q_rho(p, p.z_star, 2.0, n, seed=11) for n in (500, 1000, 2000, 4000)]
+        values = [estimate_q_rho(p, 2.0, n, seed=11) for n in (500, 1000, 2000, 4000)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_comonotone_toy_matches_analytic_constant(self):
         p = builtin("comonotone_toy")
-        rho = estimate_q_rho(p, p.z_star, 2.0, 2000, seed=0)
+        rho = estimate_q_rho(p, 2.0, 2000, seed=0)
         assert rho == pytest.approx(2 * 0.2 / 1.04, abs=1e-12)
 
     def test_degenerate_when_field_is_zero(self):
@@ -102,7 +102,7 @@ class TestRhoEstimates:
             z_star=np.zeros(2), sample_box=np.array([[-1, 1], [-1, 1]]),
         )
         with pytest.raises(DegenerateSampleError):
-            estimate_q_rho(zero, zero.z_star, 2.0, 100, seed=0)
+            estimate_q_rho(zero, 2.0, 100, seed=0)
 
     def test_mforsaken_sampler_matches_dense_grid(self):
         # brute-force oracle: 400x400 grid of the q=2 violation ratio
@@ -118,7 +118,7 @@ class TestRhoEstimates:
                 if norm < 1e-10:
                     continue
                 best = max(best, -2.0 * float(np.sum(F * (z - z_star))) / norm**2)
-        sampled = estimate_q_rho(p, z_star, 2.0, 20000, seed=7)
+        sampled = estimate_q_rho(p, 2.0, 20000, seed=7)
         assert abs(sampled - best) <= 0.05 * abs(best)
 
 
@@ -197,19 +197,19 @@ class TestPotentialInequality:
     def test_quadratic_every_prefix(self):
         p = builtin("quadratic_monotone")
         log = standard_run("quadratic_monotone", 1, 1.0, (1.0, 0.0), 100)
-        report = check_potential_inequality(p, log, p.z_star, 1, 1.0)
+        report = check_potential_inequality(p, log)
         assert report.ok
 
     def test_modified_forsaken_every_prefix(self):
         p = builtin("modified_forsaken")
         log = standard_run("modified_forsaken", 1, 20.0, (0.5, -0.5), 2000)
-        report = check_potential_inequality(p, log, p.z_star, 1, 20.0)
+        report = check_potential_inequality(p, log)
         assert report.ok
 
     def test_empty_log_vacuously_passes(self):
         p = builtin("quadratic_monotone")
         empty = column_log([])
-        assert check_potential_inequality(p, empty, p.z_star, 1, 1.0).ok
+        assert check_potential_inequality(p, empty).ok
 
     def test_coefficient_is_tight_on_the_identity_field(self):
         # the identity field consumes the entire ||z0 - z*||^2 budget in the
@@ -217,14 +217,14 @@ class TestPotentialInequality:
         assert POTENTIAL_COEF == 7.0 / 16.0
         p = builtin("quadratic_monotone")
         log = standard_run("quadratic_monotone", 1, 1.0, (1.0, 0.0), 150)
-        report = check_potential_inequality(p, log, p.z_star, 1, 1.0)
+        report = check_potential_inequality(p, log)
         assert report.ok
         assert 0.0 <= report.min_margin <= 1e-6
 
 
 def test_half_step_norm_bound_on_published_constants():
     log = standard_run("modified_forsaken", 2, 50000.0, (0.5, -0.5), 1000)
-    assert check_half_step_norm_bound(log, 2, 50000.0).ok
+    assert check_half_step_norm_bound(log).ok
 
 
 def _potential_oracle(problem, log, z_star, p, Lp, mode=None):
@@ -292,8 +292,7 @@ def test_prefix_checks_match_the_row_loops(name, p, Lp, z0, alpha):
     problem = builtin(name)
     mode = OperatorMode(alpha)
     log = standard_run(name, p, Lp, z0, 400, alpha)
-    reports = (check_half_step_norm_bound(log, p, Lp),
-               check_potential_inequality(problem, log, problem.z_star, p, Lp, mode))
+    reports = (check_half_step_norm_bound(log), check_potential_inequality(problem, log))
     oracles = (_half_step_bound_oracle(log, p, Lp),
                _potential_oracle(problem, log, problem.z_star, p, Lp, mode))
     for report, oracle in zip(reports, oracles):
@@ -307,7 +306,7 @@ def test_a_run_whose_squares_overflow_reports_its_violation():
     problem = builtin("quadratic_monotone")
     log = standard_run("quadratic_monotone", 1, 0.001, (1.0, 0.0), 400)
     assert log.displacement_norm.max() > 1e155
-    report = check_potential_inequality(problem, log, problem.z_star, 1, 0.001)
+    report = check_potential_inequality(problem, log)
     assert (report.ok, report.first_violation_k, report.min_margin) == (False, 0, -math.inf)
 
 
@@ -321,11 +320,21 @@ def test_certify_report_roundtrip():
     assert payload["samples_used"] >= 1
 
 
+def test_a_sampled_lipschitz_constant_that_overflows_is_a_numeric_error():
+    # the pair differences of F = 1e300 (x, y) square past the float range, so the sampled L_1 is inf
+    huge = ProblemSpec(
+        name="huge", d_x=1, d_y=1, grad_x=lambda z: 1e300 * z[:1], grad_y=lambda z: -1e300 * z[1:],
+        operator_jacobian=lambda z: 1e300 * np.eye(2), z_star=np.zeros(2),
+        sample_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
+    )
+    with pytest.raises(NumericError, match=r"sampled L_1 of 'huge' is not finite"):
+        certify_problem(huge, 1, n_samples=200, seed=0)
+
+
 def test_decoupled_report_fields():
     p = builtin("modified_forsaken")
     log = standard_run("modified_forsaken", 1, 20.0, (0.5, -0.5), 500)
-    rho_q = estimate_q_rho(p, p.z_star, 2.0, 2000, seed=1)
-    report = decoupled_threshold_report(p, log, 1, 2.0, 20.0, 20.0, rho_q)
+    report = decoupled_threshold_report(p, log, certify_problem(p, 1, q=2.0, n_samples=2000, seed=1))
     assert report["D"] > 0
     assert report["rho_hat_q"] > 0
     assert isinstance(report["ok"], bool)
@@ -379,7 +388,7 @@ def test_certify_validates_before_sampling():
         return lambda problem: certify_problem(problem, p, q=q, n_samples=n_samples, seed=0)
 
     def q_rho(n_samples=200, q=2.0):
-        return lambda problem: estimate_q_rho(problem, problem.z_star, q, n_samples, seed=0)
+        return lambda problem: estimate_q_rho(problem, q, n_samples, seed=0)
 
     boxless = dataclasses.replace(_quadratic(1), name="boxless", sample_box=None)
     cases = [

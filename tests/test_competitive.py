@@ -50,7 +50,7 @@ def test_missing_mixed_hessian_is_capability_error():
     with pytest.raises(CapabilityError):
         Operator(stripped, OperatorMode(1.0))
     with pytest.raises(CapabilityError):
-        estimate_q_rho(stripped, np.zeros(2), 2.0, 200, seed=0, mode=OperatorMode(1.0))
+        estimate_q_rho(stripped, 2.0, 200, seed=0, mode=OperatorMode(1.0))
 
 
 def test_alpha_alone_names_the_mode():

@@ -292,7 +292,7 @@ class TestTangentPredictor:
         for t in (40.0, 50.0):
             z_t = (V @ np.diag(np.exp(-t * w)) @ np.linalg.inv(V)).real @ z_start
             exact = np.linalg.norm(A @ z_t)
-            logged = log.op_norm[int(round(t / log.dt))]
+            logged = log.op_norm[int(round(t / log.config.dt))]
             assert abs(logged - exact) <= 1e-3 * exact
 
     def test_linear_flow_takes_almost_no_jacobians(self, counted_toy_flow):
@@ -323,38 +323,45 @@ class TestTangentPredictor:
 
 class TestEnergyBound:
     def test_identity_field_passes_with_margin(self):
-        log = simulate(builtin("quadratic_monotone"),
-                       ContinuousConfig(order_p=1, t_end=2.0, dt=1e-3, z0=np.array([1.0, 0.0])))
-        report = check_energy_bound(log, np.zeros(2), rho=0.0, D=1.0)
+        quad = builtin("quadratic_monotone")
+        log = simulate(quad, ContinuousConfig(order_p=1, t_end=2.0, dt=1e-3, z0=np.array([1.0, 0.0])))
+        report = check_energy_bound(quad, log, rho=0.0)
         assert report.integral_ok and report.rate_ok
         # closed form: integral = (1 - e^{-t})/4, bound = 1/2
         assert report.integral_bound == pytest.approx(0.5)
         assert report.integral_margin == pytest.approx(0.5 - 0.25 * (1 - np.exp(-2.0)), abs=1e-4)
 
+    def test_the_log_carries_its_config_and_D_is_the_start_distance(self):
+        quad = builtin("quadratic_monotone")
+        cfg = ContinuousConfig(order_p=1, t_end=0.1, dt=0.01, z0=np.array([1.0, 0.0]))
+        log = simulate(quad, cfg)
+        assert log.config is cfg
+        assert check_energy_bound(quad, log, rho=0.0).integral_bound == 0.5  # D^2 / 2 with D = 1
+
     def test_comonotone_toy_saturates_the_bound(self):
         # the linear field meets the integral bound with equality as t grows
-        log = simulate(builtin("comonotone_toy"),
-                       ContinuousConfig(order_p=1, t_end=50.0, dt=0.01, z0=np.array([1.0, 1.0])))
-        report = check_energy_bound(log, np.zeros(2), rho=COMONO_RHO, D=np.sqrt(2.0))
+        toy = builtin("comonotone_toy")
+        log = simulate(toy, ContinuousConfig(order_p=1, t_end=50.0, dt=0.01, z0=np.array([1.0, 1.0])))
+        report = check_energy_bound(toy, log, rho=COMONO_RHO)
         assert report.integral_ok and report.rate_ok
         assert report.integral_bound == pytest.approx(2.0 / (2.0 - COMONO_RHO))
         assert abs(log.running_integral[-1] - report.integral_bound) <= 1e-4
 
     def test_zero_field_trivially_passes(self):
-        log = simulate(zero_field_problem(),
-                       ContinuousConfig(order_p=1, t_end=1.0, dt=0.01, z0=np.array([0.5, 0.0])))
-        report = check_energy_bound(log, np.zeros(2), rho=0.0, D=1.0)
+        zero = zero_field_problem()
+        log = simulate(zero, ContinuousConfig(order_p=1, t_end=1.0, dt=0.01, z0=np.array([0.5, 0.0])))
+        report = check_energy_bound(zero, log, rho=0.0)
         assert report.integral_ok and report.rate_ok
 
     def test_violation_is_reported_with_location(self):
         t = np.linspace(0.0, 1.0, 11)
         flat = np.tile(np.array([1.0, 0.0]), (11, 1))
         fake = ContinuousLog(
-            order_p=1, dt=0.1, t=t, z=flat, v=flat,
+            config=ContinuousConfig(order_p=1, t_end=1.0, dt=0.1, z0=flat[0]), t=t, z=flat, v=flat,
             op_norm=np.ones(11), energy=np.zeros(11),
             running_integral=np.linspace(0.0, 10.0, 11),
         )
-        report = check_energy_bound(fake, np.zeros(2), rho=0.0, D=1.5)
+        report = check_energy_bound(zero_field_problem(), fake, rho=0.0)
         assert not report.integral_ok
         assert report.integral_first_violation is not None
         assert report.integral_margin < 0
@@ -362,16 +369,15 @@ class TestEnergyBound:
     def test_a_log_of_one_point_has_no_rate_rows(self):
         # a flow whose first step fails logs only t = 0, where the rate bound is not defined
         z = np.array([[1.0, 0.0]])
-        log = ContinuousLog(order_p=1, dt=0.1, t=np.zeros(1), z=z, v=z, op_norm=np.ones(1),
+        log = ContinuousLog(config=ContinuousConfig(order_p=1, t_end=0.1, dt=0.1, z0=z[0]),
+                            t=np.zeros(1), z=z, v=z, op_norm=np.ones(1),
                             energy=np.zeros(1), running_integral=np.zeros(1), failed_at=0.1)
-        report = check_energy_bound(log, np.zeros(2), rho=0.0, D=1.0)
+        report = check_energy_bound(zero_field_problem(), log, rho=0.0)
         assert report.integral_ok and report.rate_ok
         assert (report.rate_first_violation, report.rate_margin) == (None, np.inf)
 
     def test_preconditions(self):
-        log = simulate(zero_field_problem(),
-                       ContinuousConfig(order_p=1, t_end=0.5, dt=0.1, z0=np.array([1.0, 0.0])))
+        zero = zero_field_problem()
+        log = simulate(zero, ContinuousConfig(order_p=1, t_end=0.5, dt=0.1, z0=np.array([1.0, 0.0])))
         with pytest.raises(ValueError):
-            check_energy_bound(log, np.zeros(2), rho=2.0, D=2.0)
-        with pytest.raises(ValueError):
-            check_energy_bound(log, np.zeros(2), rho=0.0, D=0.5)
+            check_energy_bound(zero, log, rho=2.0)

@@ -80,6 +80,11 @@ class TestOrder1:
             res = solve_half_step_p1(F, L1, z)
             assert np.linalg.norm(_model(F, None, L1, 1, res.z_half - z)) <= 1e-12 * max(1.0, np.linalg.norm(F))
 
+    def test_a_field_whose_square_overflows_keeps_its_norm_silently(self):
+        # F @ F overflows; the hypot fallback gives the norm, and no RuntimeWarning escapes
+        res = solve_half_step_p1(np.array([1e200, 1e200]), 1.0, np.zeros(2))
+        assert res.displacement_norm == math.hypot(5e199, 5e199)
+
     def test_rejects_bad_lipschitz(self):
         with pytest.raises(ValueError):
             solve_half_step_p1(np.ones(2), 0.0, np.zeros(2))

@@ -61,6 +61,11 @@ def test_tiny_fields_keep_their_norms():
         assert first.op_norm_half == math.hypot(*Operator(problem).at(first.z_half)) > 0.0
 
 
+def test_the_log_carries_the_config_it_was_run_with():
+    cfg = config(K=3)
+    assert run(builtin("bilinear"), cfg).config is cfg
+
+
 def test_modified_forsaken_reaches_stationary_point():
     p = builtin("modified_forsaken")
     log = run(p, config(p=1, L=20.0, K=5000, z0=(0.5, -0.5)))
