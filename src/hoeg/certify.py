@@ -89,6 +89,20 @@ def _halton_box(box: np.ndarray, n: int, seed: int, copies: int = 1) -> np.ndarr
     return pts
 
 
+def _ball_offsets(rng, count: int, d: int, base_radius: float, max_tier: int, radial) -> np.ndarray:
+    """``count`` offsets in d dimensions, in balls that shrink every _BALL_TIER offsets.
+
+    Offset j draws its d normals, then one uniform u, and has length
+    base_radius * 0.5^min(j // _BALL_TIER, max_tier) * radial(u).
+    """
+    offsets = np.empty((count, d))
+    for j in range(count):
+        direction = rng.standard_normal(d)
+        direction /= max(np.linalg.norm(direction), 1e-300)
+        offsets[j] = base_radius * 0.5 ** min(j // _BALL_TIER, max_tier) * radial(rng.random()) * direction
+    return offsets
+
+
 def sample_points(box: np.ndarray, n: int, seed: int, z_star) -> np.ndarray:
     """Low-discrepancy points in the box, with a shrinking-ball tier at z_star.
 
@@ -98,15 +112,10 @@ def sample_points(box: np.ndarray, n: int, seed: int, z_star) -> np.ndarray:
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
     pts = _halton_box(box, n, seed)
-    z_star = np.asarray(z_star, dtype=float)
-    rng = np.random.default_rng(seed)
+    ball = np.arange(_BALL_EVERY - 1, n, _BALL_EVERY)
     base_radius = 0.5 * float((box[:, 1] - box[:, 0]).max())
-    ball_positions = np.arange(_BALL_EVERY - 1, n, _BALL_EVERY)
-    for j, i in enumerate(ball_positions):
-        direction = rng.standard_normal(d)
-        direction /= max(np.linalg.norm(direction), 1e-300)
-        radius = base_radius * 0.5 ** min(j // _BALL_TIER, _MAX_TIER) * rng.random() ** (1.0 / d)
-        pts[i] = z_star + radius * direction
+    pts[ball] = np.asarray(z_star, dtype=float) + _ball_offsets(
+        np.random.default_rng(seed), len(ball), d, base_radius, _MAX_TIER, lambda u: u ** (1.0 / d))
     return pts
 
 
@@ -116,14 +125,11 @@ def sample_pairs(box: np.ndarray, n: int, seed: int):
     d = box.shape[0]
     pts = _halton_box(box, n, seed, copies=2)
     a, b = pts[:, :d], pts[:, d:]
-    rng = np.random.default_rng(seed)
+    short = np.arange(1, n, 2)
     base_radius = 0.1 * float((box[:, 1] - box[:, 0]).max())
-    short_positions = np.arange(1, n, 2)
-    for j, i in enumerate(short_positions):
-        direction = rng.standard_normal(d)
-        direction /= max(np.linalg.norm(direction), 1e-300)
-        radius = base_radius * 0.5 ** min(j // _BALL_TIER, 13) * (0.1 + 0.9 * rng.random())
-        b[i] = np.clip(a[i] + radius * direction, box[:, 0], box[:, 1])
+    offsets = _ball_offsets(np.random.default_rng(seed), len(short), d, base_radius, 13,
+                            lambda u: 0.1 + 0.9 * u)
+    b[short] = np.clip(a[short] + offsets, box[:, 0], box[:, 1])
     return a, b
 
 
@@ -305,6 +311,8 @@ def fit_rate(log: TrajectoryLog) -> float:
             raise ValueError("operator norm hit zero too early to fit a rate")
     k = np.arange(len(running_min))
     half = len(running_min) // 2
+    if not np.isfinite(running_min[half:]).all():
+        raise ValueError("||F(z_half)||^2 is not finite over the fitted half of the run")
     slope, _ = np.polyfit(np.log(k[half:] + 1.0), np.log(running_min[half:]), 1)
     return float(slope)
 
@@ -329,17 +337,17 @@ class PrefixReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverged run's terms overflow; its margins report it
-def check_potential_inequality(problem: ProblemSpec, log: TrajectoryLog) -> PrefixReport:
+def check_potential_inequality(log: TrajectoryLog) -> PrefixReport:
     """Check the telescoped step-energy inequality at every prefix of a run.
 
     For each K the weighted sum of <F(z_half), z_half - z*> must stay below
     ||z* - z0||^2 - POTENTIAL_COEF * sum of squared displacements, up to a
-    slack of 1e-8 (1 + ||z* - z0||^2).  z* is the problem's; p, L_p and the
-    field are the run's, so a competitive run is checked against F_alpha.
+    slack of 1e-8 (1 + ||z* - z0||^2).  z*, p, L_p and the field are the
+    run's, so a competitive run is checked against F_alpha.
     """
-    z_star = _z_star(problem)
+    z_star = _z_star(log.problem)
     p, Lp = log.config.order_p, log.config.lipschitz
-    operator = Operator(problem, log.config.operator_mode)
+    operator = Operator(log.problem, log.config.operator_mode)
     if not len(log):
         return PrefixReport(True, None, math.inf, 0.0)
     budget = float(np.sum((z_star - log.z[0]) ** 2))
@@ -378,7 +386,7 @@ class EnergyReport:
     slack: float
 
 
-def check_energy_bound(problem: ProblemSpec, log: ContinuousLog, rho: float) -> EnergyReport:
+def check_energy_bound(log: ContinuousLog, rho: float) -> EnergyReport:
     """Check the flow's integral bound and the implied min-norm decay rate.
 
     With D = ||z0 - z*||, the integral of ||F||^(2/p) is at most
@@ -388,7 +396,7 @@ def check_energy_bound(problem: ProblemSpec, log: ContinuousLog, rho: float) -> 
     """
     if not rho < 2:
         raise ValueError("the bound needs rho < 2")
-    D = float(np.linalg.norm(log.config.z0 - _z_star(problem)))
+    D = float(np.linalg.norm(log.config.z0 - _z_star(log.problem)))
     p = log.config.order_p
     total = float(log.running_integral[-1])
     slack = max(1e-9, log.config.dt**2 * (1.0 + total))
@@ -413,19 +421,19 @@ def check_energy_bound(problem: ProblemSpec, log: ContinuousLog, rho: float) -> 
     )
 
 
-def decoupled_threshold_report(problem: ProblemSpec, log: TrajectoryLog, report: CertReport) -> dict:
+def decoupled_threshold_report(log: TrajectoryLog, report: CertReport) -> dict:
     """Certify the decoupled-exponent condition against a finished run.
 
-    q and its sampled constant rho_hat_q are the report's, p and Lp the
-    run's, and L1 the published L_1, else the sampled one.  The trajectory
-    constant is D = max_k L1 ||z_half - z*||; the threshold is read as
-    (15/16) * D^((p+1)/p - q) * (p!/Lp)^((p+1)/p).  The grouping of
-    the D factors is ambiguous in its source; this reading matches the
+    q and its sampled constant rho_hat_q are the report's, p, Lp and z* the
+    run's, and L1 the run problem's published L_1, else the sampled one.
+    The trajectory constant is D = max_k L1 ||z_half - z*||; the threshold
+    is read as (15/16) * D^((p+1)/p - q) * (p!/Lp)^((p+1)/p).  The grouping
+    of the D factors is ambiguous in its source; this reading matches the
     constant used by the balanced case and is flagged in the report.
     """
     p, Lp, q = log.config.order_p, log.config.lipschitz, report.q
-    L1 = problem.published_constants.get(1, report.L_hat.get(1))
-    D = float(np.max(L1 * _row_norms(log.z_half - _z_star(problem))))
+    L1 = log.problem.published_constants.get(1, report.L_hat.get(1))
+    D = float(np.max(L1 * _row_norms(log.z_half - _z_star(log.problem))))
     exponent = (p + 1) / p
     if D == 0.0 and q > exponent:
         raise ValueError(f"D = 0 (the run stays at z*): D^((p+1)/p - q) is undefined for q = {q}")

@@ -91,15 +91,15 @@ def _finite_or_none(x):
     return float(x) if x is not None and math.isfinite(x) else None
 
 
-def _run_summary(args, log: TrajectoryLog) -> dict:
+def _run_summary(log: TrajectoryLog) -> dict:
     try:
         slope = cert.fit_rate(log)
     except ValueError:
         slope = None
     return {
-        "problem": args.problem,
-        "p": args.p,
-        "K": args.K,
+        "problem": log.problem.name,
+        "p": log.config.order_p,
+        "K": log.config.max_iterations,
         "z_out": [float(v) for v in log.z_out],
         "out_index": log.out_index,
         "termination": log.termination,
@@ -120,7 +120,7 @@ def _write_run_svg(path: str, log: TrajectoryLog) -> None:
 def _cmd_run(args) -> int:
     problem = builtin(args.problem)
     log = run(problem, _solver_config(args, problem))
-    summary = _run_summary(args, log)
+    summary = _run_summary(log)
     if args.csv:
         _write_csv(args.csv, {
             "k": np.arange(len(log)), "z": log.z, "zhalf": log.z_half, "lambda": log.lambda_k,
@@ -143,14 +143,14 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    problem = builtin(args.problem)
     config = ContinuousConfig(order_p=args.p, t_end=args.t_end, dt=args.dt, z0=np.array(args.z0))
-    log = simulate(problem, config)
+    log = simulate(builtin(args.problem), config)
     if args.csv:
         _write_csv(args.csv, {"t": log.t, "z": log.z, "v": log.v, "opnorm": log.op_norm,
                               "energy": log.energy, "integral": log.running_integral})
     print(json.dumps({
-        "problem": args.problem, "p": args.p, "t_end": args.t_end, "dt": args.dt,
+        "problem": log.problem.name, "p": log.config.order_p,
+        "t_end": log.config.t_end, "dt": log.config.dt,
         "final_opnorm": _finite_or_none(log.op_norm[-1]),
         "integral": _finite_or_none(log.running_integral[-1]),
         "samples": len(log.t),
@@ -176,7 +176,7 @@ def _cmd_certify(args) -> int:
         log = run(problem, _solver_config(args, problem))
         if log.termination == TERM_NUMERIC:
             raise NumericError(f"the run diverged after {len(log)} iterates")
-        payload["decoupled"] = cert.decoupled_threshold_report(problem, log, report)
+        payload["decoupled"] = cert.decoupled_threshold_report(log, report)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

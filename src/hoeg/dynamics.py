@@ -65,13 +65,14 @@ class ContinuousConfig:
 
 @dataclass(frozen=True)
 class ContinuousLog:
-    """One row per logged step of the flow of ``config``, from t = 0.
+    """One row per logged step of the flow of ``config`` on ``problem``, from t = 0.
 
     ``running_integral`` is the trapezoid sum of ||F(z)||^(2/p) over the
     rows, added in sequence; ``failed_at`` is the time of the step whose
     resolvent failed, or None.
     """
 
+    problem: ProblemSpec
     config: ContinuousConfig
     t: np.ndarray
     z: np.ndarray
@@ -82,6 +83,7 @@ class ContinuousLog:
     failed_at: Optional[float] = None
 
 
+@np.errstate(over="ignore")  # vector_norm falls back to hypot where F @ F overflows
 def normalized_field(F_z, p: int) -> np.ndarray:
     """F / max(||F||, NORM_FLOOR)^(1-1/p); order 1 returns the field unchanged."""
     F_z = np.asarray(F_z, dtype=float)
@@ -232,6 +234,7 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     integral = np.zeros(m)
     np.cumsum(0.5 * dt * (a[:-1] + a[1:]), out=integral[1:])  # adds in sequence
     return ContinuousLog(
+        problem=problem,
         config=config,
         t=np.arange(m) * dt,
         z=zs,

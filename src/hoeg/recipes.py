@@ -17,12 +17,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .problems import OperatorMode, ProblemSpec, builtin
+from .problems import OperatorMode, builtin
 from .solver import SolverConfig, TrajectoryLog, detect_cycling, run
 from .svgplot import line_plot_svg, trajectory_plot_svg
 
 GRID5 = ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (0.5, -0.5))
 GRID4 = ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (0.5, -0.5))
+ITERATIONS = 5000  # the iteration budget of every preset
 
 
 @dataclass(frozen=True)
@@ -32,34 +33,34 @@ class RunPreset:
     order_p: int
     lipschitz: float
     z0: Tuple[float, float]
-    iterations: int = 5000
     alpha: Optional[float] = None
 
     def config(self) -> SolverConfig:
         return SolverConfig(
             order_p=self.order_p,
             lipschitz=self.lipschitz,
-            max_iterations=self.iterations,
+            max_iterations=ITERATIONS,
             z0=np.array(self.z0),
             operator_mode=OperatorMode(self.alpha),
         )
 
 
-def converge_to_star(problem: ProblemSpec, logs: Sequence[TrajectoryLog]) -> dict:
-    dists = [float(np.linalg.norm(log.z_out - problem.z_star)) for log in logs]
+def converge_to_star(logs: Sequence[TrajectoryLog]) -> dict:
+    dists = [float(np.linalg.norm(log.z_out - log.problem.z_star)) for log in logs]
+    z_star = logs[0].problem.z_star  # a recipe's runs share one problem
     return {
-        "claim": f"all runs converge to {tuple(round(float(c), 4) for c in problem.z_star)} within 1e-2",
+        "claim": f"all runs converge to {tuple(round(float(c), 4) for c in z_star)} within 1e-2",
         "ok": all(d <= 1e-2 for d in dists),
         "endpoint_distances": dists,
     }
 
 
-def cycling(problem: ProblemSpec, logs: Sequence[TrajectoryLog]) -> dict:
+def cycling(logs: Sequence[TrajectoryLog]) -> dict:
     flags = [detect_cycling(log) for log in logs]
     return {"claim": "all runs cycle instead of converging", "ok": all(flags), "cycles": flags}
 
 
-def axis_endpoints(problem: ProblemSpec, logs: Sequence[TrajectoryLog]) -> dict:
+def axis_endpoints(logs: Sequence[TrajectoryLog]) -> dict:
     xs = [abs(float(log.z_out[0])) for log in logs]
     per_order = {}
     for log in logs:
@@ -73,20 +74,11 @@ def axis_endpoints(problem: ProblemSpec, logs: Sequence[TrajectoryLog]) -> dict:
     }
 
 
-def near_origin(problem: ProblemSpec, logs: Sequence[TrajectoryLog]) -> dict:
-    dists = [float(np.linalg.norm(log.z_out)) for log in logs]
-    return {
-        "claim": "all runs end within 1e-2 of the origin",
-        "ok": all(d <= 1e-2 for d in dists),
-        "endpoint_distances": dists,
-    }
-
-
 @dataclass(frozen=True)
 class FigureRecipe:
     name: str
     runs: Tuple[RunPreset, ...]
-    verdict: Callable[[ProblemSpec, Sequence[TrajectoryLog]], dict]
+    verdict: Callable[[Sequence[TrajectoryLog]], dict]
 
 
 def _presets(problem, orders_L, grid, alpha=None):
@@ -124,7 +116,7 @@ RECIPES = {
     "x2y_Falpha": FigureRecipe(
         "x2y_Falpha",
         _presets("x2y", ((1, 20.0), (2, 500.0)), GRID4, alpha=10.0),
-        near_origin,
+        converge_to_star,
     ),
 }
 
@@ -160,7 +152,7 @@ def run_recipe(name: str, out_dir: str) -> dict:
     min_opnorm_svg(os.path.join(out_dir, f"{name}_min_opnorm.svg"),
                    [(preset.label, log) for preset, log in zip(recipe.runs, logs)], title=name)
 
-    verdict = {"recipe": name, **recipe.verdict(problem, logs)}
+    verdict = {"recipe": name, **recipe.verdict(logs)}
     with open(os.path.join(out_dir, f"{name}_verdict.json"), "w", encoding="utf-8") as handle:
         json.dump(verdict, handle, indent=2)
     return verdict

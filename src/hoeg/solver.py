@@ -84,13 +84,14 @@ class RecordView(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryLog:
-    """The run of ``config`` in columns: row k holds iterate k.
+    """The run of ``config`` on ``problem`` in columns: row k holds iterate k.
 
     ``z`` and ``z_half`` have shape (n, d); the other columns have shape (n,).
     ``failure_residual`` is the residual a ``ConvergenceError`` carried when
     the termination is ``subproblem_failure``, else None.
     """
 
+    problem: ProblemSpec
     config: SolverConfig
     z: np.ndarray
     z_half: np.ndarray
@@ -191,7 +192,7 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     z_out = z_halves[out_index].copy()
     if n < budget:
         columns = tuple(column[:n].copy() for column in columns)
-    return TrajectoryLog(config, *columns, z_out, out_index, termination, failure_residual)
+    return TrajectoryLog(problem, config, *columns, z_out, out_index, termination, failure_residual)
 
 
 def detect_cycling(log: TrajectoryLog) -> bool:

@@ -153,7 +153,7 @@ def test_criterion_5_lemma_suite_over_seeded_runs():
             log = run(problem, solver_config(p, L, 400, z0))
             if not check_half_step_norm_bound(log).ok:
                 failures.append(f"{name} p{p} seed {seed}: half-step norm bound")
-            if not check_potential_inequality(problem, log).ok:
+            if not check_potential_inequality(log).ok:
                 failures.append(f"{name} p{p} seed {seed}: potential inequality")
     elapsed = time.time() - start
     assert elapsed < 30.0
@@ -212,8 +212,8 @@ def test_criterion_7_continuous_time():
     log_toy = simulate(toy, ContinuousConfig(order_p=1, t_end=50.0, dt=0.01, z0=np.array([1.0, 1.0])))
     monotone_ok = bool(np.all(np.diff(log_toy.op_norm) <= 1e-9))
 
-    report_quad = check_energy_bound(quad, log_quad, rho=0.0)
-    report_toy = check_energy_bound(toy, log_toy, rho=COMONO_RHO)
+    report_quad = check_energy_bound(log_quad, rho=0.0)
+    report_toy = check_energy_bound(log_toy, rho=COMONO_RHO)
     energy_ok = (report_quad.integral_ok and report_quad.rate_ok
                  and report_toy.integral_ok and report_toy.rate_ok)
     elapsed = time.time() - start

@@ -50,9 +50,9 @@ EXPORTS = [
 PARAMETERS = {
     "builtin": ("name",),
     "certify_problem": ("problem", "p", "q", "mode", "n_samples", "seed"),
-    "check_energy_bound": ("problem", "log", "rho"),
+    "check_energy_bound": ("log", "rho"),
     "check_half_step_norm_bound": ("log",),
-    "check_potential_inequality": ("problem", "log"),
+    "check_potential_inequality": ("log",),
     "check_rho_threshold": ("rho", "p", "Lp"),
     "detect_cycling": ("log",),
     "estimate_q_rho": ("problem", "q", "n_samples", "seed", "mode"),
@@ -89,8 +89,8 @@ def test_config_fields():
         "ContinuousConfig": ("order_p", "t_end", "dt", "z0"),
         "ProblemSpec": ("name", "d_x", "d_y", "grad_x", "grad_y", "mixed_hessian", "operator_jacobian",
                         "z_star", "sample_box", "published_constants"),
-        "ContinuousLog": ("config", "t", "z", "v", "op_norm", "energy", "running_integral", "failed_at"),
-        "TrajectoryLog": ("config", "z", "z_half", "lambda_k", "displacement_norm", "op_norm_half",
+        "ContinuousLog": ("problem", "config", "t", "z", "v", "op_norm", "energy", "running_integral", "failed_at"),
+        "TrajectoryLog": ("problem", "config", "z", "z_half", "lambda_k", "displacement_norm", "op_norm_half",
                           "subproblem_residual", "subproblem_iters", "z_out", "out_index", "termination",
                           "failure_residual"),
     }

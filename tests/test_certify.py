@@ -42,9 +42,10 @@ from hoeg.solver import TrajectoryLog
 
 
 def column_log(op_norms):
-    """A log built from columns, with the given operator norms and placeholder rows."""
+    """A log of quadratic_monotone built from columns, with the given operator norms and placeholder rows."""
     n = len(op_norms)
-    return TrajectoryLog(SolverConfig(1, 1.0, max(n - 1, 1), np.zeros(2)), np.zeros((n, 2)), np.zeros((n, 2)), np.full(n, 0.5), np.ones(n),
+    return TrajectoryLog(builtin("quadratic_monotone"), SolverConfig(1, 1.0, max(n - 1, 1), np.zeros(2)),
+                         np.zeros((n, 2)), np.zeros((n, 2)), np.full(n, 0.5), np.ones(n),
                          np.asarray(op_norms, dtype=float), np.zeros(n), np.zeros(n, dtype=np.int64),
                          np.zeros(2), 0, "budget_exhausted")
 
@@ -167,6 +168,24 @@ class TestSmoothness:
         assert abs(sampled - oracle) <= 0.1 * oracle
 
 
+@pytest.mark.parametrize("name,order", [("x2y", 1), ("x2y", 2), ("modified_forsaken", 1), ("forsaken", 2)])
+def test_model_error_bounded_by_sampled_constant(name, order):
+    # remainder of the degree-(p-1) expansion stays below the sampled L_p
+    p = builtin(name)
+    L_hat = 1.05 * _smoothness(Operator(p), order, _evaluated_pairs(Operator(p), 4000, seed=5))
+    rng = np.random.default_rng(17)
+    lo, hi = p.sample_box[:, 0], p.sample_box[:, 1]
+    fact = 1.0 if order == 1 else 2.0
+    for _ in range(200):
+        z_a = lo + (hi - lo) * rng.random(p.d)
+        z_b = lo + (hi - lo) * rng.random(p.d)
+        expansion = Operator(p).at(z_a)
+        if order == 2:
+            expansion = expansion + Operator(p).jacobian(z_a) @ (z_b - z_a)
+        err = np.linalg.norm(Operator(p).at(z_b) - expansion)
+        assert err <= (L_hat / fact) * np.linalg.norm(z_b - z_a) ** order + 1e-12
+
+
 def test_comonotonicity_estimate_is_exact_on_the_toy():
     # the ratio is the same at every pair; short probe pairs add O(eps/gap) noise
     value = _comonotonicity(_evaluated_pairs(Operator(builtin("comonotone_toy")), 2000, seed=0))
@@ -192,32 +211,35 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate(column_log(np.ones(10)))
 
+    def test_a_square_that_overflows_in_the_fitted_half_is_a_value_error(self):
+        # ||F|| stays near 1e156 on the bilinear run from (1e160, 1e160), so every square is inf
+        log = run(builtin("bilinear"), SolverConfig(1, 1.0, 100, (1e160, 1e160)))
+        assert np.isinf(log.running_min_sq()[50:]).all()
+        with pytest.raises(ValueError, match="not finite"):
+            fit_rate(log)
+
 
 class TestPotentialInequality:
     def test_quadratic_every_prefix(self):
-        p = builtin("quadratic_monotone")
         log = standard_run("quadratic_monotone", 1, 1.0, (1.0, 0.0), 100)
-        report = check_potential_inequality(p, log)
+        report = check_potential_inequality(log)
         assert report.ok
 
     def test_modified_forsaken_every_prefix(self):
-        p = builtin("modified_forsaken")
         log = standard_run("modified_forsaken", 1, 20.0, (0.5, -0.5), 2000)
-        report = check_potential_inequality(p, log)
+        report = check_potential_inequality(log)
         assert report.ok
 
     def test_empty_log_vacuously_passes(self):
-        p = builtin("quadratic_monotone")
         empty = column_log([])
-        assert check_potential_inequality(p, empty).ok
+        assert check_potential_inequality(empty).ok
 
     def test_coefficient_is_tight_on_the_identity_field(self):
         # the identity field consumes the entire ||z0 - z*||^2 budget in the
         # limit, so the margin shrinks to zero: the coefficient cannot grow
         assert POTENTIAL_COEF == 7.0 / 16.0
-        p = builtin("quadratic_monotone")
         log = standard_run("quadratic_monotone", 1, 1.0, (1.0, 0.0), 150)
-        report = check_potential_inequality(p, log)
+        report = check_potential_inequality(log)
         assert report.ok
         assert 0.0 <= report.min_margin <= 1e-6
 
@@ -292,7 +314,7 @@ def test_prefix_checks_match_the_row_loops(name, p, Lp, z0, alpha):
     problem = builtin(name)
     mode = OperatorMode(alpha)
     log = standard_run(name, p, Lp, z0, 400, alpha)
-    reports = (check_half_step_norm_bound(log), check_potential_inequality(problem, log))
+    reports = (check_half_step_norm_bound(log), check_potential_inequality(log))
     oracles = (_half_step_bound_oracle(log, p, Lp),
                _potential_oracle(problem, log, problem.z_star, p, Lp, mode))
     for report, oracle in zip(reports, oracles):
@@ -303,10 +325,9 @@ def test_prefix_checks_match_the_row_loops(name, p, Lp, z0, alpha):
 
 def test_a_run_whose_squares_overflow_reports_its_violation():
     # the displacements grow past 1e154 before the run fails, so r^2 overflows
-    problem = builtin("quadratic_monotone")
     log = standard_run("quadratic_monotone", 1, 0.001, (1.0, 0.0), 400)
     assert log.displacement_norm.max() > 1e155
-    report = check_potential_inequality(problem, log)
+    report = check_potential_inequality(log)
     assert (report.ok, report.first_violation_k, report.min_margin) == (False, 0, -math.inf)
 
 
@@ -334,7 +355,7 @@ def test_a_sampled_lipschitz_constant_that_overflows_is_a_numeric_error():
 def test_decoupled_report_fields():
     p = builtin("modified_forsaken")
     log = standard_run("modified_forsaken", 1, 20.0, (0.5, -0.5), 500)
-    report = decoupled_threshold_report(p, log, certify_problem(p, 1, q=2.0, n_samples=2000, seed=1))
+    report = decoupled_threshold_report(log, certify_problem(p, 1, q=2.0, n_samples=2000, seed=1))
     assert report["D"] > 0
     assert report["rho_hat_q"] > 0
     assert isinstance(report["ok"], bool)

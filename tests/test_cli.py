@@ -340,6 +340,14 @@ def test_run_reports_the_fitted_slope():
     assert json.loads(proc.stdout)["fitted_slope"] <= -0.75
 
 
+def test_a_fitted_slope_of_overflowing_squares_is_null_in_strict_json():
+    # ||F|| stays near 1e156, so every square of the fitted half is inf and no slope exists
+    proc = invoke(["run", "--problem", "bilinear", "--Lp", "1", "--K", "100", "--z0", "1e160,1e160"])
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
+    assert summary["fitted_slope"] is None
+
+
 def test_run_svg_output(tmp_path):
     svg = tmp_path / "plot.svg"
     proc = invoke(["run", "--problem", "quadratic_monotone", "--Lp", "1", "--K", "50",

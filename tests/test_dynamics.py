@@ -57,6 +57,11 @@ class TestNormalizedField:
         for p in (1, 2):
             assert np.array_equal(normalized_field(np.zeros(2), p), np.zeros(2))
 
+    def test_a_field_whose_square_overflows_is_normalized_without_a_warning(self):
+        # F(1e78, 1e78) of x2y has entries near 1e156, so F @ F overflows; the suite errors on the warning
+        F = Operator(builtin("x2y")).at((1e78, 1e78))
+        assert np.array_equal(normalized_field(F, 2), F / math.hypot(*F) ** 0.5)
+
 
 class TestResolvent:
     def test_identity_field_halves(self):
@@ -158,6 +163,11 @@ class TestSimulate:
                        ContinuousConfig(order_p=1, t_end=2.0, dt=1e-3, z0=np.array([1.0, 0.0])))
         assert np.linalg.norm(log.v[-1] - np.exp(-1.0) * np.array([1.0, 0.0])) <= 1e-6
         assert np.allclose(log.z, log.v / 2.0, atol=1e-9)
+
+    def test_the_log_carries_the_problem_it_ran_on(self):
+        problem = builtin("quadratic_monotone")
+        ccfg = ContinuousConfig(order_p=1, t_end=0.1, dt=0.01, z0=np.array([1.0, 0.0]))
+        assert simulate(problem, ccfg).problem is problem
 
     def test_zero_field_is_stationary(self):
         log = simulate(zero_field_problem(),
@@ -325,7 +335,7 @@ class TestEnergyBound:
     def test_identity_field_passes_with_margin(self):
         quad = builtin("quadratic_monotone")
         log = simulate(quad, ContinuousConfig(order_p=1, t_end=2.0, dt=1e-3, z0=np.array([1.0, 0.0])))
-        report = check_energy_bound(quad, log, rho=0.0)
+        report = check_energy_bound(log, rho=0.0)
         assert report.integral_ok and report.rate_ok
         # closed form: integral = (1 - e^{-t})/4, bound = 1/2
         assert report.integral_bound == pytest.approx(0.5)
@@ -336,13 +346,13 @@ class TestEnergyBound:
         cfg = ContinuousConfig(order_p=1, t_end=0.1, dt=0.01, z0=np.array([1.0, 0.0]))
         log = simulate(quad, cfg)
         assert log.config is cfg
-        assert check_energy_bound(quad, log, rho=0.0).integral_bound == 0.5  # D^2 / 2 with D = 1
+        assert check_energy_bound(log, rho=0.0).integral_bound == 0.5  # D^2 / 2 with D = 1
 
     def test_comonotone_toy_saturates_the_bound(self):
         # the linear field meets the integral bound with equality as t grows
         toy = builtin("comonotone_toy")
         log = simulate(toy, ContinuousConfig(order_p=1, t_end=50.0, dt=0.01, z0=np.array([1.0, 1.0])))
-        report = check_energy_bound(toy, log, rho=COMONO_RHO)
+        report = check_energy_bound(log, rho=COMONO_RHO)
         assert report.integral_ok and report.rate_ok
         assert report.integral_bound == pytest.approx(2.0 / (2.0 - COMONO_RHO))
         assert abs(log.running_integral[-1] - report.integral_bound) <= 1e-4
@@ -350,18 +360,19 @@ class TestEnergyBound:
     def test_zero_field_trivially_passes(self):
         zero = zero_field_problem()
         log = simulate(zero, ContinuousConfig(order_p=1, t_end=1.0, dt=0.01, z0=np.array([0.5, 0.0])))
-        report = check_energy_bound(zero, log, rho=0.0)
+        report = check_energy_bound(log, rho=0.0)
         assert report.integral_ok and report.rate_ok
 
     def test_violation_is_reported_with_location(self):
         t = np.linspace(0.0, 1.0, 11)
         flat = np.tile(np.array([1.0, 0.0]), (11, 1))
         fake = ContinuousLog(
+            problem=zero_field_problem(),
             config=ContinuousConfig(order_p=1, t_end=1.0, dt=0.1, z0=flat[0]), t=t, z=flat, v=flat,
             op_norm=np.ones(11), energy=np.zeros(11),
             running_integral=np.linspace(0.0, 10.0, 11),
         )
-        report = check_energy_bound(zero_field_problem(), fake, rho=0.0)
+        report = check_energy_bound(fake, rho=0.0)
         assert not report.integral_ok
         assert report.integral_first_violation is not None
         assert report.integral_margin < 0
@@ -369,10 +380,11 @@ class TestEnergyBound:
     def test_a_log_of_one_point_has_no_rate_rows(self):
         # a flow whose first step fails logs only t = 0, where the rate bound is not defined
         z = np.array([[1.0, 0.0]])
-        log = ContinuousLog(config=ContinuousConfig(order_p=1, t_end=0.1, dt=0.1, z0=z[0]),
+        log = ContinuousLog(problem=zero_field_problem(),
+                            config=ContinuousConfig(order_p=1, t_end=0.1, dt=0.1, z0=z[0]),
                             t=np.zeros(1), z=z, v=z, op_norm=np.ones(1),
                             energy=np.zeros(1), running_integral=np.zeros(1), failed_at=0.1)
-        report = check_energy_bound(zero_field_problem(), log, rho=0.0)
+        report = check_energy_bound(log, rho=0.0)
         assert report.integral_ok and report.rate_ok
         assert (report.rate_first_violation, report.rate_margin) == (None, np.inf)
 
@@ -380,4 +392,4 @@ class TestEnergyBound:
         zero = zero_field_problem()
         log = simulate(zero, ContinuousConfig(order_p=1, t_end=0.5, dt=0.1, z0=np.array([1.0, 0.0])))
         with pytest.raises(ValueError):
-            check_energy_bound(zero, log, rho=2.0)
+            check_energy_bound(log, rho=2.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hoeg import SolverConfig, builtin, run
-from hoeg.recipes import RECIPES, axis_endpoints, converge_to_star, cycling, near_origin, run_recipe
+from hoeg.recipes import RECIPES, axis_endpoints, converge_to_star, cycling, run_recipe
 
 
 def test_recipe_names():
@@ -39,8 +39,11 @@ def _logs(name, p, z_outs):
 def test_converge_to_star_verdict():
     forsaken = builtin("forsaken")
     near, far = forsaken.z_star + 1e-3, forsaken.z_star + 0.1
-    assert converge_to_star(forsaken, _logs("forsaken", 1, [near, near]))["ok"] is True
-    assert converge_to_star(forsaken, _logs("forsaken", 1, [near, far]))["ok"] is False
+    assert converge_to_star(_logs("forsaken", 1, [near, near]))["ok"] is True
+    assert converge_to_star(_logs("forsaken", 1, [near, far]))["ok"] is False
+    # x2y's z* is the origin
+    assert converge_to_star(_logs("x2y", 1, [(0.005, 0.0), (0.0, -0.005)]))["ok"] is True
+    assert converge_to_star(_logs("x2y", 1, [(0.005, 0.0), (0.0, 0.02)]))["ok"] is False
 
 
 def test_cycling_verdict():
@@ -50,22 +53,15 @@ def test_cycling_verdict():
     circling = dataclasses.replace(log, z=np.stack([np.cos(angle), np.sin(angle)], axis=1),
                                    op_norm_half=np.ones(200))
     settled = dataclasses.replace(circling, op_norm_half=np.full(200, 1e-4))
-    assert cycling(forsaken, [circling])["ok"] is True
-    assert cycling(forsaken, [circling, settled])["ok"] is False
+    assert cycling([circling])["ok"] is True
+    assert cycling([circling, settled])["ok"] is False
 
 
 def test_axis_endpoints_verdict_takes_the_spread_per_order():
-    x2y = builtin("x2y")
     order_1 = _logs("x2y", 1, [(0.0, 0.5), (0.005, 0.2)])
-    verdict = axis_endpoints(x2y, order_1 + _logs("x2y", 2, [(0.0, -0.5), (0.0, 0.5)]))
+    verdict = axis_endpoints(order_1 + _logs("x2y", 2, [(0.0, -0.5), (0.0, 0.5)]))
     assert verdict["ok"] is True
     assert verdict["y_spread_by_order"] == {"1": pytest.approx(0.3), "2": 1.0}
     # the order-2 ends are 0.05 apart: spread over both orders they would pass
-    assert axis_endpoints(x2y, order_1 + _logs("x2y", 2, [(0.0, 0.5), (0.0, 0.55)]))["ok"] is False
-    assert axis_endpoints(x2y, _logs("x2y", 1, [(0.0, 0.5), (0.02, 0.2)]))["ok"] is False
-
-
-def test_near_origin_verdict():
-    x2y = builtin("x2y")
-    assert near_origin(x2y, _logs("x2y", 1, [(0.005, 0.0), (0.0, -0.005)]))["ok"] is True
-    assert near_origin(x2y, _logs("x2y", 1, [(0.005, 0.0), (0.0, 0.02)]))["ok"] is False
+    assert axis_endpoints(order_1 + _logs("x2y", 2, [(0.0, 0.5), (0.0, 0.55)]))["ok"] is False
+    assert axis_endpoints(_logs("x2y", 1, [(0.0, 0.5), (0.02, 0.2)]))["ok"] is False

@@ -66,6 +66,11 @@ def test_the_log_carries_the_config_it_was_run_with():
     assert run(builtin("bilinear"), cfg).config is cfg
 
 
+def test_the_log_carries_the_problem_it_ran_on():
+    problem = builtin("bilinear")
+    assert run(problem, config(K=3)).problem is problem
+
+
 def test_modified_forsaken_reaches_stationary_point():
     p = builtin("modified_forsaken")
     log = run(p, config(p=1, L=20.0, K=5000, z0=(0.5, -0.5)))
