@@ -41,9 +41,6 @@ def test_converge_to_star_verdict():
     near, far = forsaken.z_star + 1e-3, forsaken.z_star + 0.1
     assert converge_to_star(_logs("forsaken", 1, [near, near]))["ok"] is True
     assert converge_to_star(_logs("forsaken", 1, [near, far]))["ok"] is False
-    # x2y's z* is the origin
-    assert converge_to_star(_logs("x2y", 1, [(0.005, 0.0), (0.0, -0.005)]))["ok"] is True
-    assert converge_to_star(_logs("x2y", 1, [(0.005, 0.0), (0.0, 0.02)]))["ok"] is False
 
 
 def test_cycling_verdict():
@@ -65,3 +62,10 @@ def test_axis_endpoints_verdict_takes_the_spread_per_order():
     # the order-2 ends are 0.05 apart: spread over both orders they would pass
     assert axis_endpoints(order_1 + _logs("x2y", 2, [(0.0, 0.5), (0.0, 0.55)]))["ok"] is False
     assert axis_endpoints(_logs("x2y", 1, [(0.0, 0.5), (0.02, 0.2)]))["ok"] is False
+
+
+def test_near_origin_verdict():
+    # x2y's z* is the origin, so x2y_Falpha's verdict is converge_to_star
+    near_origin = RECIPES["x2y_Falpha"].verdict
+    assert near_origin(_logs("x2y", 1, [(0.005, 0.0), (0.0, -0.005)]))["ok"] is True
+    assert near_origin(_logs("x2y", 1, [(0.005, 0.0), (0.0, 0.02)]))["ok"] is False
