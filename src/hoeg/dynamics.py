@@ -63,7 +63,7 @@ class ContinuousConfig:
         return int(round(self.t_end / self.dt))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuousLog:
     """One row per logged step of the flow of ``config`` on ``problem``, from t = 0.
 

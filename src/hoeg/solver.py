@@ -4,7 +4,9 @@ Each round solves the order-p regularized model for the half-step, sets the
 step size lambda_k = 0.5 * r^(1-p) from the displacement radius r, and takes
 the closed-form full step z_{k+1} = z_k - (p! lambda_k / (2 L_p)) F(z_half).
 The returned point is the recorded half-step iterate with the smallest
-operator norm.
+operator norm.  A run stops early at an exactly stationary point, on a
+failure, or once its half-steps have been still to roundoff for FLOOR_ROWS
+rows.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ TERM_BUDGET = "budget_exhausted"
 TERM_STATIONARY = "exact_stationary"
 TERM_SUBPROBLEM = "subproblem_failure"
 TERM_NUMERIC = "numeric_failure"
+TERM_FLOOR = "roundoff_floor"
 
 CYCLE_WINDOW = 500      # detect_cycling looks at this many trailing iterates
 CYCLE_THRESHOLD = 1e-3  # a window whose operator norm dips to this is not a cycle
+FLOOR_ROWS = 50         # run stops after this many consecutive rows of a still z_half
+FLOOR_TOL = 4.0 * np.finfo(float).eps  # a coordinate is still if it moves by <= this share of itself
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ class TrajectoryLog:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as NumericError
 def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
-    """Run the iteration for k = 0..K and return the full trajectory.
+    """Run the iteration for k = 0..K and return the trajectory.
 
     A ``ConvergenceError`` or ``NumericError`` after the first record ends the
     run with termination ``subproblem_failure`` or ``numeric_failure`` and
@@ -129,6 +134,16 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     iteration is a pure function of z), so the remaining rows are filled
     from row k without being computed.  The output is the half-step with the
     smallest operator norm, the first one on ties.
+
+    A run can reach z* to within roundoff without any iterate repeating: at
+    p = 2 the full step (1/L_2)(0.5/r) F(z_half) stays of order 1e-10 while
+    ||F|| and r both sit at their floors.  So a row counts as still when
+    every coordinate of z_half moved by at most ``FLOOR_TOL`` times that
+    coordinate's previous value, and after ``FLOOR_ROWS`` consecutive still
+    rows the run stops with termination ``roundoff_floor`` and keeps the
+    rows reached.  The test is per coordinate, so a coordinate that still
+    shrinks geometrically towards 0 keeps the run going.  The fixed-point
+    fill is checked first.
     """
     operator = Operator(problem, config.operator_mode)
     p = config.order_p
@@ -145,6 +160,7 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     iters = np.empty(budget, dtype=np.int64)
     columns = (zs, z_halves, lams, radii, op_norms, residuals, iters)
     n = 0
+    still_rows = 0
     termination = TERM_BUDGET
     failure_residual = None
 
@@ -185,6 +201,11 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
             for column in columns:
                 column[n:] = column[k]
             n = budget
+            break
+        still = k > 0 and (abs(half.z_half - z_halves[k - 1]) <= FLOOR_TOL * abs(z_halves[k - 1])).all()
+        still_rows = still_rows + 1 if still else 0
+        if still_rows == FLOOR_ROWS:
+            termination = TERM_FLOOR
             break
         z = z_next
 

@@ -76,8 +76,19 @@ def test_run_json_summary_endpoint(tmp_path):
     summary = json.loads(out.read_text())
     z_out = np.array(summary["z_out"])
     assert np.linalg.norm(z_out - [1.31147, 1.47596]) <= 1e-2
-    assert summary["termination"] == "budget_exhausted"
+    assert summary["termination"] == "roundoff_floor"
     assert summary["failure_residual"] is None
+
+
+def test_a_run_stopped_at_the_roundoff_floor_exits_ok(tmp_path):
+    csv = tmp_path / "run.csv"
+    proc = invoke(["run", "--problem", "modified_forsaken", "--p", "2", "--K", "2000",
+                   "--z0", "1,1", "--csv", str(csv)])
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["termination"] == "roundoff_floor"
+    assert summary["out_index"] < summary["records"] < 2001
+    assert len(csv.read_text().splitlines()) == 1 + summary["records"]  # header + one row each
 
 
 @pytest.mark.parametrize("residual, reported", [(0.25, 0.25), (math.inf, None)])

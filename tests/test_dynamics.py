@@ -169,6 +169,14 @@ class TestSimulate:
         ccfg = ContinuousConfig(order_p=1, t_end=0.1, dt=0.01, z0=np.array([1.0, 0.0]))
         assert simulate(problem, ccfg).problem is problem
 
+    def test_logs_compare_by_identity(self):
+        # one problem and one config, so equal fields would reach the columns
+        problem = builtin("quadratic_monotone")
+        ccfg = ContinuousConfig(order_p=1, t_end=0.02, dt=0.01, z0=np.array([1.0, 0.0]))
+        a, b = (simulate(problem, ccfg) for _ in range(2))
+        assert (a == b) is False
+        assert (a == a) is True
+
     def test_zero_field_is_stationary(self):
         log = simulate(zero_field_problem(),
                        ContinuousConfig(order_p=1, t_end=1.0, dt=0.01, z0=np.array([0.4, 0.6])))

@@ -1,10 +1,15 @@
 import dataclasses
+import inspect
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import hoeg
 from hoeg import SolverConfig, builtin, run
 from hoeg.recipes import RECIPES, axis_endpoints, converge_to_star, cycling, run_recipe
 
@@ -69,3 +74,46 @@ def test_near_origin_verdict():
     near_origin = RECIPES["x2y_Falpha"].verdict
     assert near_origin(_logs("x2y", 1, [(0.005, 0.0), (0.0, -0.005)]))["ok"] is True
     assert near_origin(_logs("x2y", 1, [(0.005, 0.0), (0.0, 0.02)]))["ok"] is False
+
+
+def recipe_outcomes(names):
+    """Per recipe: the verdict's ok, and each run's termination and z_out."""
+    from hoeg import builtin, run
+    from hoeg.recipes import RECIPES
+    outcomes = {}
+    for name in names:
+        recipe = RECIPES[name]
+        logs = [run(builtin(preset.problem), preset.config()) for preset in recipe.runs]
+        outcomes[name] = {"ok": recipe.verdict(logs)["ok"],
+                          "runs": [(log.termination, log.z_out.tolist()) for log in logs]}
+    return outcomes
+
+
+def openblas_is_dynamic_arch():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not openblas_is_dynamic_arch(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so its kernel cannot be chosen")
+def test_verdicts_and_stops_do_not_depend_on_the_blas_kernel():
+    # The last bits of a trajectory depend on the OpenBLAS kernel, and with
+    # them the row at which a run reaches the roundoff floor and its out_index;
+    # the termination, z_out to 1e-12 and the verdict must not.  forsaken_F
+    # and the x2y recipes are left out to keep the suite short.
+    names = ["mforsaken", "forsaken_Falpha"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hoeg.__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = inspect.getsource(recipe_outcomes) + f"import json; print(json.dumps(recipe_outcomes({names!r})))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    for name, here in recipe_outcomes(names).items():
+        assert child[name]["ok"] == here["ok"], name
+        for (term_child, z_child), (term, z_out) in zip(child[name]["runs"], here["runs"]):
+            assert term_child == term, name
+            assert np.max(np.abs(np.subtract(z_child, z_out))) <= 1e-12, name

@@ -19,7 +19,7 @@ from hoeg import (
 )
 from hoeg.cli import _fmt
 from hoeg.halfstep import solve_half_step_p1, solve_half_step_p2, vector_norm
-from hoeg.recipes import RECIPES
+from hoeg.recipes import GRID5, RECIPES
 
 COLUMNS = ("z", "z_half", "lambda_k", "displacement_norm", "op_norm_half",
            "subproblem_residual", "subproblem_iters")
@@ -125,10 +125,10 @@ def test_competitive_mode_changes_field():
 
 
 def reference_run(problem, cfg):
-    """The iteration without the fixed-point shortcut: every record is computed.
+    """The iteration without the fixed-point shortcut or the floor stop: every record is computed.
 
     Returns the columns, z_out and out_index, the first minimum of the
-    operator norm.  The runs it is used on have r > 0 and no stop rule.
+    operator norm.  The runs it is used on have r > 0.
     """
     operator = Operator(problem, cfg.operator_mode)
     p, L = cfg.order_p, cfg.lipschitz
@@ -193,6 +193,38 @@ def test_fixed_point_shortcut_matches_the_full_loop(monkeypatch):
             assert log.out_index == k - 1
             fixed_points.append(k)
         assert min(fixed_points) == first and max(fixed_points) == last
+
+
+def test_a_run_at_the_roundoff_floor_stops_with_the_full_loops_rows():
+    # mforsaken p=2 puts z_half on z* to within an ULP, then moves z_k by
+    # about 1e-10 per iterate: the run stops there and loses no row or output
+    problem = builtin("modified_forsaken")
+    presets = [preset for preset in RECIPES["mforsaken"].runs if preset.order_p == 2]
+    assert [preset.z0 for preset in presets] == list(GRID5)
+    for preset in presets:
+        cfg = dataclasses.replace(preset.config(), max_iterations=2000)
+        columns, z_out, out_index = reference_run(problem, cfg)
+        log = run(problem, cfg)
+        assert log.termination == "roundoff_floor"
+        n = len(log)
+        assert n < 2001
+        for name in COLUMNS:
+            assert getattr(log, name).tobytes() == columns[name][:n].tobytes(), (preset.label, name)
+        assert log.z_out.tobytes() == z_out.tobytes()
+        assert log.out_index == out_index
+        # the last FLOOR_ROWS rows each moved z_half by roundoff only
+        tail = log.z_half[n - solver_module.FLOOR_ROWS - 1:]
+        assert np.all(abs(np.diff(tail, axis=0)) <= solver_module.FLOOR_TOL * abs(tail[:-1]))
+
+
+def test_a_coordinate_that_keeps_shrinking_keeps_the_run_going():
+    # x2y_F p=1 from (1, 1): |x| shrinks by a constant factor to 1e-63, a
+    # relative step far below eps of ||z_half||, yet never still to roundoff
+    [preset] = [preset for preset in RECIPES["x2y_F"].runs
+                if preset.order_p == 1 and preset.z0 == (1.0, 1.0)]
+    log = run(builtin("x2y"), preset.config())
+    assert log.termination == "budget_exhausted"
+    assert np.abs(log.z_half[:, 0]).min() < 1e-60
 
 
 def test_subproblem_failure_keeps_its_residual(monkeypatch):
