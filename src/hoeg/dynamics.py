@@ -116,7 +116,8 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
     term drops.  Each step forms P = M^-1 and takes
     dz = -P h, halved until h = z + G_p(z) - v meets
     ||h(z + t dz)|| <= (1 - 1e-4 t) ||h(z)||.  The call returns as soon as
-    ||h|| <= RESOLVENT_TOL * max(1, ||v||), which may be at the start.
+    ||h|| <= RESOLVENT_TOL * max(1, ||v||), which may be at the start.  In
+    ``simulate`` it nearly always is, so the fixed cost of a call sets its speed.
 
     ``path`` is the caller's record of the solution path z(v) = R(v).  Once
     it holds a previous solve (v', z') and a P, the solve starts from the
@@ -135,14 +136,9 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
     scale = RESOLVENT_TOL * max(1.0, vector_norm(v))
     a = 1.0 - 1.0 / p
 
-    def residual(z, F):
-        # h = z + G_p(z) - v and ||h||; G_1 is F itself
-        h = z + F - v if p == 1 else z + normalized_field(F, p) - v
-        return h, vector_norm(h)
-
     F = None
     if path is not None and path.P is not None and path.z is not None:
-        z = path.z + path.P @ (v - path.v)
+        z = path.z + path.P.dot(v - path.v)
         try:
             F = field.at(z)
         except NumericError:
@@ -150,7 +146,8 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
     if F is None:
         z = v.copy() if path is None or path.z is None else path.z.copy()
         F = field.at(z)
-    h, r = residual(z, F)
+    h = z + F - v if p == 1 else z + normalized_field(F, p) - v  # h = z + G_p(z) - v; G_1 is F
+    r = vector_norm(h)
     for _ in range(500):
         if r <= scale:
             if path is not None:
@@ -175,7 +172,8 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
         for _ in range(30):
             z_try = z + t * dz
             F_try = field.at(z_try)
-            h_try, r_try = residual(z_try, F_try)
+            h_try = z_try + F_try - v if p == 1 else z_try + normalized_field(F_try, p) - v
+            r_try = vector_norm(h_try)
             if r_try <= (1.0 - 1e-4 * t) * r:
                 break
             t *= 0.5
@@ -196,32 +194,29 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     """
     p = config.order_p
     dt = config.dt
+    half, sixth = 0.5 * dt, dt / 6.0
     field = Operator(problem)
     path = _Path()
-
-    def solve(vv):
-        return resolvent_solve(vv, field, p, path=path)
-
     v = config.z0.copy()
     n = config.n_steps + 1
     zs, vs, norms = np.empty((n, v.size)), np.empty((n, v.size)), np.empty(n)
     failed_at = None
-    z = solve(v)  # a failure here has nothing integrated yet, so it propagates
+    z = resolvent_solve(v, field, p, path=path)  # a failure here has nothing integrated yet: it propagates
     zs[0], vs[0], norms[0] = z, v, vector_norm(field.at(z))
     for i in range(1, n):
         try:
             k1 = z - v
-            v2 = v + 0.5 * dt * k1
-            z2 = solve(v2)
+            v2 = v + half * k1
+            z2 = resolvent_solve(v2, field, p, path=path)
             k2 = z2 - v2
-            v3 = v + 0.5 * dt * k2
-            z3 = solve(v3)
+            v3 = v + half * k2
+            z3 = resolvent_solve(v3, field, p, path=path)
             k3 = z3 - v3
             v4 = v + dt * k3
-            z4 = solve(v4)
+            z4 = resolvent_solve(v4, field, p, path=path)
             k4 = z4 - v4
-            v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            z = solve(v)
+            v = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            z = resolvent_solve(v, field, p, path=path)
         except (ConvergenceError, NumericError):
             failed_at = i * dt
             zs, vs, norms = zs[:i], vs[:i], norms[:i]

@@ -33,11 +33,12 @@ MAX_DOUBLINGS = 60   # grid points hi0 * 2^k, k <= 60, tried for a sign change
 GAP_RTOL = 1e-10     # accepted radii satisfy | ||d|| - r | <= GAP_RTOL * r
 MODEL_RTOL = 1e-10   # and a model residual <= MODEL_RTOL * max(1, ||F_k||)
 MAX_TRIALS = 200     # Newton/bisection trials inside the doubling bracket
+_FLOAT_MIN = sys.float_info.min  # smallest positive normal double
 
 
 def check_order(p) -> None:
-    """Raise ValueError unless p is one of the SUPPORTED_ORDERS."""
-    if p not in SUPPORTED_ORDERS:
+    """Raise ValueError unless p is an integer (not a bool) among the SUPPORTED_ORDERS."""
+    if p not in SUPPORTED_ORDERS or isinstance(p, bool) or not isinstance(p, (int, np.integer)):
         raise ValueError(f"order p = {p!r} is not supported (have {SUPPORTED_ORDERS})")
 
 
@@ -47,9 +48,12 @@ def _norm(v: np.ndarray) -> float:
 
 
 def vector_norm(v: np.ndarray) -> float:
-    """sqrt(v @ v), or ``_norm`` where the sum of squares underflows the normal range or overflows."""
-    sq = v @ v
-    return math.sqrt(sq) if sys.float_info.min <= sq < math.inf else _norm(v)
+    """sqrt(v . v), or ``_norm`` where the sum of squares underflows the normal range or overflows.
+
+    ``v.dot(v)`` is the BLAS dot of ``v @ v``, bit for bit, without its ufunc dispatch.
+    """
+    sq = v.dot(v)
+    return math.sqrt(sq) if _FLOAT_MIN <= sq < math.inf else _norm(v)
 
 
 @dataclass(frozen=True)

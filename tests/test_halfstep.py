@@ -1,8 +1,10 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hoeg import (
@@ -40,6 +42,39 @@ def test_every_entry_point_checks_the_one_list_of_orders():
                      lambda: resolvent_solve(z0, Operator(problem), p)):
             with pytest.raises(ValueError, match=rf"order p = {p} is not supported \(have \(1, 2\)\)"):
                 make()
+
+
+# equal to a supported order but not integers: 2.0 would reach math.factorial,
+# and True would run as order 1
+_NOT_ORDERS = pytest.mark.parametrize("p", [2.0, True, np.float64(1.0)])
+
+
+def _not_an_order(p):
+    return pytest.raises(ValueError, match=re.escape(f"order p = {p!r} is not supported"))
+
+
+@_NOT_ORDERS
+def test_solver_config_takes_integer_orders_only(p):
+    z0 = np.array([1.0, 1.0])
+    with _not_an_order(p):
+        SolverConfig(p, 1.0, 10, z0)
+    assert SolverConfig(np.int64(2), 1.0, 10, z0).order_p == 2
+
+
+@_NOT_ORDERS
+def test_continuous_config_takes_integer_orders_only(p):
+    z0 = np.array([1.0, 1.0])
+    with _not_an_order(p):
+        ContinuousConfig(p, 1.0, 0.1, z0)
+    assert ContinuousConfig(np.int32(2), 1.0, 0.1, z0).order_p == 2
+
+
+@_NOT_ORDERS
+def test_certify_problem_takes_integer_orders_only(p):
+    problem = builtin("x2y")
+    with _not_an_order(p):
+        certify_problem(problem, p, n_samples=10)
+    assert certify_problem(problem, np.int64(1), n_samples=10).p == 1
 
 
 @pytest.mark.parametrize("L", [math.inf, math.nan])
@@ -239,3 +274,20 @@ class TestOrder2RadiusRoot:
             lo, hi = (mid, hi) if _gap(F, J, L2, mid) > 0 else (lo, mid)
         r = solve_half_step_p2(F, J, L2, np.zeros(2)).displacement_norm
         assert r == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e307, 1e307), min_size=1, max_size=8).map(np.array))  # ||v|| < max float
+@example(np.array([3e-160, -4e-160]))  # the sum of squares underflows
+@example(np.array([1e200, -1e200]))    # and overflows
+def test_vector_norm_is_the_old_dot_form_or_hypot(v):
+    assume(np.any(v != 0.0))
+    with np.errstate(over="ignore"):  # as in vector_norm's callers
+        sq = v @ v  # the form vector_norm used before v.dot(v)
+        got = halfstep.vector_norm(v)
+    if sys.float_info.min <= sq < math.inf:
+        assert got == math.sqrt(sq)
+    else:
+        reference = math.hypot(*v)
+        assert 0.0 < got < math.inf
+        assert abs(got - reference) <= 1e-15 * reference

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hoeg import NumericError, Operator, OperatorMode, ProblemSpec, SolverConfig, builtin, problem_names, run
+from hoeg.problems import block_matrix
 
 ALL_NAMES = ["bilinear", "comonotone_toy", "forsaken", "modified_forsaken", "quadratic_monotone", "x2y"]
 
@@ -97,6 +98,63 @@ def test_non_finite_gradient_raises_numeric_error():
     )
     with pytest.raises(NumericError):
         Operator(bad).at([1.0, 0.0])
+
+
+def _concatenated_at(op, z):
+    """``Operator.at`` in its np.concatenate + np.isfinite form, kept as the oracle of the faster check."""
+    problem = op.problem
+    z = np.asarray(z, dtype=float)
+    F = np.concatenate([problem.grad_x(z), -problem.grad_y(z)])
+    if not np.isfinite(F).all():
+        raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
+    if op.alpha is None:
+        return F
+    B = np.asarray(problem.mixed_hessian(z), dtype=float)
+    if not np.isfinite(B).all():
+        raise NumericError(f"non-finite mixed Hessian for {problem.name!r} at {z}")
+    return np.linalg.solve(block_matrix(B, op.alpha), F)
+
+
+@pytest.mark.parametrize("alpha", [None, 10.0])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_at_is_bitwise_its_concatenate_and_isfinite_form(name, alpha):
+    op = Operator(builtin(name), None if alpha is None else OperatorMode.competitive(alpha))
+    rng = np.random.default_rng(7)
+    # half in the sample boxes, half spread over magnitudes up to where F overflows
+    points = np.concatenate([rng.uniform(-2.0, 2.0, (500, 2)),
+                             rng.choice([-1.0, 1.0], (500, 2)) * 10.0 ** rng.uniform(-8.0, 160.0, (500, 2))])
+    finite = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in points:
+            try:
+                want = _concatenated_at(op, z)
+            except NumericError as exc:
+                with pytest.raises(NumericError, match=re.escape(str(exc))):
+                    op.at(z)
+                continue
+            assert op.at(z).tobytes() == want.tobytes()
+            finite.append(z)
+    rows = op.rows(np.array(finite))
+    for z, row in zip(finite, rows):
+        assert row.tobytes() == op.at(z).tobytes()
+
+
+@pytest.mark.parametrize("block", ["grad_x", "grad_y"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_at_names_the_point_of_a_non_finite_block(block, bad):
+    values = {"grad_x": np.array([1.0]), "grad_y": np.array([1.0]), block: np.array([bad])}
+    problem = ProblemSpec(name="blocks", d_x=1, d_y=1,
+                          grad_x=lambda z: values["grad_x"], grad_y=lambda z: values["grad_y"])
+    z = np.array([0.25, -0.5])
+    with pytest.raises(NumericError, match=re.escape(f"non-finite operator value for 'blocks' at {z}")):
+        Operator(problem).at(z)
+
+
+@pytest.mark.parametrize("F", [(1e308, -1e308), (1e308, 1e308), (-1.7e308, -1.7e308)])
+def test_at_accepts_a_finite_F_whose_entries_sum_past_the_float_range(F):
+    problem = ProblemSpec(name="huge", d_x=1, d_y=1,
+                          grad_x=lambda z: np.array([F[0]]), grad_y=lambda z: np.array([-F[1]]))
+    assert Operator(problem).at(np.zeros(2)).tolist() == list(F)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
