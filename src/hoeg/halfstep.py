@@ -102,6 +102,7 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
         return HalfStepResult(z_k.copy(), 0.0, 0.0, 0)
 
     eye = np.eye(len(z_k))
+    neg_F = -F_k
     scale = MODEL_RTOL * max(1.0, norm_F)
     solves = 0
 
@@ -115,15 +116,15 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
             return math.inf
         return _norm(F_k + J_k @ d + L2 * _norm(d) * d)
 
-    def accepted(residual: float, gap: float, r: float) -> bool:
+    def pinned(gap: float, r: float) -> bool:
         # the gap test alone can be out of reach when J + L2 r I is badly
         # conditioned; a bracket pinned to GAP_RTOL * r locates r as well
-        return residual <= scale and min(abs(gap), hi - lo) <= GAP_RTOL * r
+        return min(abs(gap), hi - lo) <= GAP_RTOL * r
 
     def trial(r: float):
         """(d(r), ||d(r)||); d is None at a singular radius, where ||d|| counts as +inf."""
         try:
-            d = shifted_solve(r, -F_k)
+            d = shifted_solve(r, neg_F)
         except np.linalg.LinAlgError:
             return None, math.inf
         norm_d = _norm(d)
@@ -164,9 +165,10 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     for _ in range(MAX_TRIALS):
         step = math.nan
         if d is not None and norm_d > 0.0:   # d underflows to 0 only for subnormal F
-            residual = residual_of(d)
-            if accepted(residual, norm_d - r, r):
-                return HalfStepResult(z_k + d, norm_d, residual, solves)
+            if pinned(norm_d - r, r):
+                residual = residual_of(d)
+                if residual <= scale:
+                    return HalfStepResult(z_k + d, norm_d, residual, solves)
             # r - g/g' written as (r s - ||d||) / (s - 1), s = d.d'/||d||, so a
             # root far below r does not cancel away
             s = -L2 * float(d @ shifted_solve(r, d / norm_d))
@@ -195,7 +197,7 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
             norm_d = _norm(d)
             t_lo, t_hi = (t, t_hi) if norm_d > r else (t_lo, t)
     residual = residual_of(d)
-    if accepted(residual, norm_d - r, r):
+    if pinned(norm_d - r, r) and residual <= scale:
         return HalfStepResult(z_k + d, norm_d, residual, solves)
     raise ConvergenceError(f"half-step radius search stopped after {solves} solves "
                            f"(residual {residual:.3e}, tolerance {scale:.3e})", residual=residual)

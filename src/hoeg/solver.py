@@ -12,6 +12,7 @@ rows.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -31,7 +32,7 @@ TERM_FLOOR = "roundoff_floor"
 CYCLE_WINDOW = 500      # detect_cycling looks at this many trailing iterates
 CYCLE_THRESHOLD = 1e-3  # a window whose operator norm dips to this is not a cycle
 FLOOR_ROWS = 50         # run stops after this many consecutive rows of a still z_half
-FLOOR_TOL = 4.0 * np.finfo(float).eps  # a coordinate is still if it moves by <= this share of itself
+FLOOR_TOL = 4.0 * sys.float_info.epsilon  # a coordinate is still if it moves by <= this share of itself
 
 
 @dataclass(frozen=True)
@@ -160,13 +161,13 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     iters = np.empty(budget, dtype=np.int64)
     columns = (zs, z_halves, lams, radii, op_norms, residuals, iters)
     n = 0
-    still_rows = 0
+    still_rows, last_z_half = 0, None
     termination = TERM_BUDGET
     failure_residual = None
 
     for k in range(budget):
         try:
-            if not np.isfinite(z).all():
+            if not all(map(math.isfinite, z.tolist())):
                 raise NumericError(f"non-finite iterate at k={k}")
             F_k = operator.at(z)
             if p == 1:
@@ -202,8 +203,9 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
                 column[n:] = column[k]
             n = budget
             break
-        still = k > 0 and (abs(half.z_half - z_halves[k - 1]) <= FLOOR_TOL * abs(z_halves[k - 1])).all()
-        still_rows = still_rows + 1 if still else 0
+        z_half = half.z_half.tolist()
+        still = k > 0 and all(abs(a - b) <= FLOOR_TOL * abs(b) for a, b in zip(z_half, last_z_half))
+        still_rows, last_z_half = (still_rows + 1 if still else 0), z_half
         if still_rows == FLOOR_ROWS:
             termination = TERM_FLOOR
             break
