@@ -7,10 +7,10 @@ scalar root-find on the step radius: with d(r) = -(J + L2 r I)^{-1} F, find a
 radius r where the gap g(r) = ||d(r)|| - r vanishes.  The radius grid
 hi0 * 2^k, hi0 = ||F|| / L2 + 1e-12, is doubled up to its first sign change
 of g; grid points below a lower bound r_lo, where g > 0 is certain, are
-skipped without a solve.  Inside that bracket a safeguarded Newton iteration
-(the secular-equation method of trust-region and cubic-regularisation
-solvers) takes over, falling back to bisection whenever a Newton step leaves
-the bracket or a trial radius makes J + L2 r I singular.
+skipped without a solve.  Inside that bracket 1/||d(r)|| is nearly linear in r,
+so each step solves 1/||d|| = 1/r on the line through the last two solved radii
+at one solve (More & Sorensen 1983; Cartis, Gould & Toint 2011), and bisects
+when a step leaves the bracket or stalls, or J + L2 r I is singular.
 
 The returned radius is a sign-change root of g in the first doubling
 bracket.  It is the unique root when the symmetric part of J is positive
@@ -32,7 +32,7 @@ SUPPORTED_ORDERS = (1, 2)
 MAX_DOUBLINGS = 60   # grid points hi0 * 2^k, k <= 60, tried for a sign change
 GAP_RTOL = 1e-10     # accepted radii satisfy | ||d|| - r | <= GAP_RTOL * r
 MODEL_RTOL = 1e-10   # and a model residual <= MODEL_RTOL * max(1, ||F_k||)
-MAX_TRIALS = 200     # Newton/bisection trials inside the doubling bracket
+MAX_TRIALS = 200     # interpolation/bisection trials inside the doubling bracket
 _FLOAT_MIN = sys.float_info.min  # smallest positive normal double
 
 
@@ -90,7 +90,7 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     bracket around r.  Raises ConvergenceError, carrying the last model
     residual, when no sign change of the gap appears within MAX_DOUBLINGS
     doublings, when the gap is not finite, or when MAX_TRIALS
-    Newton/bisection trials do not meet the stopping rule.
+    interpolation/bisection trials do not meet the stopping rule.
     """
     if not 0 < L2 < math.inf:
         raise ValueError(f"L2 must be positive and finite, got {L2}")
@@ -101,20 +101,12 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     if norm_F == 0.0:
         return HalfStepResult(z_k.copy(), 0.0, 0.0, 0)
 
-    eye = np.eye(len(z_k))
-    neg_F = -F_k
+    eye, neg_F = np.eye(len(z_k)), -F_k
     scale = MODEL_RTOL * max(1.0, norm_F)
-    solves = 0
-
-    def shifted_solve(r: float, rhs: np.ndarray) -> np.ndarray:
-        nonlocal solves
-        solves += 1
-        return np.linalg.solve(J_k + L2 * r * eye, rhs)
+    solved = []   # (r, 1 / ||d(r)||) of every solve in order; 1/inf = 0 at a singular radius
 
     def residual_of(d) -> float:
-        if d is None:
-            return math.inf
-        return _norm(F_k + J_k @ d + L2 * _norm(d) * d)
+        return math.inf if d is None else _norm(F_k + J_k @ d + L2 * _norm(d) * d)
 
     def pinned(gap: float, r: float) -> bool:
         # the gap test alone can be out of reach when J + L2 r I is badly
@@ -124,13 +116,14 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     def trial(r: float):
         """(d(r), ||d(r)||); d is None at a singular radius, where ||d|| counts as +inf."""
         try:
-            d = shifted_solve(r, neg_F)
+            d = np.linalg.solve(J_k + L2 * r * eye, neg_F)
         except np.linalg.LinAlgError:
-            return None, math.inf
-        norm_d = _norm(d)
-        if not math.isfinite(norm_d):
+            d = None
+        norm_d = math.inf if d is None else _norm(d)
+        if d is not None and not math.isfinite(norm_d):
             raise ConvergenceError(f"half-step radius gap is not finite at r = {r:.3e}",
                                    residual=math.inf)
+        solved.append((r, 1.0 / norm_d if norm_d > 0.0 else math.inf))
         return d, norm_d
 
     # Below r_lo, ||d(r)|| >= ||F|| / (||J||_F + L2 r) > r, so the gap is
@@ -150,12 +143,12 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
         raise ConvergenceError(f"half-step radius gap kept its sign over {MAX_DOUBLINGS} doublings",
                                residual=residual_of(d))
 
-    # Safeguarded Newton on g(r) = ||d|| - r, with g' = d.d'/||d|| - 1 and
-    # d' = -L2 (J + L2 r I)^{-1} d.  It starts from r_lo when that lies inside
-    # the bracket (g is often convex, so Newton then approaches from the left)
-    # and otherwise from hi.  A step that leaves the bracket, or that is not
-    # half as long as the step before it, is replaced by a bisection step,
-    # geometric once lo > 0 so that roots far below hi are reached quickly.
+    # Secular interpolation: fit 1/||d|| = a + b r through the last two solved
+    # radii (exact when J = cI) and step to the positive root of a + b r = 1/r.
+    # The first pair is hi and r_lo, or hi and the solved grid point below it.
+    # With no pair, or when a step leaves the bracket or is not half as long as
+    # the step before it, bisect: geometrically once lo > 0, so that roots far
+    # below hi are reached quickly.
     d_lo, d_hi = None, d
     r = hi
     if lo < r_lo < hi:
@@ -165,15 +158,15 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     for _ in range(MAX_TRIALS):
         step = math.nan
         if d is not None and norm_d > 0.0:   # d underflows to 0 only for subnormal F
-            if pinned(norm_d - r, r):
-                residual = residual_of(d)
-                if residual <= scale:
-                    return HalfStepResult(z_k + d, norm_d, residual, solves)
-            # r - g/g' written as (r s - ||d||) / (s - 1), s = d.d'/||d||, so a
-            # root far below r does not cancel away
-            s = -L2 * float(d @ shifted_solve(r, d / norm_d))
-            if s != 1.0:
-                step = (r * s - norm_d) / (s - 1.0)
+            if pinned(norm_d - r, r) and (residual := residual_of(d)) <= scale:
+                return HalfStepResult(z_k + d, norm_d, residual, len(solved))
+            if len(solved) > 1:
+                (r0, q0), (r1, q1) = solved[-2:]
+                b = (q1 - q0) / (r1 - r0)
+                a = q1 - b * r1
+                disc = a * a + 4.0 * b
+                if disc >= 0.0 and a + math.sqrt(disc) > 0.0:
+                    step = 2.0 / (a + math.sqrt(disc))
         if norm_d > r:
             lo, d_lo = r, d
         else:
@@ -198,6 +191,6 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
             t_lo, t_hi = (t, t_hi) if norm_d > r else (t_lo, t)
     residual = residual_of(d)
     if pinned(norm_d - r, r) and residual <= scale:
-        return HalfStepResult(z_k + d, norm_d, residual, solves)
-    raise ConvergenceError(f"half-step radius search stopped after {solves} solves "
+        return HalfStepResult(z_k + d, norm_d, residual, len(solved))
+    raise ConvergenceError(f"half-step radius search stopped after {len(solved)} solves "
                            f"(residual {residual:.3e}, tolerance {scale:.3e})", residual=residual)

@@ -12,6 +12,7 @@ interfaces are dimension-generic.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -89,12 +90,17 @@ def _per_point(fn, points: np.ndarray, block: tuple) -> np.ndarray:
     """fn at each row of ``points``, one point at a time, into a preallocated array.
 
     Serves the gradient blocks of F's rows, the mixed Hessians of F_alpha's
-    rows and the Jacobians of the L_2 estimate; each value must have the
-    shape of ``block``.
+    rows and the Jacobians of the L_2 estimate; each value must be real and
+    have the shape of ``block``.
     """
     out = np.empty((len(points),) + block[0])
-    for i, z in enumerate(points):
-        out[i] = _shaped(fn(z), z, block)
+    with warnings.catch_warnings():  # storing a complex value in ``out`` warns; raise it once per call
+        warnings.filterwarnings("error", category=np.exceptions.ComplexWarning, module=__name__)
+        try:
+            for i, z in enumerate(points):
+                out[i] = _shaped(fn(z), z, block)
+        except np.exceptions.ComplexWarning:
+            raise ValueError(f"{block[1]} is complex at {z}") from None
     return out
 
 
@@ -157,8 +163,8 @@ class Operator:
     plus a real skew-symmetric matrix, so its symmetric part is I and the
     solve is always well posed; in particular F_alpha and F share their zero
     set exactly.  A non-finite F, mixed Hessian or Jacobian raises
-    ``NumericError`` naming the point; a value of the wrong shape raises
-    ``ValueError``.
+    ``NumericError`` naming the point; a complex block or a value of the
+    wrong shape raises ``ValueError`` naming the block.
     """
 
     def __init__(self, problem: ProblemSpec, mode: Optional[OperatorMode] = None):
@@ -189,11 +195,19 @@ class Operator:
         z = self._point(z)
         F = np.concatenate([_shaped(problem.grad_x(z), z, self._x_block),
                             -_shaped(problem.grad_y(z), z, self._y_block)])
-        if not all(map(math.isfinite, F.tolist())):
+        try:
+            finite = all(map(math.isfinite, F.tolist()))
+        except TypeError:  # a complex entry: ``rows`` raises the ValueError naming its block
+            self.rows(z[None])
+            raise
+        if not finite:
             raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
         if self.alpha is None:
             return F
-        B = _shaped(np.asarray(problem.mixed_hessian(z), dtype=float), z, self._B_block)
+        B = problem.mixed_hessian(z)
+        if np.iscomplexobj(B):
+            raise ValueError(f"{self._B_block[1]} is complex at {z}")
+        B = _shaped(np.asarray(B, dtype=float), z, self._B_block)
         if not np.isfinite(B).all():
             raise NumericError(f"non-finite mixed Hessian for {problem.name!r} at {z}")
         return np.linalg.solve(block_matrix(B, self.alpha), F)

@@ -12,7 +12,6 @@ rows.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +31,7 @@ TERM_FLOOR = "roundoff_floor"
 CYCLE_WINDOW = 500      # detect_cycling looks at this many trailing iterates
 CYCLE_THRESHOLD = 1e-3  # a window whose operator norm dips to this is not a cycle
 FLOOR_ROWS = 50         # run stops after this many consecutive rows of a still z_half
-FLOOR_TOL = 4.0 * sys.float_info.epsilon  # a coordinate is still if it moves by <= this share of itself
+FLOOR_TOL = 4.0 * float(np.finfo(float).eps)  # a coordinate is still if it moves by <= this share of itself
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,30 @@ def test_at_and_rows_reject_a_block_of_the_wrong_shape_alike(block):
         run(problem, SolverConfig(1, 1.0, 3, z, operator_mode=mode))
 
 
+@pytest.mark.parametrize("block", ["grad_x", "grad_y", "mixed_hessian"])
+def test_at_and_rows_reject_a_complex_block_alike(block):
+    # ``at`` used to die in math.isfinite with a bare TypeError, and ``rows``
+    # kept the real part with a ComplexWarning
+    blocks = {"grad_x": lambda z: z[:1], "grad_y": lambda z: -z[1:],
+              "mixed_hessian": lambda z: np.ones((1, 1)),
+              block: lambda z: np.full((1, 1) if block == "mixed_hessian" else (1,), 1.0 + 1.0j)}
+    problem = ProblemSpec(name="complex", d_x=1, d_y=1, **blocks)
+    z = np.array([1.0, 2.0])
+    name = "mixed Hessian" if block == "mixed_hessian" else f"the {block} block of the operator"
+    message = f"{name} of 'complex' is complex at {z}"
+    modes = [OperatorMode(1.0)] if block == "mixed_hessian" else [None, OperatorMode(1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning escapes either
+        for mode in modes:
+            operator = Operator(problem, mode)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                operator.at(z)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                operator.rows(np.stack([z, z]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(problem, SolverConfig(1, 1.0, 3, z, operator_mode=modes[-1]))
+
+
 def test_an_overflowing_differenced_jacobian_warns_nothing():
     # the difference of +-1e308 overflows: a NumericError naming the point, and no RuntimeWarning
     steep = ProblemSpec(name="steep", d_x=1, d_y=1,

@@ -155,7 +155,7 @@ def reference_run(problem, cfg):
 
 
 # (recipe, order, budget, range of the first k with z_k == z_{k-1}): budgets cover them
-SHORTCUT_CASES = (("mforsaken", 1, 1000, (573, 753)), ("x2y_F", 2, 300, (115, 186)))
+SHORTCUT_CASES = (("mforsaken", 1, 1000, (573, 753)), ("x2y_F", 2, 300, (116, 186)))
 
 
 def test_fixed_point_shortcut_matches_the_full_loop(monkeypatch):
