@@ -194,12 +194,12 @@ class TestOrder2:
         assert pole < res.displacement_norm < pole + 1e-6
         d = res.z_half
         assert np.linalg.norm(F + J @ d + np.linalg.norm(d) * d) <= 1e-10
-        # the interpolation reaches the pole in fewer trials than Newton's 71 and 109 solves
+        # one solve per trial radius keeps the creep towards the pole under 60 solves
         assert res.iterations_used <= 60
 
     def test_solve_count_on_modified_forsaken(self):
-        # secular interpolation needs about 4 solves per half-step, where a
-        # safeguarded Newton with its derivative solve needed 6.5 and bisection ~41
+        # secular interpolation needs about 4 solves per half-step, one per
+        # trial radius; bisection alone needs ~41
         config = SolverConfig(2, 50000.0, 300, np.array([0.5, -0.5]))
         log = run(builtin("modified_forsaken"), config)
         assert len(log.records) == 301
