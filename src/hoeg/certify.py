@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import ContinuousLog
 from .errors import DegenerateSampleError, NumericError
 from .halfstep import check_order
-from .problems import Operator, OperatorMode, ProblemSpec, _per_point
+from .problems import Operator, OperatorMode, ProblemSpec, _check_rows, _per_point
 from .solver import TrajectoryLog
 
 # Largest coefficient c such that, for every run of the iteration,
@@ -93,14 +93,16 @@ def _ball_offsets(rng, count: int, d: int, base_radius: float, max_tier: int, ra
     """``count`` offsets in d dimensions, in balls that shrink every _BALL_TIER offsets.
 
     Offset j draws its d normals, then one uniform u, and has length
-    base_radius * 0.5^min(j // _BALL_TIER, max_tier) * radial(u).
+    base_radius * 0.5^min(j // _BALL_TIER, max_tier) * radial(u), with the
+    draws in that order and the scaling on arrays (``radial`` maps an array).
     """
-    offsets = np.empty((count, d))
+    normals, u = np.empty((count, d)), np.empty(count)
     for j in range(count):
-        direction = rng.standard_normal(d)
-        direction /= max(np.linalg.norm(direction), 1e-300)
-        offsets[j] = base_radius * 0.5 ** min(j // _BALL_TIER, max_tier) * radial(rng.random()) * direction
-    return offsets
+        normals[j] = rng.standard_normal(d)
+        u[j] = rng.random()
+    tiers = np.minimum(np.arange(count) // _BALL_TIER, max_tier)
+    scale = base_radius * np.float_power(0.5, tiers) * radial(u)
+    return scale[:, None] * (normals / np.maximum(_row_norms(normals), 1e-300)[:, None])
 
 
 def sample_points(box: np.ndarray, n: int, seed: int, z_star) -> np.ndarray:
@@ -115,7 +117,8 @@ def sample_points(box: np.ndarray, n: int, seed: int, z_star) -> np.ndarray:
     ball = np.arange(_BALL_EVERY - 1, n, _BALL_EVERY)
     base_radius = 0.5 * float((box[:, 1] - box[:, 0]).max())
     pts[ball] = np.asarray(z_star, dtype=float) + _ball_offsets(
-        np.random.default_rng(seed), len(ball), d, base_radius, _MAX_TIER, lambda u: u ** (1.0 / d))
+        np.random.default_rng(seed), len(ball), d, base_radius, _MAX_TIER,
+        lambda u: np.float_power(u, 1.0 / d))
     return pts
 
 
@@ -217,8 +220,8 @@ def _smoothness(field: Operator, p: int, pairs: _Pairs) -> float:
     kept = np.flatnonzero(gap >= 1e-12)
     expansion = pairs.F_a[kept]  # tau_{p-1}(b, a): F around a to degree p - 1, taken at b
     if p == 2:
-        d = field.problem.d
-        J = _per_point(field.jacobian, pairs.a[kept], ((d, d), f"Jacobian of {field.problem.name!r}"))
+        J = _per_point(field.problem.operator_jacobian, pairs.a[kept], field._J_block)
+        _check_rows(J, pairs.a[kept], f"Jacobian for {field.problem.name!r}")
         expansion = expansion + (J @ step[kept][..., None])[..., 0]
     # F(b) - expansion in this order: regrouping the terms moves the last bits
     err = _row_norms(pairs.F_b[kept] - expansion)

@@ -12,7 +12,6 @@ interfaces are dimension-generic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,6 +22,7 @@ from .errors import CapabilityError, NumericError
 Vector = np.ndarray
 
 FD_STEP = 1e-5  # central-difference step of every differenced operator Jacobian
+_CHUNK = 1024  # rows of point-by-point values stacked and checked at once
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,8 @@ class ProblemSpec:
     Every callable must be deterministic: the same input gives the same
     bytes.  ``solver.run`` relies on it, since it stops computing once an
     iterate repeats bit for bit and fills the remaining records from the
-    last computed one.
+    last computed one.  ``Operator.rows`` stacks the values of many calls,
+    so each call must return a new array, not a buffer it overwrites.
     """
 
     name: str
@@ -87,20 +88,26 @@ def _shaped(value, z, block: tuple):
 
 
 def _per_point(fn, points: np.ndarray, block: tuple) -> np.ndarray:
-    """fn at each row of ``points``, one point at a time, into a preallocated array.
+    """fn at each row of ``points``, one point at a time, stacked _CHUNK rows at a time.
 
     Serves the gradient blocks of F's rows, the mixed Hessians of F_alpha's
     rows and the Jacobians of the L_2 estimate; each value must be real and
-    have the shape of ``block``.
+    have the shape of ``block``.  A chunk is checked after fn has run at all
+    its rows, so fn's exception at a later row of a chunk comes before a wrong
+    shape or a complex value at an earlier row, named as ``Operator.at`` does.
     """
     out = np.empty((len(points),) + block[0])
-    with warnings.catch_warnings():  # storing a complex value in ``out`` warns; raise it once per call
-        warnings.filterwarnings("error", category=np.exceptions.ComplexWarning, module=__name__)
+    for start in range(0, len(points), _CHUNK):
+        values = [fn(z) for z in points[start:start + _CHUNK]]
         try:
-            for i, z in enumerate(points):
-                out[i] = _shaped(fn(z), z, block)
-        except np.exceptions.ComplexWarning:
-            raise ValueError(f"{block[1]} is complex at {z}") from None
+            stacked = np.array(values)
+        except ValueError:  # values of unequal shapes: the scan below names one
+            stacked = np.empty(0)
+        if stacked.shape != (len(values),) + block[0] or np.iscomplexobj(stacked):
+            for z, value in zip(points[start:], values):  # the first offending row
+                if np.iscomplexobj(_shaped(value, z, block)):
+                    raise ValueError(f"{block[1]} is complex at {z}")
+        out[start:start + len(values)] = stacked
     return out
 
 
@@ -177,6 +184,7 @@ class Operator:
         self._x_block = ((problem.d_x,), f"the grad_x block {of}")
         self._y_block = ((problem.d_y,), f"the grad_y block {of}")
         self._B_block = ((problem.d_x, problem.d_y), f"mixed Hessian of {problem.name!r}")
+        self._J_block = ((problem.d, problem.d), f"Jacobian of {problem.name!r}")
         self._shape = (problem.d,)
 
     def _point(self, z) -> Vector:
@@ -215,14 +223,15 @@ class Operator:
     def rows(self, Z) -> np.ndarray:
         """The field at each row of an (n, d) array, each row bit-identical to ``at``.
 
-        grad_x is called at every row, then grad_y at every row; the sign
-        flip of the y block and the finiteness check are taken once over the
-        whole array, so an exception raised by grad_x at a later row comes
-        before one raised by grad_y at an earlier row, and both before the
-        NumericError.  The flip is exact (for float blocks: an integer zero
-        in the y block flips to -0.0 here and to 0 in ``at``).  F_alpha is
-        one solve on the (n, d, d) stack of block matrices; LAPACK factors
-        each matrix as it would alone.
+        grad_x is called at every row in row order, then grad_y at every
+        row; the sign flip of the y block and the finiteness check are taken
+        once over the whole array, so an exception raised by grad_x at a
+        later row comes before one raised by grad_y at an earlier row, and
+        both before the NumericError (``_per_point`` checks shapes).  The flip
+        is exact (for float blocks: an integer zero in the y block flips to
+        -0.0 here and to 0 in ``at``).  F_alpha then calls the mixed Hessian
+        at every row; it is one solve on the (n, d, d) stack of block
+        matrices, and LAPACK factors each matrix as it would alone.
         """
         problem = self.problem
         Z = np.asarray(Z, dtype=float)
@@ -247,7 +256,10 @@ class Operator:
         problem = self.problem
         z = self._point(z)
         if self.alpha is None and problem.operator_jacobian is not None:
-            jac = np.asarray(problem.operator_jacobian(z), dtype=float)
+            jac = problem.operator_jacobian(z)
+            if np.iscomplexobj(jac):
+                raise ValueError(f"{self._J_block[1]} is complex at {z}")
+            jac = np.asarray(jac, dtype=float)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # the check below names the point
                 jac = central_difference(self.at, z)

@@ -25,12 +25,15 @@ from hoeg import (
     run,
 )
 from hoeg.certify import (
+    _BALL_TIER,
+    _MAX_TIER,
     POTENTIAL_COEF,
     SKIP_NORM,
     PrefixReport,
     RhoScan,
     _comonotonicity,
     _evaluated_pairs,
+    _halton_box,
     _rho_scan,
     _smoothness,
     decoupled_threshold_report,
@@ -39,6 +42,7 @@ from hoeg.certify import (
 )
 from hoeg import certify as certify_module
 from hoeg.solver import TrajectoryLog
+from test_problems import _tall_block
 
 
 def column_log(op_norms):
@@ -465,6 +469,23 @@ def test_certify_draws_the_scan_points_once(monkeypatch):
     assert f_calls["grad_x"] == 2 * 1000 + 2 * 200
 
 
+def test_certify_evaluates_F_at_the_scan_points_twice_in_row_order():
+    # the benchmark's self-check counts these: with q at its default, two
+    # scans of n rows each over one draw of points, then both ends of the pairs
+    problem, n, seed = builtin("modified_forsaken"), 1500, 0
+    grad_x, calls = problem.grad_x, []
+
+    def logged(z):
+        calls.append(z.tobytes())
+        return grad_x(z)
+    problem = dataclasses.replace(problem, grad_x=logged)
+    calls.clear()  # ProblemSpec checks z_star with one evaluation
+    certify_problem(problem, 1, n_samples=n, seed=seed)
+    points = sample_points(problem.sample_box, n, seed, problem.z_star)
+    a, b = sample_pairs(problem.sample_box, max(200, n // 10), seed)
+    assert calls == [z.tobytes() for rows in (points, points, a, b) for z in rows]
+
+
 def test_a_non_finite_sample_names_the_first_such_point():
     problem, n, seed = builtin("modified_forsaken"), 500, 3
     points = sample_points(problem.sample_box, n, seed, problem.z_star)
@@ -508,6 +529,42 @@ class TestHaltonPrefixStability:
         a_short, b_short = sample_pairs(self.BOX, m, seed)
         a_long, b_long = sample_pairs(self.BOX, m + extra, seed)
         assert np.array_equal(a_long[:m], a_short) and np.array_equal(b_long[:m], b_short)
+
+
+def _ball_offsets_loop(rng, count, d, base_radius, max_tier, radial):
+    """The per-offset loop that the array scaling of ``_ball_offsets`` replaced, kept as its reference."""
+    offsets = np.empty((count, d))
+    for j in range(count):
+        direction = rng.standard_normal(d)
+        direction /= max(np.linalg.norm(direction), 1e-300)
+        offsets[j] = base_radius * 0.5 ** min(j // _BALL_TIER, max_tier) * radial(rng.random()) * direction
+    return offsets
+
+
+# n = 9 has no ball point and 10 has one; 6 500 passes the last tier of both samplers
+@_property
+@given(st.integers(1, 5), st.integers(0, 10**6),
+       st.sampled_from([1, 9, 10, 33, 10 * _BALL_TIER * _MAX_TIER + 100]) | st.integers(1, 2000))
+def test_samplers_are_the_per_offset_loop_bit_for_bit(d, seed, n):
+    rng = np.random.default_rng(seed + 1)
+    lo = rng.uniform(-3.0, 1.0, d)
+    box = np.column_stack([lo, lo + rng.uniform(0.1, 5.0, d)])
+    z_star = rng.uniform(box[:, 0], box[:, 1])
+    width = float((box[:, 1] - box[:, 0]).max())
+
+    points = _halton_box(box, n, seed)
+    ball = np.arange(9, n, 10)
+    points[ball] = z_star + _ball_offsets_loop(np.random.default_rng(seed), len(ball), d, 0.5 * width,
+                                               _MAX_TIER, lambda u: u ** (1.0 / d))
+    assert sample_points(box, n, seed, z_star).tobytes() == points.tobytes()
+
+    pairs = _halton_box(box, n, seed, copies=2)
+    a, b = pairs[:, :d], pairs[:, d:]
+    short = np.arange(1, n, 2)
+    b[short] = np.clip(a[short] + _ball_offsets_loop(np.random.default_rng(seed), len(short), d, 0.1 * width,
+                                                     13, lambda u: 0.1 + 0.9 * u), box[:, 0], box[:, 1])
+    a_new, b_new = sample_pairs(box, n, seed)
+    assert a_new.tobytes() == a.tobytes() and b_new.tobytes() == b.tobytes()
 
 
 def _scan_oracle(problem, z_star, q, n_samples, seed, mode=None):
@@ -591,18 +648,6 @@ class TestArrayEstimatesMatchThePointLoops:
         for p in (1, 2):
             assert _smoothness(Operator(problem), p, pairs) == _smoothness_oracle(problem, p, n, seed)
         assert _comonotonicity(pairs) == _comonotonicity_oracle(problem, n, seed)
-
-
-def _tall_block():
-    """d_x = 2, d_y = 1: f = (x1^2 + x2^2 - y^2 + x1^2 y + x2 y^2) / 2, mixed Hessian (x1, y)^T."""
-    return ProblemSpec(
-        name="tall_block", d_x=2, d_y=1,
-        grad_x=lambda z: np.array([z[0] + z[0] * z[2], z[1] + 0.5 * z[2] ** 2]),
-        grad_y=lambda z: np.array([-z[2] + 0.5 * z[0] ** 2 + z[1] * z[2]]),
-        mixed_hessian=lambda z: np.array([[z[0]], [z[2]]]),
-        z_star=np.zeros(3),
-        sample_box=np.tile([-1.5, 1.5], (3, 1)),
-    )
 
 
 def test_competitive_scan_on_a_non_square_block_layout():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -5,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hoeg import NumericError, Operator, OperatorMode, ProblemSpec, SolverConfig, builtin, problem_names, run
-from hoeg.problems import block_matrix
+from hoeg import (NumericError, Operator, OperatorMode, ProblemSpec, SolverConfig, builtin, certify_problem,
+                  problem_names, run)
+from hoeg.problems import _CHUNK, block_matrix
 
 ALL_NAMES = ["bilinear", "comonotone_toy", "forsaken", "modified_forsaken", "quadratic_monotone", "x2y"]
 
@@ -268,3 +270,118 @@ def test_an_overflowing_differenced_jacobian_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=re.escape("non-finite Jacobian for 'steep' at [0. 0.]")):
             Operator(steep).jacobian([0.0, 0.0])
+
+
+def test_jacobian_rejects_a_complex_operator_jacobian():
+    # ``jacobian`` used to keep the real part with a ComplexWarning
+    problem = ProblemSpec(name="complex", d_x=1, d_y=1, grad_x=lambda z: z[:1], grad_y=lambda z: -z[1:],
+                          operator_jacobian=lambda z: np.array([[1.0 + 1.0j, 0.0], [0.0, 1.0]]),
+                          z_star=np.zeros(2), sample_box=np.tile([-1.0, 1.0], (2, 1)))
+    z = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"Jacobian of 'complex' is complex at {z}")):
+            Operator(problem).jacobian(z)
+        # the L_2 estimate names the first pair's start, as ``jacobian`` would
+        with pytest.raises(ValueError, match=re.escape("Jacobian of 'complex' is complex at")):
+            certify_problem(problem, 2, n_samples=200, seed=0)
+
+
+def _tall_block():
+    """d_x = 2, d_y = 1: f = (x1^2 + x2^2 - y^2 + x1^2 y + x2 y^2) / 2, mixed Hessian (x1, y)^T."""
+    return ProblemSpec(
+        name="tall_block", d_x=2, d_y=1,
+        grad_x=lambda z: np.array([z[0] + z[0] * z[2], z[1] + 0.5 * z[2] ** 2]),
+        grad_y=lambda z: np.array([-z[2] + 0.5 * z[0] ** 2 + z[1] * z[2]]),
+        mixed_hessian=lambda z: np.array([[z[0]], [z[2]]]),
+        z_star=np.zeros(3),
+        sample_box=np.tile([-1.5, 1.5], (3, 1)),
+    )
+
+
+def _uniform_points(problem, n, seed):
+    box = problem.sample_box
+    return np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], (n, problem.d))
+
+
+# ``rows`` stacks the values of _CHUNK rows at a time; these n sit on both sides of its boundaries
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3000])
+@pytest.mark.parametrize("alpha", [None, 10.0])
+@pytest.mark.parametrize("name", ["forsaken", "tall_block"])
+def test_rows_are_at_bit_for_bit_across_chunk_boundaries(name, alpha, n):
+    problem = _tall_block() if name == "tall_block" else builtin(name)
+    operator = Operator(problem, OperatorMode(alpha))
+    points = _uniform_points(problem, n, seed=n)
+    rows = operator.rows(points)
+    assert rows.shape == (n, problem.d)
+    for z, row in zip(points, rows):
+        assert row.tobytes() == operator.at(z).tobytes()
+
+
+_GOOD_BLOCKS = {"grad_x": lambda z: z[:1], "grad_y": lambda z: -z[1:], "mixed_hessian": lambda z: z[:1, None]}
+_BAD_VALUES = {"wrong shape": np.ones(2), "complex": np.array([1.0 + 1.0j]), "non-finite": np.array([np.nan])}
+
+
+def _poisoned(block, bad_points, value):
+    """A problem whose ``block`` gives ``value`` at each of ``bad_points`` and a good value elsewhere."""
+    keys = {z.tobytes() for z in bad_points}
+    good = _GOOD_BLOCKS[block]
+    if block == "mixed_hessian" and value.ndim == 1:
+        value = value[:, None]  # (2, 1) is the wrong shape of a (1, 1) block
+
+    def fn(z):
+        return value if z.tobytes() in keys else good(z)
+    return ProblemSpec(name="chunked", d_x=1, d_y=1, **{**_GOOD_BLOCKS, block: fn})
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_VALUES))
+@pytest.mark.parametrize("block", sorted(_GOOD_BLOCKS))
+def test_a_bad_value_in_the_second_chunk_is_named_as_at_names_it(block, kind):
+    points = _uniform_points(builtin("bilinear"), 3000, seed=1)
+    bad = points[_CHUNK + 476]
+    operator = Operator(_poisoned(block, [bad], _BAD_VALUES[kind]),
+                        OperatorMode(1.0 if block == "mixed_hessian" else None))
+    with pytest.raises((ValueError, NumericError)) as at_error:
+        operator.at(bad)
+    assert str(bad) in str(at_error.value)
+    with pytest.raises(type(at_error.value)) as rows_error:
+        operator.rows(points)
+    assert str(rows_error.value) == str(at_error.value)
+
+
+def test_a_chunk_is_evaluated_before_it_is_checked():
+    points = _uniform_points(builtin("bilinear"), 3000, seed=2)
+
+    def operator(raising, wrong):
+        def grad_x(z):
+            if z.tobytes() == raising.tobytes():
+                raise RuntimeError("grad_x failed")
+            return np.ones(2) if z.tobytes() == wrong.tobytes() else z[:1]
+        return Operator(ProblemSpec(name="chunked", d_x=1, d_y=1, grad_x=grad_x, grad_y=_GOOD_BLOCKS["grad_y"]))
+
+    # in one chunk, the exception at a later row comes before a wrong shape at an earlier row
+    with pytest.raises(RuntimeError, match="grad_x failed"):
+        operator(points[_CHUNK + 900], points[_CHUNK + 100]).rows(points)
+    # an earlier chunk is checked before the next one is evaluated
+    wrong = points[_CHUNK - 1]
+    with pytest.raises(ValueError, match=re.escape(f"has shape (2,) at {wrong}")):
+        operator(points[_CHUNK + 900], wrong).rows(points)
+
+
+def test_rows_calls_each_block_once_per_row_in_row_order():
+    # the benchmark's self-check counts these calls: every grad_x in row
+    # order, then every grad_y, then every mixed Hessian
+    calls = []
+
+    def logged(name, fn):
+        def call(z):
+            calls.append((name, z.tobytes()))
+            return fn(z)
+        return call
+    problem = builtin("forsaken")
+    names = ("grad_x", "grad_y", "mixed_hessian")
+    problem = dataclasses.replace(problem, **{name: logged(name, getattr(problem, name)) for name in names})
+    points = _uniform_points(problem, 2500, seed=3)
+    calls.clear()  # ProblemSpec checks z_star with one evaluation
+    Operator(problem, OperatorMode(10.0)).rows(points)
+    assert calls == [(name, z.tobytes()) for name in names for z in points]
