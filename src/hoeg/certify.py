@@ -221,7 +221,7 @@ def _smoothness(field: Operator, p: int, pairs: _Pairs) -> float:
     expansion = pairs.F_a[kept]  # tau_{p-1}(b, a): F around a to degree p - 1, taken at b
     if p == 2:
         J = _per_point(field.problem.operator_jacobian, pairs.a[kept], field._J_block)
-        _check_rows(J, pairs.a[kept], f"Jacobian for {field.problem.name!r}")
+        _check_rows(J, pairs.a[kept], field._J_block)
         expansion = expansion + (J @ step[kept][..., None])[..., 0]
     # F(b) - expansion in this order: regrouping the terms moves the last bits
     err = _row_norms(pairs.F_b[kept] - expansion)

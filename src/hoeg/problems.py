@@ -73,7 +73,7 @@ class ProblemSpec:
 
 
 def _shaped(value, z, block: tuple):
-    """``value``, computed at z; a ValueError unless it has the shape of ``block = (shape, name)``.
+    """``value``, computed at z; a ValueError unless it has the shape of ``block = (shape, name, noun)``.
 
     A row store and a concatenation both accept a wrong shape, the first by
     broadcasting and the second by a wrong split, so it must be caught here.
@@ -85,6 +85,13 @@ def _shaped(value, z, block: tuple):
     if value_shape != block[0]:
         raise ValueError(f"{block[1]} has shape {value_shape} at {z}, expected {block[0]}")
     return value
+
+
+def _real(value, z, block: tuple) -> np.ndarray:
+    """``value``, computed at z, as floats; a ValueError unless it is real with the shape of ``block``."""
+    if np.iscomplexobj(_shaped(value, z, block)):
+        raise ValueError(f"{block[1]} is complex at {z}")
+    return np.asarray(value, dtype=float)
 
 
 def _per_point(fn, points: np.ndarray, block: tuple) -> np.ndarray:
@@ -105,17 +112,16 @@ def _per_point(fn, points: np.ndarray, block: tuple) -> np.ndarray:
             stacked = np.empty(0)
         if stacked.shape != (len(values),) + block[0] or np.iscomplexobj(stacked):
             for z, value in zip(points[start:], values):  # the first offending row
-                if np.iscomplexobj(_shaped(value, z, block)):
-                    raise ValueError(f"{block[1]} is complex at {z}")
+                _real(value, z, block)
         out[start:start + len(values)] = stacked
     return out
 
 
-def _check_rows(values: np.ndarray, points: np.ndarray, what: str) -> None:
-    """Raise NumericError naming the first point whose row of ``values`` is not finite."""
-    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-    if not finite.all():
-        raise NumericError(f"non-finite {what} at {points[np.argmin(finite)]}")
+def _check_rows(values: np.ndarray, points: np.ndarray, block: tuple) -> None:
+    """Raise NumericError naming the first point whose row of ``values`` is not finite, sought only then."""
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        raise NumericError(f"non-finite {block[2]} at {points[np.argmin(finite)]}")
 
 
 def central_difference(fn: Callable[[Vector], Vector], z: Vector) -> np.ndarray:
@@ -179,12 +185,12 @@ class Operator:
         self.alpha = None if mode is None else mode.alpha
         if self.alpha is not None and problem.mixed_hessian is None:
             raise CapabilityError(f"{problem.name!r} has no mixed Hessian; competitive mode unavailable")
-        # (shape, name) of each block, for the shape checks of ``at`` and ``rows``
-        of = f"of the operator of {problem.name!r}"
-        self._x_block = ((problem.d_x,), f"the grad_x block {of}")
-        self._y_block = ((problem.d_y,), f"the grad_y block {of}")
-        self._B_block = ((problem.d_x, problem.d_y), f"mixed Hessian of {problem.name!r}")
-        self._J_block = ((problem.d, problem.d), f"Jacobian of {problem.name!r}")
+        # (shape, name, noun) of each block; F is checked whole, so both grad blocks carry F's noun
+        name, F_noun = repr(problem.name), f"operator value for {problem.name!r}"
+        self._x_block = ((problem.d_x,), f"the grad_x block of the operator of {name}", F_noun)
+        self._y_block = ((problem.d_y,), f"the grad_y block of the operator of {name}", F_noun)
+        self._B_block = ((problem.d_x, problem.d_y), f"mixed Hessian of {name}", f"mixed Hessian for {name}")
+        self._J_block = ((problem.d, problem.d), f"Jacobian of {name}", f"Jacobian for {name}")
         self._shape = (problem.d,)
 
     def _point(self, z) -> Vector:
@@ -209,15 +215,11 @@ class Operator:
             self.rows(z[None])
             raise
         if not finite:
-            raise NumericError(f"non-finite operator value for {problem.name!r} at {z}")
+            raise NumericError(f"non-finite {self._x_block[2]} at {z}")
         if self.alpha is None:
             return F
-        B = problem.mixed_hessian(z)
-        if np.iscomplexobj(B):
-            raise ValueError(f"{self._B_block[1]} is complex at {z}")
-        B = _shaped(np.asarray(B, dtype=float), z, self._B_block)
-        if not np.isfinite(B).all():
-            raise NumericError(f"non-finite mixed Hessian for {problem.name!r} at {z}")
+        B = _real(problem.mixed_hessian(z), z, self._B_block)
+        _check_rows(B[None], z[None], self._B_block)
         return np.linalg.solve(block_matrix(B, self.alpha), F)
 
     def rows(self, Z) -> np.ndarray:
@@ -240,11 +242,11 @@ class Operator:
         X = _per_point(problem.grad_x, Z, self._x_block)
         Y = _per_point(problem.grad_y, Z, self._y_block)
         F = np.concatenate([X, -Y], axis=1)
-        _check_rows(F, Z, f"operator value for {problem.name!r}")
+        _check_rows(F, Z, self._x_block)
         if self.alpha is None:
             return F
         B = _per_point(problem.mixed_hessian, Z, self._B_block)
-        _check_rows(B, Z, f"mixed Hessian for {problem.name!r}")
+        _check_rows(B, Z, self._B_block)
         return np.linalg.solve(block_matrix(B, self.alpha), F[..., None])[..., 0]
 
     def jacobian(self, z) -> np.ndarray:
@@ -256,15 +258,11 @@ class Operator:
         problem = self.problem
         z = self._point(z)
         if self.alpha is None and problem.operator_jacobian is not None:
-            jac = problem.operator_jacobian(z)
-            if np.iscomplexobj(jac):
-                raise ValueError(f"{self._J_block[1]} is complex at {z}")
-            jac = np.asarray(jac, dtype=float)
+            jac = _real(problem.operator_jacobian(z), z, self._J_block)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # the check below names the point
                 jac = central_difference(self.at, z)
-        if not np.isfinite(jac).all():
-            raise NumericError(f"non-finite Jacobian for {problem.name!r} at {z}")
+        _check_rows(jac[None], z[None], self._J_block)
         return jac
 
 
