@@ -154,12 +154,14 @@ class RhoScan:
     samples_used: int
 
 
-def _check_scan(n_samples, q) -> None:
-    """Reject a sample count or exponent that no rho scan can use, before any sampling."""
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+def _check_scan(n_samples, q, seed) -> None:
+    """Reject a sample count, exponent or seed that no rho scan can use, before any sampling."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _rho_scan(operator: Operator, z_star, q: float, points: np.ndarray) -> RhoScan:
@@ -184,7 +186,7 @@ def estimate_q_rho(problem: ProblemSpec, q: float, n_samples: int, seed: int,
 
     The order-p weak-MVI constant of the convergence theorem is q = (p+1)/p.
     """
-    _check_scan(n_samples, q)
+    _check_scan(n_samples, q, seed)
     operator = Operator(problem, mode)
     z_star = _z_star(problem)
     points = sample_points(_sample_box(problem), n_samples, seed, z_star)
@@ -193,6 +195,7 @@ def estimate_q_rho(problem: ProblemSpec, q: float, n_samples: int, seed: int,
 
 def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
     """rho <= (15/16) (p!/L_p)^((p+1)/p), the convergence-theorem condition."""
+    check_order(p)
     if not 0 < Lp < math.inf:
         raise ValueError(f"Lp must be positive and finite, got {Lp}")
     return rho <= (15.0 / 16.0) * (math.factorial(p) / Lp) ** ((p + 1) / p)
@@ -268,7 +271,7 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
     check_order(p)
     if q is None:
         q = (p + 1) / p
-    _check_scan(n_samples, q)
+    _check_scan(n_samples, q, seed)
     z_star = _z_star(problem)
     box = _sample_box(problem)
     _check_halton_dimension(box.shape[0], copies=2)  # the smoothness and comonotonicity pairs

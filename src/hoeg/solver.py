@@ -46,6 +46,8 @@ class SolverConfig:
         check_order(self.order_p)
         if not 0 < self.lipschitz < math.inf:
             raise ValueError(f"lipschitz must be positive and finite, got {self.lipschitz}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))

@@ -135,7 +135,7 @@ class TestRhoThreshold:
         assert not check_rho_threshold(1.0, 2, 2.0)  # threshold (15/16) (2/2)^{3/2}
 
     def test_zero_rho_always_passes(self):
-        for p in (1, 2, 3):
+        for p in (1, 2):  # the supported orders; p = 3 is a ValueError (test_halfstep)
             for L in (0.1, 1.0, 1e5):
                 assert check_rho_threshold(0.0, p, L)
 
@@ -409,11 +409,11 @@ def _counting(problem):
 
 
 def test_certify_validates_before_sampling():
-    def certify(p=1, n_samples=200, q=None):
-        return lambda problem: certify_problem(problem, p, q=q, n_samples=n_samples, seed=0)
+    def certify(p=1, n_samples=200, q=None, seed=0):
+        return lambda problem: certify_problem(problem, p, q=q, n_samples=n_samples, seed=seed)
 
-    def q_rho(n_samples=200, q=2.0):
-        return lambda problem: estimate_q_rho(problem, q, n_samples, seed=0)
+    def q_rho(n_samples=200, q=2.0, seed=0):
+        return lambda problem: estimate_q_rho(problem, q, n_samples, seed=seed)
 
     boxless = dataclasses.replace(_quadratic(1), name="boxless", sample_box=None)
     cases = [
@@ -422,11 +422,14 @@ def test_certify_validates_before_sampling():
         (_quadratic(1), certify(p=0), r"order p = 0 is not supported \(have \(1, 2\)\)"),
         (_quadratic(1), certify(p=3), r"order p = 3 is not supported \(have \(1, 2\)\)"),
     ]
-    for n_samples in (0, -5):
+    for n_samples in (0, -5, True):  # True used to reach the Halton sampler's bare TypeError
         message = f"n_samples must be a positive integer, got {n_samples}"
         cases += [(_quadratic(1), call(n_samples=n_samples), message) for call in (certify, q_rho)]
     for q in (math.nan, math.inf):
         cases += [(_quadratic(1), call(q=q), f"q must be finite, got {q}") for call in (certify, q_rho)]
+    for seed in (-5, 2.5):  # numpy's own errors used to name no argument
+        message = re.escape(f"seed must be a non-negative integer, got {seed}")
+        cases += [(_quadratic(1), call(seed=seed), message) for call in (certify, q_rho)]
     for problem, call, message in cases:
         problem, calls = _counting(problem)
         with pytest.raises(ValueError, match=message):

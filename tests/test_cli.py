@@ -171,6 +171,8 @@ def test_unsupported_certify_order_is_usage_error():
      "lipschitz must be positive and finite, got inf"),
     (["run", "--problem", "modified_forsaken", "--p", "2", "--Lp", "inf", "--K", "50"],
      "lipschitz must be positive and finite, got inf"),
+    (["certify", "--problem", "x2y", "--samples", "200", "--seed", "-5"],
+     "seed must be a non-negative integer, got -5"),
 ])
 def test_inputs_no_run_can_honour_are_usage_errors(args, message):
     proc = invoke(args)

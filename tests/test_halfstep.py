@@ -39,7 +39,8 @@ def test_every_entry_point_checks_the_one_list_of_orders():
         for make in (lambda: SolverConfig(p, 1.0, 10, z0),
                      lambda: ContinuousConfig(p, 1.0, 0.1, z0),
                      lambda: certify_problem(problem, p, n_samples=10),
-                     lambda: resolvent_solve(z0, Operator(problem), p)):
+                     lambda: resolvent_solve(z0, Operator(problem), p),
+                 lambda: check_rho_threshold(0.1, p, 1.0)):
             with pytest.raises(ValueError, match=rf"order p = {p} is not supported \(have \(1, 2\)\)"):
                 make()
 

@@ -2,12 +2,14 @@ import dataclasses
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from hoeg import (NumericError, Operator, OperatorMode, ProblemSpec, SolverConfig, builtin, certify_problem,
                   problem_names, run)
+from hoeg.certify import sample_pairs
 from hoeg.problems import _CHUNK, block_matrix
 
 ALL_NAMES = ["bilinear", "comonotone_toy", "forsaken", "modified_forsaken", "quadratic_monotone", "x2y"]
@@ -213,52 +215,64 @@ def test_derivative_blocks_are_those_of_one_saddle_function(name):
         assert np.allclose(_partial(p.grad_y, z, 0).T, B, rtol=0.0, atol=1e-8)
 
 
+_SHAPES = {"grad_x": (1,), "grad_y": (1,), "mixed_hessian": (1, 1), "operator_jacobian": (2, 2)}
+_NAMES = {"grad_x": "the grad_x block of the operator", "grad_y": "the grad_y block of the operator",
+          "mixed_hessian": "mixed Hessian", "operator_jacobian": "Jacobian"}
+
+
+def _entry_points(name, block, fn, z):
+    """(call, point): each entry point that first meets ``block``, here ``fn``, at ``point``.
+
+    F's blocks are met at z by ``at``, ``rows`` and ``run`` under F and F_alpha
+    (the mixed Hessian under F_alpha only); the operator Jacobian at z by
+    ``jacobian`` and ``run`` at p = 2, and by certify's L_2 estimate at the
+    start of its first pair.
+    """
+    blocks = {"grad_x": lambda z: z[:1], "grad_y": lambda z: -z[1:], block: fn}
+    if block == "operator_jacobian":
+        problem = ProblemSpec(name=name, d_x=1, d_y=1, **blocks, z_star=np.zeros(2),
+                              sample_box=np.tile([-1.0, 1.0], (2, 1)))
+        first_pair_start = sample_pairs(problem.sample_box, 200, 0)[0][0]
+        return [(partial(Operator(problem).jacobian, z), z),
+                (partial(run, problem, SolverConfig(2, 1.0, 3, z)), z),
+                (partial(certify_problem, problem, 2, n_samples=200, seed=0), first_pair_start)]
+    problem = ProblemSpec(name=name, d_x=1, d_y=1, **{"mixed_hessian": lambda z: np.ones((1, 1)), **blocks})
+    calls = []
+    for mode in [OperatorMode(1.0)] if block == "mixed_hessian" else [None, OperatorMode(1.0)]:
+        operator = Operator(problem, mode)
+        calls += [(partial(operator.at, z), z), (partial(operator.rows, np.stack([z, z])), z),
+                  (partial(run, problem, SolverConfig(1, 1.0, 3, z, operator_mode=mode)), z)]
+    return calls
+
+
 _WRONG_SHAPE = {"grad_x": lambda z: z.copy(), "grad_y": lambda z: z.copy(),
-                "mixed_hessian": lambda z: np.ones((1, 2))}
+                "mixed_hessian": lambda z: np.ones((1, 2)), "operator_jacobian": lambda z: np.eye(3)}
 
 
 @pytest.mark.parametrize("block", sorted(_WRONG_SHAPE))
 def test_at_and_rows_reject_a_block_of_the_wrong_shape_alike(block):
-    # a grad_x of shape (2,) at d_x = 1 used to give a length-3 F from ``at``
-    # and a bare numpy broadcast error from ``run``
-    blocks = {"grad_x": lambda z: z[:1], "grad_y": lambda z: -z[1:],
-              "mixed_hessian": lambda z: np.ones((1, 1)), block: _WRONG_SHAPE[block]}
-    problem = ProblemSpec(name="wrong", d_x=1, d_y=1, **blocks)
-    mode = OperatorMode(1.0 if block == "mixed_hessian" else None)
+    # a grad_x of shape (2,) at d_x = 1 used to give a length-3 F from ``at``, and a
+    # (3, 3) operator_jacobian a (3, 3) Jacobian from ``jacobian``; ``run`` then died
+    # in a bare numpy broadcast error
     z = np.array([1.0, 2.0])
-    expected = (1, 1) if block == "mixed_hessian" else (1,)
-    message = re.escape(f"has shape {_WRONG_SHAPE[block](z).shape} at {z}, expected {expected}")
-    with pytest.raises(ValueError, match=message) as at_error:
-        Operator(problem, mode).at(z)
-    with pytest.raises(ValueError) as rows_error:
-        Operator(problem, mode).rows(z[None])
-    assert str(at_error.value) == str(rows_error.value)
-    with pytest.raises(ValueError, match=message):
-        run(problem, SolverConfig(1, 1.0, 3, z, operator_mode=mode))
+    for call, point in _entry_points("wrong", block, _WRONG_SHAPE[block], z):
+        shape = _WRONG_SHAPE[block](point).shape
+        message = f"{_NAMES[block]} of 'wrong' has shape {shape} at {point}, expected {_SHAPES[block]}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
-@pytest.mark.parametrize("block", ["grad_x", "grad_y", "mixed_hessian"])
+@pytest.mark.parametrize("block", sorted(_SHAPES))
 def test_at_and_rows_reject_a_complex_block_alike(block):
-    # ``at`` used to die in math.isfinite with a bare TypeError, and ``rows``
-    # kept the real part with a ComplexWarning
-    blocks = {"grad_x": lambda z: z[:1], "grad_y": lambda z: -z[1:],
-              "mixed_hessian": lambda z: np.ones((1, 1)),
-              block: lambda z: np.full((1, 1) if block == "mixed_hessian" else (1,), 1.0 + 1.0j)}
-    problem = ProblemSpec(name="complex", d_x=1, d_y=1, **blocks)
+    # ``at`` used to die in math.isfinite with a bare TypeError, and ``rows`` and
+    # ``jacobian`` kept the real part with a ComplexWarning
     z = np.array([1.0, 2.0])
-    name = "mixed Hessian" if block == "mixed_hessian" else f"the {block} block of the operator"
-    message = f"{name} of 'complex' is complex at {z}"
-    modes = [OperatorMode(1.0)] if block == "mixed_hessian" else [None, OperatorMode(1.0)]
+    calls = _entry_points("complex", block, lambda z: np.full(_SHAPES[block], 1.0 + 1.0j), z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no ComplexWarning escapes either
-        for mode in modes:
-            operator = Operator(problem, mode)
-            with pytest.raises(ValueError, match=re.escape(message)):
-                operator.at(z)
-            with pytest.raises(ValueError, match=re.escape(message)):
-                operator.rows(np.stack([z, z]))
-        with pytest.raises(ValueError, match=re.escape(message)):
-            run(problem, SolverConfig(1, 1.0, 3, z, operator_mode=modes[-1]))
+        for call, point in calls:
+            with pytest.raises(ValueError, match=re.escape(f"{_NAMES[block]} of 'complex' is complex at {point}")):
+                call()
 
 
 def test_an_overflowing_differenced_jacobian_warns_nothing():
@@ -270,21 +284,6 @@ def test_an_overflowing_differenced_jacobian_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=re.escape("non-finite Jacobian for 'steep' at [0. 0.]")):
             Operator(steep).jacobian([0.0, 0.0])
-
-
-def test_jacobian_rejects_a_complex_operator_jacobian():
-    # ``jacobian`` used to keep the real part with a ComplexWarning
-    problem = ProblemSpec(name="complex", d_x=1, d_y=1, grad_x=lambda z: z[:1], grad_y=lambda z: -z[1:],
-                          operator_jacobian=lambda z: np.array([[1.0 + 1.0j, 0.0], [0.0, 1.0]]),
-                          z_star=np.zeros(2), sample_box=np.tile([-1.0, 1.0], (2, 1)))
-    z = np.array([1.0, 2.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape(f"Jacobian of 'complex' is complex at {z}")):
-            Operator(problem).jacobian(z)
-        # the L_2 estimate names the first pair's start, as ``jacobian`` would
-        with pytest.raises(ValueError, match=re.escape("Jacobian of 'complex' is complex at")):
-            certify_problem(problem, 2, n_samples=200, seed=0)
 
 
 def _tall_block():
