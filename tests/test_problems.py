@@ -318,7 +318,9 @@ def test_rows_are_at_bit_for_bit_across_chunk_boundaries(name, alpha, n):
 
 
 _GOOD_BLOCKS = {"grad_x": lambda z: z[:1], "grad_y": lambda z: -z[1:], "mixed_hessian": lambda z: z[:1, None]}
-_BAD_VALUES = {"wrong shape": np.ones(2), "complex": np.array([1.0 + 1.0j]), "non-finite": np.array([np.nan])}
+# complex and of the wrong shape: the shape is named first, by ``at`` as by ``rows``
+_BAD_VALUES = {"wrong shape": np.ones(2), "complex": np.array([1.0 + 1.0j]), "non-finite": np.array([np.nan]),
+               "complex, wrong shape": np.array([1.0j, 1.0j])}
 
 
 def _poisoned(block, bad_points, value):
