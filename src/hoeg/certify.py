@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import ContinuousLog
 from .errors import DegenerateSampleError, NumericError
-from .halfstep import check_order
+from .halfstep import check_lipschitz, check_order
 from .problems import Operator, OperatorMode, ProblemSpec, _check_rows, _per_point
 from .solver import TrajectoryLog
 
@@ -196,8 +196,7 @@ def estimate_q_rho(problem: ProblemSpec, q: float, n_samples: int, seed: int,
 def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
     """rho <= (15/16) (p!/L_p)^((p+1)/p), the convergence-theorem condition."""
     check_order(p)
-    if not 0 < Lp < math.inf:
-        raise ValueError(f"Lp must be positive and finite, got {Lp}")
+    check_lipschitz(Lp, "Lp")
     return rho <= (15.0 / 16.0) * (math.factorial(p) / Lp) ** ((p + 1) / p)
 
 

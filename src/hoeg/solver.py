@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, NumericError
-from .halfstep import check_order, solve_half_step_p1, solve_half_step_p2, vector_norm
+from .halfstep import check_lipschitz, check_order, solve_half_step_p1, solve_half_step_p2, vector_norm
 from .problems import Operator, OperatorMode, ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
@@ -44,8 +44,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_order(self.order_p)
-        if not 0 < self.lipschitz < math.inf:
-            raise ValueError(f"lipschitz must be positive and finite, got {self.lipschitz}")
+        check_lipschitz(self.lipschitz, "lipschitz")
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:

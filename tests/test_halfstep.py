@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import sys
@@ -90,6 +91,18 @@ def test_every_lipschitz_check_needs_a_positive_finite_constant(L):
             make()
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda z: solve_half_step_p1(z, True, z), "L1"),
+    (lambda z: solve_half_step_p2(z, np.eye(2), True, z), "L2"),
+    (lambda z: SolverConfig(1, True, 5, z), "lipschitz"),
+    (lambda z: check_rho_threshold(0.1, 1, True), "Lp"),
+], ids=["solve_half_step_p1", "solve_half_step_p2", "SolverConfig", "check_rho_threshold"])
+def test_a_bool_lipschitz_constant_is_rejected_by_name(make, name):
+    # True passes 0 < L < inf and used to run as L = 1
+    with pytest.raises(ValueError, match=f"^{name} must be a number, not the bool True$"):
+        make(np.array([1.0, 1.0]))
+
+
 class TestOrder1:
     def test_zero_field_stays_put(self):
         res = solve_half_step_p1(np.zeros(2), 3.0, np.array([1.0, -1.0]))
@@ -174,10 +187,8 @@ class TestOrder2:
         with pytest.raises(ConvergenceError, match="not finite"):
             solve_half_step_p2(np.array([np.nan, 1.0]), J, 1.0, np.zeros(2))
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        # every trial radius singular: the solve gives its singular signal
+        monkeypatch.setattr(halfstep, "_shifted_solve", lambda A, b, shift: None)
         with pytest.raises(ConvergenceError, match="60 doublings") as no_bracket:
             solve_half_step_p2(F, J, 1.0, np.zeros(2))
         assert no_bracket.value.residual == np.inf
@@ -214,17 +225,38 @@ class TestOrder2:
         assert res.displacement_norm == pytest.approx(math.sqrt(6.0) - 1.0, rel=1e-12)
 
 
-# Random order-2 models for the radius-root properties: J with arbitrary
-# (often indefinite) symmetric part, and J = B B^T + skew with PSD symmetric part.
-# Subnormal entries carry too few digits for a 1e-10 relative radius.
+# Random order-2 models for the radius-root properties at d = 2..6: J with
+# arbitrary (often indefinite) symmetric part, and J = B B^T + c S, S skew, with
+# PSD symmetric part.  Subnormal entries carry too few digits for a 1e-10
+# relative radius.
 _coord = st.floats(-2.0, 2.0, allow_subnormal=False)
 _entry = st.floats(-3.0, 3.0, allow_subnormal=False)
-_fields = st.tuples(_coord, _coord).map(np.array)
-_matrices = st.tuples(_entry, _entry, _entry, _entry).map(lambda v: np.reshape(v, (2, 2)))
-_monotone = st.tuples(_matrices, _entry).map(
-    lambda m: m[0] @ m[0].T + m[1] * np.array([[0.0, 1.0], [-1.0, 0.0]]))
 _lipschitz = st.floats(-0.5, 1.5).map(lambda e: 10.0**e)
+_DIMS = pytest.mark.parametrize("d", range(2, 7))
 _property = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+# strategies are built once per size: building one per draw costs more than the draw
+@functools.cache
+def _vectors(d, elements=_coord):
+    return st.lists(elements, min_size=d, max_size=d).map(np.array)
+
+
+@functools.cache
+def _matrices(d, elements=_entry):
+    return st.lists(elements, min_size=d * d, max_size=d * d).map(lambda v: np.reshape(v, (d, d)))
+
+
+@functools.cache
+def _monotone(d):
+    skew = np.triu(np.ones((d, d)), 1) - np.tril(np.ones((d, d)), -1)
+    return st.tuples(_matrices(d), _entry).map(lambda m: m[0] @ m[0].T + m[1] * skew)
+
+
+def _draw_model(data, d, matrices=_matrices):
+    F = data.draw(_vectors(d), label="F")
+    assume(np.any(F != 0.0))
+    return F, data.draw(matrices(d), label="J"), data.draw(_lipschitz, label="L2")
 
 
 def _norm(v):
@@ -235,7 +267,7 @@ def _norm(v):
 def _gap(F, J, L2, r):
     """||d(r)|| - r, with a singular shift counting as a positive gap."""
     try:
-        return _norm(np.linalg.solve(J + L2 * r * np.eye(2), -F)) - r
+        return _norm(np.linalg.solve(J + L2 * r * np.eye(len(F)), -F)) - r
     except np.linalg.LinAlgError:
         return np.inf
 
@@ -248,34 +280,37 @@ def _first_doubling_bracket(F, J, L2):
 
 
 class TestOrder2RadiusRoot:
+    @_DIMS
     @_property
-    @given(_fields, _matrices, _lipschitz)
-    def test_certificate_and_radius_gap(self, F, J, L2):
-        assume(np.any(F != 0.0))
-        res = solve_half_step_p2(F, J, L2, np.zeros(2))
-        d = res.z_half
-        norm_d = _norm(d)
+    @given(data=st.data())
+    def test_certificate_and_radius_gap(self, d, data):
+        F, J, L2 = _draw_model(data, d)
+        res = solve_half_step_p2(F, J, L2, np.zeros(d))
+        step = res.z_half
+        norm_d = _norm(step)
         assert norm_d == res.displacement_norm
-        residual = _norm(F + J @ d + L2 * norm_d * d)
+        residual = _norm(F + J @ step + L2 * norm_d * step)
         assert residual == res.residual_norm <= 1e-10 * max(1.0, _norm(F))
-        # the radius r with (J + L2 r I) d = -F, recovered up to its rounding error
-        radius = -float((d / norm_d) @ (F + J @ d)) / (L2 * norm_d)
+        # the radius r with (J + L2 r I) step = -F, recovered up to its rounding error
+        radius = -float((step / norm_d) @ (F + J @ step)) / (L2 * norm_d)
         rounding = 64 * np.finfo(float).eps * (
             _norm(F) + (np.linalg.norm(J) + L2 * norm_d) * norm_d) / (L2 * norm_d)
         assert abs(norm_d - radius) <= 1e-10 * radius + rounding
 
+    @_DIMS
     @_property
-    @given(_fields, _matrices, _lipschitz)
-    def test_root_lies_in_first_doubling_bracket(self, F, J, L2):
-        assume(np.any(F != 0.0))
+    @given(data=st.data())
+    def test_root_lies_in_first_doubling_bracket(self, d, data):
+        F, J, L2 = _draw_model(data, d)
         lo, hi = _first_doubling_bracket(F, J, L2)
-        r = solve_half_step_p2(F, J, L2, np.zeros(2)).displacement_norm
+        r = solve_half_step_p2(F, J, L2, np.zeros(d)).displacement_norm
         assert lo * (1 - 2e-10) <= r <= hi * (1 + 2e-10)
 
+    @_DIMS
     @_property
-    @given(_fields, _monotone, _lipschitz)
-    def test_monotone_root_matches_bisection_oracle(self, F, J, L2):
-        assume(np.any(F != 0.0))
+    @given(data=st.data())
+    def test_monotone_root_matches_bisection_oracle(self, d, data):
+        F, J, L2 = _draw_model(data, d, _monotone)
         # sym(J) PSD: ||d(r)|| <= ||F|| / (L2 r), so the unique root is below sqrt(||F|| / L2)
         lo, hi = 0.0, np.sqrt(_norm(F) / L2)
         while hi - lo > 1e-15 * hi:
@@ -283,8 +318,86 @@ class TestOrder2RadiusRoot:
             if mid in (lo, hi):
                 break
             lo, hi = (mid, hi) if _gap(F, J, L2, mid) > 0 else (lo, mid)
-        r = solve_half_step_p2(F, J, L2, np.zeros(2)).displacement_norm
+        r = solve_half_step_p2(F, J, L2, np.zeros(d)).displacement_norm
         assert r == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+
+
+# The trial-radius solve against LAPACK's, for d = 1..8.
+_SIZES = pytest.mark.parametrize("d", range(1, 9))
+_kernel = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+_unit = st.floats(-1.0, 1.0, allow_subnormal=False)  # OpenBLAS scales by 1/pivot, inf at a subnormal pivot
+# entries a Python float computation must survive without ZeroDivisionError or OverflowError
+_extreme = st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 1e308, math.nan, math.inf, -math.inf, 0.0, -0.0])
+_wild = st.one_of(_extreme, st.floats(-3.0, 3.0))
+EPS = np.finfo(float).eps
+
+
+@_SIZES
+@_kernel
+@given(data=st.data())
+def test_shifted_solve_matches_lapack_within_its_error_bound(d, data):
+    A = data.draw(_matrices(d, _unit), label="A")
+    b = data.draw(_vectors(d, _unit), label="b")
+    shift = data.draw(st.floats(-4.0, 4.0), label="shift")
+    M = A + shift * np.eye(d)
+    cond = np.linalg.cond(M)
+    assume(cond < 1e8)
+    x = halfstep._shifted_solve(A.tolist(), b.tolist(), shift)
+    reference = np.linalg.solve(M, b)
+    # Each solve's relative error is about 3 d eps cond times the pivot growth,
+    # which partial pivoting keeps <= 2^(d-1); random systems give <= 1.6 eps cond
+    bound = 2 * 3 * d * 2 ** (d - 1) * EPS * cond
+    assert x is not None
+    assert _norm(np.array(x) - reference) <= bound * _norm(reference)
+
+
+@_SIZES
+@_kernel
+@given(data=st.data())
+def test_an_exactly_zero_pivot_is_singular_here_and_in_lapack(d, data):
+    A = data.draw(_matrices(d, _unit), label="A")
+    b = data.draw(_vectors(d, _unit), label="b")
+    k = data.draw(st.integers(0, d - 1), label="k")
+    if data.draw(st.booleans(), label="column"):
+        A[:, k] = 0.0   # column k never gets a nonzero entry: its pivot is exactly 0
+    else:
+        A[k, :] = 0.0   # row k stays 0 under elimination and ends as a 0 pivot
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, b)
+    assert halfstep._shifted_solve(A.tolist(), b.tolist(), 0.0) is None
+
+
+@_SIZES
+@_kernel
+@given(data=st.data())
+def test_shifted_solve_survives_extreme_entries(d, data):
+    # Python floats raise ZeroDivisionError on x / 0 and OverflowError in **,
+    # where numpy gives inf or nan; the solve divides only by nonzero pivots
+    A = data.draw(_matrices(d, _wild), label="A").tolist()
+    b = data.draw(_vectors(d, _wild), label="b").tolist()
+    x = halfstep._shifted_solve(A, b, data.draw(_wild, label="shift"))
+    assert x is None or len(x) == d
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@_kernel
+@given(data=st.data())
+def test_extreme_entries_end_the_half_step_in_a_typed_error(d, data):
+    F = data.draw(_vectors(d, _wild), label="F")
+    J = data.draw(_matrices(d, _wild), label="J")
+    L2 = data.draw(_lipschitz, label="L2")
+    if not (np.isfinite(F).all() and np.isfinite(J).all()):
+        with pytest.raises(ConvergenceError, match="not finite") as failure:
+            solve_half_step_p2(F, J, L2, np.zeros(d))
+        assert failure.value.residual == np.inf
+        return
+    # finite entries near the float range overflow numpy's norms and products
+    # to inf, with a RuntimeWarning that is not the property under test
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            solve_half_step_p2(F, J, L2, np.zeros(d))
+        except ConvergenceError:
+            pass
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
