@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ContinuousLog
-from .errors import DegenerateSampleError, NumericError
-from .halfstep import check_lipschitz, check_order
+from .errors import DegenerateSampleError, NumericError, check_count, check_order, check_real
 from .problems import Operator, OperatorMode, ProblemSpec, _check_rows, _per_point
 from .solver import TrajectoryLog
 
@@ -154,16 +153,6 @@ class RhoScan:
     samples_used: int
 
 
-def _check_scan(n_samples, q, seed) -> None:
-    """Reject a sample count, exponent or seed that no rho scan can use, before any sampling."""
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if not math.isfinite(q):
-        raise ValueError(f"q must be finite, got {q!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def _rho_scan(operator: Operator, z_star, q: float, points: np.ndarray) -> RhoScan:
     """Sampled exponent-q rho of the field over ``points``, drawn by the caller with sample_points."""
     z_star = np.asarray(z_star, dtype=float)
@@ -186,7 +175,9 @@ def estimate_q_rho(problem: ProblemSpec, q: float, n_samples: int, seed: int,
 
     The order-p weak-MVI constant of the convergence theorem is q = (p+1)/p.
     """
-    _check_scan(n_samples, q, seed)
+    n_samples = check_count(n_samples, "n_samples")
+    check_real(q, "q")
+    seed = check_count(seed, "seed", positive=False)
     operator = Operator(problem, mode)
     z_star = _z_star(problem)
     points = sample_points(_sample_box(problem), n_samples, seed, z_star)
@@ -194,9 +185,15 @@ def estimate_q_rho(problem: ProblemSpec, q: float, n_samples: int, seed: int,
 
 
 def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
-    """rho <= (15/16) (p!/L_p)^((p+1)/p), the convergence-theorem condition."""
+    """rho <= (15/16) (p!/L_p)^((p+1)/p), the convergence-theorem condition, for a finite rho."""
+    check_real(rho, "rho")
+    return _below_threshold(rho, p, Lp)
+
+
+def _below_threshold(rho: float, p: int, Lp: float) -> bool:
+    """``check_rho_threshold`` for any rho; a sampled rho that overflowed to inf or nan is not below."""
     check_order(p)
-    check_lipschitz(Lp, "Lp")
+    check_real(Lp, "Lp", positive=True)
     return rho <= (15.0 / 16.0) * (math.factorial(p) / Lp) ** ((p + 1) / p)
 
 
@@ -270,7 +267,9 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
     check_order(p)
     if q is None:
         q = (p + 1) / p
-    _check_scan(n_samples, q, seed)
+    n_samples = check_count(n_samples, "n_samples")
+    check_real(q, "q")
+    seed = check_count(seed, "seed", positive=False)
     z_star = _z_star(problem)
     box = _sample_box(problem)
     _check_halton_dimension(box.shape[0], copies=2)  # the smoothness and comonotonicity pairs
@@ -297,7 +296,7 @@ def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
         rho_hat_q=scan_q.value,
         comono_hat=_comonotonicity(pairs),
         L_hat=L_hat,
-        threshold_ok=check_rho_threshold(scan_p.value, p, Lp),
+        threshold_ok=_below_threshold(scan_p.value, p, Lp),
         threshold_Lp=float(Lp),
         samples_used=scan_p.samples_used,
         worst_violator=scan_p.worst_violator,
@@ -399,6 +398,7 @@ def check_energy_bound(log: ContinuousLog, rho: float) -> EnergyReport:
     Both bounds get the trapezoid discretization scale
     max(1e-9, dt^2 (1 + total)) as slack, where total is the final integral.
     """
+    check_real(rho, "rho")
     if not rho < 2:
         raise ValueError("the bound needs rho < 2")
     D = float(np.linalg.norm(log.config.z0 - _z_star(log.problem)))

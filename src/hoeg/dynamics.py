@@ -23,14 +23,13 @@ Jacobian, and z carries rounding error only, not the stop rule's 1e-10.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericError
-from .halfstep import check_order, vector_norm
+from .errors import ConvergenceError, NumericError, check_array, check_order, check_real
+from .halfstep import vector_norm
 from .problems import Operator, ProblemSpec
 
 RESOLVENT_TOL = 1e-10  # a resolvent solve stops at ||h|| <= RESOLVENT_TOL * max(1, ||v||)
@@ -41,7 +40,8 @@ NORM_FLOOR = 1e-12     # G_p divides by max(||F||, NORM_FLOOR)^(1-1/p)
 class ContinuousConfig:
     """A flow of order p from z0 over [0, t_end] in RK4 steps of dt.
 
-    dt must divide t_end (to a relative 1e-9), so the last step ends at t_end.
+    dt must divide t_end (to a relative 1e-9), so the last step ends at t_end;
+    no dt above t_end does.
     Every resolvent solve uses the fixed ``RESOLVENT_TOL`` and ``NORM_FLOOR``.
     """
 
@@ -52,11 +52,11 @@ class ContinuousConfig:
 
     def __post_init__(self):
         check_order(self.order_p)
-        if not 0 < self.dt <= self.t_end < math.inf:
-            raise ValueError("need 0 < dt <= t_end < inf")
+        check_real(self.t_end, "t_end", positive=True)
+        check_real(self.dt, "dt", positive=True)
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"dt = {self.dt!r} does not divide t_end = {self.t_end!r}")
-        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))
+        object.__setattr__(self, "z0", check_array(self.z0, "z0"))
 
     @property
     def n_steps(self) -> int:
@@ -197,7 +197,7 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     half, sixth = 0.5 * dt, dt / 6.0
     field = Operator(problem)
     path = _Path()
-    v = config.z0.copy()
+    v = check_array(config.z0, "z0", (problem.d,)).copy()
     n = config.n_steps + 1
     zs, vs, norms = np.empty((n, v.size)), np.empty((n, v.size)), np.empty(n)
     failed_at = None

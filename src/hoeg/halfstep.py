@@ -31,28 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_real
 
-SUPPORTED_ORDERS = (1, 2)
 MAX_DOUBLINGS = 60   # grid points hi0 * 2^k, k <= 60, tried for a sign change
 GAP_RTOL = 1e-10     # accepted radii satisfy | ||d|| - r | <= GAP_RTOL * r
 MODEL_RTOL = 1e-10   # and a model residual <= MODEL_RTOL * max(1, ||F_k||)
 MAX_TRIALS = 200     # interpolation/bisection trials inside the doubling bracket
 _FLOAT_MIN = sys.float_info.min  # smallest positive normal double
-
-
-def check_order(p) -> None:
-    """Raise ValueError unless p is an integer (not a bool) among the SUPPORTED_ORDERS."""
-    if p not in SUPPORTED_ORDERS or isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-        raise ValueError(f"order p = {p!r} is not supported (have {SUPPORTED_ORDERS})")
-
-
-def check_lipschitz(L, name: str) -> None:
-    """Raise ValueError naming ``name`` unless L is positive, finite and not a bool."""
-    if isinstance(L, bool):
-        raise ValueError(f"{name} must be a number, not the bool {L}")
-    if not 0 < L < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {L}")
 
 
 def _norm(v: np.ndarray) -> float:
@@ -117,7 +102,7 @@ class HalfStepResult:
 @np.errstate(over="ignore", invalid="ignore")  # vector_norm falls back to hypot where d @ d overflows
 def solve_half_step_p1(F_k, L1: float, z_k) -> HalfStepResult:
     """Closed-form order-1 half-step z' = z_k - F_k / (2 L1)."""
-    check_lipschitz(L1, "L1")
+    check_real(L1, "L1", positive=True)
     F_k = np.asarray(F_k, dtype=float)
     z_k = np.asarray(z_k, dtype=float)
     d = -F_k / (2.0 * L1)
@@ -136,7 +121,7 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     is not finite, or when MAX_TRIALS interpolation/bisection trials do not
     meet the stopping rule.
     """
-    check_lipschitz(L2, "L2")
+    check_real(L2, "L2", positive=True)
     F_k = np.asarray(F_k, dtype=float)
     J_k = np.asarray(J_k, dtype=float)
     z_k = np.asarray(z_k, dtype=float)
@@ -170,9 +155,14 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
 
     # Below r_lo, ||d(r)|| >= ||F|| / (||J||_F + L2 r) > r, so the gap is
     # positive without a solve.  r_lo is the positive root of
-    # L2 r^2 + ||J||_F r - ||F|| = 0, written without cancellation.
-    norm_J = float(np.linalg.norm(J_k))
-    r_lo = 2.0 * norm_F / (norm_J + math.sqrt(norm_J**2 + 4.0 * L2 * norm_F))
+    # L2 r^2 + ||J||_F r - ||F|| = 0, written without cancellation, and
+    # scaled by ||J||_F where its square would overflow.
+    with np.errstate(over="ignore"):  # vector_norm falls back to hypot where J's squares overflow
+        norm_J = vector_norm(J_k.ravel("K"))  # the order np.linalg.norm sums in
+    if norm_J < 1e150:
+        r_lo = 2.0 * norm_F / (norm_J + math.sqrt(norm_J**2 + 4.0 * L2 * norm_F))
+    else:
+        r_lo = 2.0 * norm_F / norm_J / (1.0 + math.sqrt(1.0 + 4.0 * L2 * norm_F / norm_J / norm_J))
     lo, hi = 0.0, norm_F / L2 + 1e-12
     d = None
     for _ in range(MAX_DOUBLINGS + 1):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, NumericError
+from .errors import CapabilityError, NumericError, check_array, check_count, check_real
 
 Vector = np.ndarray
 
@@ -54,15 +54,15 @@ class ProblemSpec:
     published_constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.d_x < 1 or self.d_y < 1:
-            raise ValueError("both blocks need at least one coordinate")
+        for block in ("d_x", "d_y"):
+            object.__setattr__(self, block, check_count(getattr(self, block), block))
         if self.sample_box is not None:
-            box = np.asarray(self.sample_box, dtype=float)
-            if box.shape != (self.d, 2) or not np.all(box[:, 1] > box[:, 0]):
-                raise ValueError("sample_box must give a positive-width interval per coordinate")
+            box = check_array(self.sample_box, "sample_box", (self.d, 2))
+            if not (np.all(box[:, 1] > box[:, 0]) and np.isfinite(box).all()):
+                raise ValueError("sample_box must give a finite, positive-width interval per coordinate")
             object.__setattr__(self, "sample_box", box)
         if self.z_star is not None:
-            z = np.asarray(self.z_star, dtype=float)
+            z = check_array(self.z_star, "z_star", (self.d,))
             object.__setattr__(self, "z_star", z)
             if np.linalg.norm(Operator(self).at(z)) > 1e-6:
                 raise ValueError(f"z_star of {self.name!r} is not stationary to 1e-6")
@@ -142,8 +142,8 @@ class OperatorMode:
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be finite and >= 0")
+        if self.alpha is not None:
+            check_real(self.alpha, "alpha", low=0)
 
     @classmethod
     def standard(cls) -> "OperatorMode":
@@ -151,6 +151,7 @@ class OperatorMode:
 
     @classmethod
     def competitive(cls, alpha: float) -> "OperatorMode":
+        check_real(alpha, "alpha", low=0)  # before float() turns a bool into a number
         return cls(float(alpha))
 
 

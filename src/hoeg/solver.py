@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericError
-from .halfstep import check_lipschitz, check_order, solve_half_step_p1, solve_half_step_p2, vector_norm
+from .errors import ConvergenceError, NumericError, check_array, check_count, check_order, check_real
+from .halfstep import solve_half_step_p1, solve_half_step_p2, vector_norm
 from .problems import Operator, OperatorMode, ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
@@ -44,12 +44,9 @@ class SolverConfig:
 
     def __post_init__(self):
         check_order(self.order_p)
-        check_lipschitz(self.lipschitz, "lipschitz")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))
+        check_real(self.lipschitz, "lipschitz", positive=True)
+        object.__setattr__(self, "max_iterations", check_count(self.max_iterations, "max_iterations"))
+        object.__setattr__(self, "z0", check_array(self.z0, "z0"))
 
 
 @dataclass(frozen=True)
@@ -151,9 +148,7 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     L = config.lipschitz
     full_step_coef = math.factorial(p) / (2.0 * L)
 
-    z = config.z0.copy()
-    if z.shape != (problem.d,):
-        raise ValueError(f"z0 has shape {z.shape}, problem needs ({problem.d},)")
+    z = check_array(config.z0, "z0", (problem.d,)).copy()
     budget = config.max_iterations + 1
     zs = np.empty((budget, problem.d))
     z_halves = np.empty((budget, problem.d))

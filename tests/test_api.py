@@ -125,3 +125,15 @@ def test_numpy_is_the_only_runtime_dependency():
     with open(pyproject, "rb") as handle:
         dependencies = tomllib.load(handle)["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
+def test_only_errors_py_tests_for_a_bool():
+    # a value check written by hand, outside the checks in errors.py, is how a bool used to slip through
+    package = os.path.dirname(os.path.abspath(hoeg.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "errors.py":
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                found += [f"{name}:{number}" for number, line in enumerate(handle, 1)
+                          if re.search(r"isinstance\(.*\bbool\b", line)]
+    assert found == []

@@ -422,13 +422,14 @@ def test_certify_validates_before_sampling():
         (_quadratic(1), certify(p=0), r"order p = 0 is not supported \(have \(1, 2\)\)"),
         (_quadratic(1), certify(p=3), r"order p = 3 is not supported \(have \(1, 2\)\)"),
     ]
-    for n_samples in (0, -5, True):  # True used to reach the Halton sampler's bare TypeError
-        message = f"n_samples must be a positive integer, got {n_samples}"
+    # True used to reach the Halton sampler's bare TypeError
+    for n_samples, rule in ((0, "a positive integer"), (-5, "a positive integer"), (True, "an integer")):
+        message = f"n_samples must be {rule}, got {n_samples}"
         cases += [(_quadratic(1), call(n_samples=n_samples), message) for call in (certify, q_rho)]
     for q in (math.nan, math.inf):
         cases += [(_quadratic(1), call(q=q), f"q must be finite, got {q}") for call in (certify, q_rho)]
-    for seed in (-5, 2.5):  # numpy's own errors used to name no argument
-        message = re.escape(f"seed must be a non-negative integer, got {seed}")
+    for seed, rule in ((-5, "a non-negative integer"), (2.5, "an integer")):  # numpy's own errors named no argument
+        message = re.escape(f"seed must be {rule}, got {seed}")
         cases += [(_quadratic(1), call(seed=seed), message) for call in (certify, q_rho)]
     for problem, call, message in cases:
         problem, calls = _counting(problem)

@@ -22,7 +22,7 @@ from hoeg import (
     solve_half_step_p2,
 )
 from hoeg import halfstep
-from hoeg.halfstep import SUPPORTED_ORDERS
+from hoeg.errors import SUPPORTED_ORDERS
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -150,6 +150,15 @@ class TestOrder2:
         res = solve_half_step_p2(np.array([1.0, 0.0]), np.eye(2), 1.0, np.zeros(2))
         assert res.displacement_norm == pytest.approx(GOLDEN, abs=1e-9)
         assert res.z_half[0] == pytest.approx(-GOLDEN, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    def test_a_jacobian_whose_squares_overflow_keeps_its_lower_radius_bound(self, scale):
+        # ||J||_F overflowed to inf in np.linalg.norm, with a RuntimeWarning, and r_lo fell
+        # to 0; the search then halved down from ||F|| / L2 and stopped after 201 solves
+        res = solve_half_step_p2(np.array([1.0, 1.0]), scale * np.eye(2), 1.0, np.zeros(2))
+        assert res.displacement_norm == pytest.approx(math.sqrt(2.0) / scale, rel=1e-12)
+        assert res.residual_norm <= halfstep.MODEL_RTOL * math.sqrt(2.0)
+        assert res.iterations_used < 50  # 3 at 1e150; above it the secular fit's a^2 overflows and it bisects
 
     def test_rotation_radius(self):
         # skew J: ||d(r)||^2 = 1/(r^2+1), so r^4 + r^2 = 1
