@@ -16,14 +16,13 @@ from .certify import (
     estimate_q_rho,
     fit_rate,
 )
-from .dynamics import ContinuousConfig, ContinuousLog, resolvent_solve, simulate
+from .dynamics import ContinuousConfig, ContinuousLog, simulate
 from .errors import (
     CapabilityError,
     ConvergenceError,
     DegenerateSampleError,
     NumericError,
 )
-from .halfstep import HalfStepResult, solve_half_step_p1, solve_half_step_p2
 from .problems import Operator, OperatorMode, ProblemSpec, builtin, problem_names
 from .solver import SolverConfig, TrajectoryLog, detect_cycling, run
 
@@ -36,7 +35,6 @@ __all__ = [
     "ContinuousLog",
     "ConvergenceError",
     "DegenerateSampleError",
-    "HalfStepResult",
     "NumericError",
     "Operator",
     "OperatorMode",
@@ -53,9 +51,6 @@ __all__ = [
     "estimate_q_rho",
     "fit_rate",
     "problem_names",
-    "resolvent_solve",
     "run",
     "simulate",
-    "solve_half_step_p1",
-    "solve_half_step_p2",
 ]

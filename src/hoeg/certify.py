@@ -194,7 +194,11 @@ def _below_threshold(rho: float, p: int, Lp: float) -> bool:
     """``check_rho_threshold`` for any rho; a sampled rho that overflowed to inf or nan is not below."""
     check_order(p)
     check_real(Lp, "Lp", positive=True)
-    return rho <= (15.0 / 16.0) * (math.factorial(p) / Lp) ** ((p + 1) / p)
+    try:
+        with np.errstate(over="raise"):  # a numpy Lp then raises where a float raises OverflowError
+            return rho <= (15.0 / 16.0) * (math.factorial(p) / Lp) ** ((p + 1) / p)
+    except (OverflowError, FloatingPointError):  # a tiny Lp: the threshold is above every finite rho
+        return rho < math.inf
 
 
 @dataclass(frozen=True)

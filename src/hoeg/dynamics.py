@@ -84,9 +84,8 @@ class ContinuousLog:
 
 
 @np.errstate(over="ignore")  # vector_norm falls back to hypot where F @ F overflows
-def normalized_field(F_z, p: int) -> np.ndarray:
+def normalized_field(F_z: np.ndarray, p: int) -> np.ndarray:
     """F / max(||F||, NORM_FLOOR)^(1-1/p); order 1 returns the field unchanged."""
-    F_z = np.asarray(F_z, dtype=float)
     if p == 1:
         return F_z
     return F_z / max(vector_norm(F_z), NORM_FLOOR) ** (1.0 - 1.0 / p)
@@ -105,12 +104,12 @@ class _Path:
     P: Optional[np.ndarray] = None
 
 
-# F overflowing at a trial point raises NumericError in ``field.at``; this mutes only the warning
-@np.errstate(over="ignore", invalid="ignore")
-def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None) -> np.ndarray:
+def resolvent_solve(v: np.ndarray, field: Operator, p: int, *, path: _Path) -> np.ndarray:
     """Solve z + G_p(z) = v by Newton's method from v, or from the caller's path.
 
-    F is ``field.at`` and G_p its normalized form.  The Newton matrix is
+    Internal to ``simulate``, which checked p, passes v as floats and holds
+    numpy's over/invalid state.  F is ``field.at`` and G_p its normalized
+    form.  The Newton matrix is
     M = I + (J - a F (F^T J) / n^2) / n^a with J = ``field.jacobian``,
     a = 1 - 1/p and n = max(||F||, NORM_FLOOR); below the floor the F F^T
     term drops.  Each step forms P = M^-1 and takes
@@ -123,35 +122,31 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
     it holds a previous solve (v', z') and a P, the solve starts from the
     tangent (Euler) predictor z' + P (v - v'), since dz/dv = M^-1.  Without
     a P, or if F is not finite at the predicted start, it starts from z', and
-    with no path or no z' from v.  The call stores its v, its z and the P of
-    its last Newton step back into ``path``.
+    with no z' from v.  The call stores its v, its z and the P of its last
+    Newton step back into ``path``.
 
     A singular Newton matrix, a step rejected down to t = 2^-29, or 500 steps
     raise ``ConvergenceError`` with the residual reached; a non-finite F
-    raises ``NumericError``; an order outside ``SUPPORTED_ORDERS`` raises
-    ValueError.
+    raises ``NumericError``.
     """
-    check_order(p)
-    v = np.asarray(v, dtype=float)
     scale = RESOLVENT_TOL * max(1.0, vector_norm(v))
     a = 1.0 - 1.0 / p
 
     F = None
-    if path is not None and path.P is not None and path.z is not None:
+    if path.P is not None and path.z is not None:
         z = path.z + path.P.dot(v - path.v)
         try:
             F = field.at(z)
         except NumericError:
             pass  # F is not finite at the predicted start: start from z'
     if F is None:
-        z = v.copy() if path is None or path.z is None else path.z.copy()
+        z = v.copy() if path.z is None else path.z.copy()
         F = field.at(z)
     h = z + F - v if p == 1 else z + normalized_field(F, p) - v  # h = z + G_p(z) - v; G_1 is F
     r = vector_norm(h)
     for _ in range(500):
         if r <= scale:
-            if path is not None:
-                path.v, path.z = v, z
+            path.v, path.z = v, z
             return z
         jac = field.jacobian(z)
         if p > 1:
@@ -165,8 +160,7 @@ def resolvent_solve(v, field: Operator, p: int, *, path: Optional[_Path] = None)
         except np.linalg.LinAlgError:
             raise ConvergenceError(f"singular resolvent Newton matrix (residual {r:.3e})",
                                    residual=r) from None
-        if path is not None:
-            path.P = P
+        path.P = P
         dz = -(P @ h)
         t = 1.0
         for _ in range(30):

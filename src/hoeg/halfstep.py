@@ -1,6 +1,8 @@
 """Half-step subproblem solvers: roots z' of the regularized Taylor model
 tau_{p-1}(z', z_k) + (2 L_p / p!) ||z' - z_k||^{p-1} (z' - z_k), where tau_{p-1}
 expands F around z_k to degree p - 1.  Only orders 1 and 2 are supported.
+Both are internal to ``solver.run``, which checked L_p, passes F and J as float
+arrays from ``Operator`` and holds numpy's over/invalid state.
 
 Order 1 has the closed form z' = z_k - F(z_k) / (2 L1).  Order 2 reduces to a
 scalar root-find on the step radius: with d(r) = -(J + L2 r I)^{-1} F, find a
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, check_real
+from .errors import ConvergenceError
 
 MAX_DOUBLINGS = 60   # grid points hi0 * 2^k, k <= 60, tried for a sign change
 GAP_RTOL = 1e-10     # accepted radii satisfy | ||d|| - r | <= GAP_RTOL * r
@@ -99,18 +101,14 @@ class HalfStepResult:
     iterations_used: int
 
 
-@np.errstate(over="ignore", invalid="ignore")  # vector_norm falls back to hypot where d @ d overflows
-def solve_half_step_p1(F_k, L1: float, z_k) -> HalfStepResult:
+def solve_half_step_p1(F_k: np.ndarray, L1: float, z_k: np.ndarray) -> HalfStepResult:
     """Closed-form order-1 half-step z' = z_k - F_k / (2 L1)."""
-    check_real(L1, "L1", positive=True)
-    F_k = np.asarray(F_k, dtype=float)
-    z_k = np.asarray(z_k, dtype=float)
     d = -F_k / (2.0 * L1)
     g = F_k + 2.0 * L1 * d
     return HalfStepResult(z_k + d, vector_norm(d), vector_norm(g), 0)
 
 
-def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
+def solve_half_step_p2(F_k: np.ndarray, J_k: np.ndarray, L2: float, z_k: np.ndarray) -> HalfStepResult:
     """Order-2 half-step: solve F_k + J_k d + L2 ||d|| d = 0 for d.
 
     Stops once the model residual is <= MODEL_RTOL * max(1, ||F_k||) and r is
@@ -121,10 +119,6 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     is not finite, or when MAX_TRIALS interpolation/bisection trials do not
     meet the stopping rule.
     """
-    check_real(L2, "L2", positive=True)
-    F_k = np.asarray(F_k, dtype=float)
-    J_k = np.asarray(J_k, dtype=float)
-    z_k = np.asarray(z_k, dtype=float)
     norm_F = _norm(F_k)
     J, neg_F = J_k.tolist(), (-F_k).tolist()
     if not (math.isfinite(norm_F) and all(map(math.isfinite, [x for row in J for x in row]))):
@@ -156,13 +150,18 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
     # Below r_lo, ||d(r)|| >= ||F|| / (||J||_F + L2 r) > r, so the gap is
     # positive without a solve.  r_lo is the positive root of
     # L2 r^2 + ||J||_F r - ||F|| = 0, written without cancellation, and
-    # scaled by ||J||_F where its square would overflow.
-    with np.errstate(over="ignore"):  # vector_norm falls back to hypot where J's squares overflow
-        norm_J = vector_norm(J_k.ravel("K"))  # the order np.linalg.norm sums in
-    if norm_J < 1e150:
-        r_lo = 2.0 * norm_F / (norm_J + math.sqrt(norm_J**2 + 4.0 * L2 * norm_F))
+    # scaled by ||J||_F where its square would overflow, or by
+    # sqrt(L2 ||F||) where 4 L2 ||F|| would.
+    norm_J = vector_norm(J_k.ravel("K"))  # the order np.linalg.norm sums in
+    four_LF = 4.0 * L2 * norm_F
+    if four_LF == math.inf:
+        root_LF = math.sqrt(L2) * math.sqrt(norm_F)
+        t = norm_J / root_LF
+        r_lo = 2.0 * (norm_F / root_LF) / (t + math.hypot(t, 2.0))
+    elif norm_J < 1e150:
+        r_lo = 2.0 * norm_F / (norm_J + math.sqrt(norm_J**2 + four_LF))
     else:
-        r_lo = 2.0 * norm_F / norm_J / (1.0 + math.sqrt(1.0 + 4.0 * L2 * norm_F / norm_J / norm_J))
+        r_lo = 2.0 * norm_F / norm_J / (1.0 + math.sqrt(1.0 + four_LF / norm_J / norm_J))
     lo, hi = 0.0, norm_F / L2 + 1e-12
     d = None
     for _ in range(MAX_DOUBLINGS + 1):
@@ -197,8 +196,13 @@ def solve_half_step_p2(F_k, J_k, L2: float, z_k) -> HalfStepResult:
                 b = (q1 - q0) / (r1 - r0)
                 a = q1 - b * r1
                 disc = a * a + 4.0 * b
+                m = 1.0
+                if disc == math.inf:   # a * a or 4 b overflows: find m r, m = max(|a|, sqrt|b|)
+                    m = max(abs(a), math.sqrt(abs(b)))
+                    a, b = a / m, b / m / m
+                    disc = a * a + 4.0 * b
                 if disc >= 0.0 and a + math.sqrt(disc) > 0.0:
-                    step = 2.0 / (a + math.sqrt(disc))
+                    step = 2.0 / (a + math.sqrt(disc)) / m
         if norm_d > r:
             lo, d_lo = r, d
         else:

@@ -26,9 +26,8 @@ from hoeg import (
     fit_rate,
     run,
     simulate,
-    solve_half_step_p1,
-    solve_half_step_p2,
 )
+from hoeg.halfstep import solve_half_step_p1, solve_half_step_p2
 
 MFORSAKEN_STAR = np.array([1.31147, 1.47596])
 FORSAKEN_STAR = np.array([0.0780, 0.4119])

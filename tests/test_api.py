@@ -23,7 +23,6 @@ EXPORTS = [
     "ContinuousLog",
     "ConvergenceError",
     "DegenerateSampleError",
-    "HalfStepResult",
     "NumericError",
     "Operator",
     "OperatorMode",
@@ -40,11 +39,8 @@ EXPORTS = [
     "estimate_q_rho",
     "fit_rate",
     "problem_names",
-    "resolvent_solve",
     "run",
     "simulate",
-    "solve_half_step_p1",
-    "solve_half_step_p2",
 ]
 
 PARAMETERS = {
@@ -58,11 +54,8 @@ PARAMETERS = {
     "estimate_q_rho": ("problem", "q", "n_samples", "seed", "mode"),
     "fit_rate": ("log",),
     "problem_names": (),
-    "resolvent_solve": ("v", "field", "p", "path"),
     "run": ("problem", "config"),
     "simulate": ("problem", "config"),
-    "solve_half_step_p1": ("F_k", "L1", "z_k"),
-    "solve_half_step_p2": ("F_k", "J_k", "L2", "z_k"),
 }
 
 RUN_OPTIONS = ("--problem", "--p", "--Lp", "--K", "--z0", "--alpha")

@@ -6,9 +6,14 @@ Hessian per F_alpha evaluation, two rho scans per certify call, resolvent
 calls per flow step).  A refactor that changes any of them fails here.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+import numpy
+
+import hoeg
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -20,3 +25,32 @@ def test_bench_selfcheck_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selfcheck: ok" in proc.stdout
+
+
+# The targets perfbench/spans.py names that this tree no longer defines, each
+# waiting on a span of its successor; any other absent target is a module or
+# function move that would zero a per-layer metric without an error.
+KNOWN_ABSENT = {
+    "solver.select_output",
+    "problems.eval_operator",
+    "problems.eval_jacobian",
+    "competitive.eval_f_alpha",
+    "competitive.f_alpha_jacobian",
+    "taylor.taylor_model",
+    "taylor.tau",
+    "certify.estimate_smoothness",
+    "certify.estimate_comonotonicity",
+}
+
+
+def test_the_tracer_finds_every_target_but_the_known_absent_ones():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer(hoeg, numpy)
+    try:
+        tracer.install()
+        absent = set(tracer.absent)
+    finally:
+        tracer.uninstall()
+    assert absent <= KNOWN_ABSENT

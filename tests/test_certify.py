@@ -139,6 +139,18 @@ class TestRhoThreshold:
             for L in (0.1, 1.0, 1e5):
                 assert check_rho_threshold(0.0, p, L)
 
+    def test_a_threshold_past_the_float_range_is_a_verdict(self):
+        # (p! / L_p)^((p+1)/p) is a Python float power, which raised OverflowError
+        for p, L in ((1, 1e-200), (2, 1e-300), (1, 5e-324), (1, np.float64(1e-310)), (2, np.float32(1e-30))):
+            assert check_rho_threshold(0.1, p, L)
+            assert check_rho_threshold(-1e308, p, L)
+        assert not check_rho_threshold(0.1, 1, 10**400)  # and a huge one at 0
+        assert not certify_module._below_threshold(math.inf, 1, 1e-200)
+        assert not certify_module._below_threshold(math.nan, 1, 1e-200)
+        tiny = dataclasses.replace(builtin("quadratic_monotone"), published_constants={1: 1e-200})
+        report = certify_problem(tiny, 1, n_samples=200, seed=0)
+        assert report.threshold_ok and report.threshold_Lp == 1e-200
+
 
 class TestSmoothness:
     def test_identity_field_constant_is_one(self):

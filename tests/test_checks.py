@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from hoeg import (
     ContinuousConfig,
-    Operator,
     OperatorMode,
     SolverConfig,
     builtin,
@@ -26,11 +25,8 @@ from hoeg import (
     check_energy_bound,
     check_rho_threshold,
     estimate_q_rho,
-    resolvent_solve,
     run,
     simulate,
-    solve_half_step_p1,
-    solve_half_step_p2,
 )
 
 Z0 = np.array([1.0, 1.0])
@@ -124,9 +120,6 @@ TABLE = [
     ("ProblemSpec.sample_box", lambda v: dataclasses.replace(X2Y, sample_box=v), "sample_box", BOX),
     ("OperatorMode.alpha", OperatorMode, "alpha", NOT_NEGATIVE + [(None, None)]),
     ("OperatorMode.competitive", OperatorMode.competitive, "alpha", NOT_NEGATIVE + [(None, NOT_REAL)]),
-    ("solve_half_step_p1.L1", lambda v: solve_half_step_p1(Z0, v, Z0), "L1", POSITIVE),
-    ("solve_half_step_p2.L2", lambda v: solve_half_step_p2(Z0, np.eye(2), v, Z0), "L2", POSITIVE),
-    ("resolvent_solve.p", lambda v: resolvent_solve(Z0, Operator(QUADRATIC), v), "p", ORDER),
     ("certify_problem.p", lambda v: certify_problem(FORSAKEN, v, n_samples=1), "p", ORDER),
     ("certify_problem.q", lambda v: certify_problem(FORSAKEN, 1, q=v, n_samples=1), "q", FINITE + [(None, None)]),
     ("certify_problem.n_samples", lambda v: certify_problem(FORSAKEN, 1, n_samples=v), "n_samples", COUNT),
@@ -166,9 +159,8 @@ def _entries(*labels):
     return [(call, name) for label, call, name, _ in TABLE if label in labels]
 
 
-# entries where every valid value succeeds: a huge L2 can still end the order-2 half-step in a
-# ConvergenceError, and a tiny Lp overflows the threshold formula of check_rho_threshold
-POSITIVE_ENTRIES = _entries("SolverConfig.lipschitz", "solve_half_step_p1.L1") + [
+# entries where every valid value succeeds
+POSITIVE_ENTRIES = _entries("SolverConfig.lipschitz", "check_rho_threshold.Lp") + [
     (lambda v: ContinuousConfig(1, v, v, Z0), "t_end")]
 FLOATS = st.one_of(st.floats(), st.floats().map(np.float64), st.integers(-10**6, 10**6))
 
@@ -191,8 +183,8 @@ def test_rho_and_alpha_are_accepted_exactly_when_finite_and_in_range(x):
     _check(OperatorMode, "alpha", x, None if finite and x >= 0 else "{name} must be finite and >= 0")
 
 
-REAL_ENTRIES = POSITIVE_ENTRIES + _entries("solve_half_step_p2.L2", "check_rho_threshold.rho", "check_rho_threshold.Lp",
-                                           "OperatorMode.alpha", "OperatorMode.competitive", "ContinuousConfig.dt")
+REAL_ENTRIES = POSITIVE_ENTRIES + _entries("check_rho_threshold.rho", "OperatorMode.alpha", "OperatorMode.competitive",
+                                           "ContinuousConfig.dt")
 
 
 @settings(max_examples=40, deadline=None)

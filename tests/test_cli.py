@@ -11,6 +11,7 @@ import pytest
 import hoeg
 import hoeg.solver as solver_module
 from hoeg import certify as cert
+from hoeg import halfstep
 from hoeg.cli import _write_csv, build_parser, main
 
 RUN = [sys.executable, "-m", "hoeg.cli"]
@@ -99,7 +100,7 @@ def test_run_summary_keeps_the_failure_residual(monkeypatch, tmp_path, residual,
         calls.append(1)
         if len(calls) == 4:
             raise hoeg.ConvergenceError("stubbed failure", residual=residual)
-        return hoeg.solve_half_step_p1(F, L, z)
+        return halfstep.solve_half_step_p1(F, L, z)
 
     monkeypatch.setattr(solver_module, "solve_half_step_p1", failing_at_k3)
     out = tmp_path / "summary.json"

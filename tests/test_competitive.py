@@ -173,6 +173,6 @@ def test_a_non_finite_differenced_jacobian_is_a_numeric_error(alpha):
                         mixed_hessian=lambda z: np.array([[0.0]]))
     operator = Operator(steep, OperatorMode(alpha))
     assert np.isfinite(operator.at([1e-5, 0.0])).all()
-    # run and resolvent_solve evaluate Jacobians with overflow warnings off, as here
+    # run and simulate evaluate Jacobians with overflow warnings off, as here
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite Jacobian for 'steep'"):
         operator.jacobian([0.0, 0.0])

@@ -17,10 +17,9 @@ from hoeg import (
     ProblemSpec,
     builtin,
     check_energy_bound,
-    resolvent_solve,
     simulate,
 )
-from hoeg.dynamics import _Path, normalized_field
+from hoeg.dynamics import _Path, normalized_field, resolvent_solve
 
 GAMMA = -0.2
 COMONO_RHO = -2 * GAMMA / (GAMMA**2 + 1)  # weak-MVI constant of the toy linear field
@@ -44,6 +43,11 @@ def linear_problem(A, analytic=True):
     )
 
 
+def resolve(v, field, p):
+    """One resolvent solve with no previous solve to start from, as simulate's first."""
+    return resolvent_solve(np.array(v, dtype=float), field, p, path=_Path())
+
+
 class TestNormalizedField:
     def test_order1_passthrough(self):
         F = np.array([3.0, 4.0])
@@ -65,17 +69,17 @@ class TestNormalizedField:
 
 class TestResolvent:
     def test_identity_field_halves(self):
-        z = resolvent_solve([2.0, 0.0], Operator(builtin("quadratic_monotone")), 1)
+        z = resolve([2.0, 0.0], Operator(builtin("quadratic_monotone")), 1)
         assert np.allclose(z, [1.0, 0.0], atol=1e-9)
 
     def test_zero_field_is_identity_map(self):
         for p in (1, 2):
-            z = resolvent_solve([0.3, -0.7], Operator(zero_field_problem()), p)
+            z = resolve([0.3, -0.7], Operator(zero_field_problem()), p)
             assert np.allclose(z, [0.3, -0.7], atol=1e-12)
 
     def test_order2_square_root_equation(self):
         # on the first axis: z + sqrt(z) = 2 has the root z = 1
-        z = resolvent_solve([2.0, 0.0], Operator(builtin("quadratic_monotone")), 2)
+        z = resolve([2.0, 0.0], Operator(builtin("quadratic_monotone")), 2)
         assert np.allclose(z, [1.0, 0.0], atol=1e-8)
 
     def test_residual_recomputed_independently(self):
@@ -83,31 +87,33 @@ class TestResolvent:
         rng = np.random.default_rng(2)
         for _ in range(20):
             v = rng.uniform(-2, 2, 2)
-            z = resolvent_solve(v, Operator(p), 1)
+            z = resolve(v, Operator(p), 1)
             res = np.linalg.norm(z + normalized_field(Operator(p).at(z), 1) - v)
             assert res <= 1e-10 * max(1.0, np.linalg.norm(v))
 
     def test_singular_newton_matrix_is_a_typed_failure(self):
         # F = -z makes I + J the zero matrix
         with pytest.raises(ConvergenceError, match="singular") as singular:
-            resolvent_solve([3.0, 4.0], Operator(linear_problem(-np.eye(2))), 1)
+            resolve([3.0, 4.0], Operator(linear_problem(-np.eye(2))), 1)
         assert singular.value.residual == 5.0
 
     def test_overflowing_trial_point_is_a_typed_failure(self):
-        # I + J is 1e-10 in its first entry, so the first trial lands where F overflows
+        # I + J is 1e-10 in its first entry, so the first trial lands where F overflows;
+        # simulate's first solve, from z0, raises what the resolvent raised
         problem = ProblemSpec(
             name="steep", d_x=1, d_y=1,
             grad_x=lambda z: np.array([-(1 - 1e-10) * z[0] + z[0] ** 101]),
             grad_y=lambda z: -z[1:],
         )
         with pytest.raises(NumericError):
-            resolvent_solve([0.5, 0.0], Operator(problem), 1)
+            simulate(problem, ContinuousConfig(1, 1.0, 1.0, np.array([0.5, 0.0])))
 
     def test_order2_solve_where_the_square_of_norm_F_overflows_meets_the_stop_rule(self):
-        # x2y has F(1e78, 1e78) = (2e156, -1e156): ||F|| is a double, F @ F is not
+        # x2y has F(1e78, 1e78) = (2e156, -1e156): ||F|| is a double, F @ F is not;
+        # simulate's first row is the resolvent of z0
         v = np.array([1e78, 1e78])
         field = Operator(builtin("x2y"))
-        z = resolvent_solve(v, field, 2)
+        z = simulate(builtin("x2y"), ContinuousConfig(2, 1e-3, 1e-3, v)).z[0]
         F = field.at(z)
         h = z + F / math.hypot(*F) ** 0.5 - v
         assert math.hypot(*h) <= 1e-10 * math.hypot(*v)
@@ -127,7 +133,7 @@ class TestResolventProperties:
     @_property
     @given(_monotone, _points)
     def test_order1_monotone_matches_linear_solve(self, A, v):
-        z = resolvent_solve(v, Operator(linear_problem(A)), 1)
+        z = resolve(v, Operator(linear_problem(A)), 1)
         exact = np.linalg.solve(np.eye(2) + A, v)
         # ||(I + A)^-1|| <= 1, so the error is at most the residual tolerance
         assert np.linalg.norm(z - exact) <= 1e-9 * max(1.0, np.linalg.norm(v))
@@ -140,7 +146,7 @@ class TestResolventProperties:
         # sqrt(s) = (sqrt(c + 4 ||v||) - sqrt(c)) / 2, written without cancellation
         v = size * np.array([np.cos(angle), np.sin(angle)])
         s = (2 * size / (np.sqrt(c + 4 * size) + np.sqrt(c))) ** 2
-        z = resolvent_solve(v, Operator(linear_problem(c * np.eye(2))), 2)
+        z = resolve(v, Operator(linear_problem(c * np.eye(2))), 2)
         assert np.linalg.norm(z - s * v / size) <= 1e-9 * max(1.0, size)
 
     @_property
@@ -148,7 +154,7 @@ class TestResolventProperties:
     def test_returned_point_meets_the_tolerance(self, A, v, p, analytic):
         problem = linear_problem(A, analytic)
         try:
-            z = resolvent_solve(v, Operator(problem), p)
+            z = resolve(v, Operator(problem), p)
         except ConvergenceError as exc:
             assert np.isfinite(exc.residual)
             return

@@ -16,13 +16,11 @@ from hoeg import (
     builtin,
     certify_problem,
     check_rho_threshold,
-    resolvent_solve,
     run,
-    solve_half_step_p1,
-    solve_half_step_p2,
 )
 from hoeg import halfstep
 from hoeg.errors import SUPPORTED_ORDERS
+from hoeg.halfstep import GAP_RTOL, MODEL_RTOL, solve_half_step_p1, solve_half_step_p2
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -40,8 +38,7 @@ def test_every_entry_point_checks_the_one_list_of_orders():
         for make in (lambda: SolverConfig(p, 1.0, 10, z0),
                      lambda: ContinuousConfig(p, 1.0, 0.1, z0),
                      lambda: certify_problem(problem, p, n_samples=10),
-                     lambda: resolvent_solve(z0, Operator(problem), p),
-                 lambda: check_rho_threshold(0.1, p, 1.0)):
+                     lambda: check_rho_threshold(0.1, p, 1.0)):
             with pytest.raises(ValueError, match=rf"order p = {p} is not supported \(have \(1, 2\)\)"):
                 make()
 
@@ -84,23 +81,25 @@ def test_every_lipschitz_check_needs_a_positive_finite_constant(L):
     # an infinite L_1 used to make the order-1 step exactly 0 and stop at z0 as "stationary"
     z = np.array([1.0, 1.0])
     for make in (lambda: SolverConfig(1, L, 10, z),
-                 lambda: solve_half_step_p1(z, L, z),
-                 lambda: solve_half_step_p2(z, np.eye(2), L, z),
                  lambda: check_rho_threshold(0.0, 1, L)):
         with pytest.raises(ValueError, match="must be positive and finite"):
             make()
 
 
 @pytest.mark.parametrize("make, name", [
-    (lambda z: solve_half_step_p1(z, True, z), "L1"),
-    (lambda z: solve_half_step_p2(z, np.eye(2), True, z), "L2"),
     (lambda z: SolverConfig(1, True, 5, z), "lipschitz"),
     (lambda z: check_rho_threshold(0.1, 1, True), "Lp"),
-], ids=["solve_half_step_p1", "solve_half_step_p2", "SolverConfig", "check_rho_threshold"])
+], ids=["SolverConfig", "check_rho_threshold"])
 def test_a_bool_lipschitz_constant_is_rejected_by_name(make, name):
     # True passes 0 < L < inf and used to run as L = 1
     with pytest.raises(ValueError, match=f"^{name} must be a number, not the bool True$"):
         make(np.array([1.0, 1.0]))
+
+
+def _as_in_run(solve, *args):
+    """``solve(*args)`` under the floating-point state that ``run`` holds around its solvers."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve(*args)
 
 
 class TestOrder1:
@@ -130,13 +129,11 @@ class TestOrder1:
             assert np.linalg.norm(_model(F, None, L1, 1, res.z_half - z)) <= 1e-12 * max(1.0, np.linalg.norm(F))
 
     def test_a_field_whose_square_overflows_keeps_its_norm_silently(self):
-        # F @ F overflows; the hypot fallback gives the norm, and no RuntimeWarning escapes
-        res = solve_half_step_p1(np.array([1e200, 1e200]), 1.0, np.zeros(2))
-        assert res.displacement_norm == math.hypot(5e199, 5e199)
-
-    def test_rejects_bad_lipschitz(self):
-        with pytest.raises(ValueError):
-            solve_half_step_p1(np.ones(2), 0.0, np.zeros(2))
+        # F = z = (1e200, 1e200) gives d = -F / 2, whose d @ d overflows; the hypot
+        # fallback gives the norm, and no RuntimeWarning escapes run
+        config = SolverConfig(1, 1.0, 1, np.array([1e200, 1e200]))
+        log = run(builtin("quadratic_monotone"), config)
+        assert log.displacement_norm[0] == math.hypot(5e199, 5e199)
 
 
 class TestOrder2:
@@ -155,10 +152,12 @@ class TestOrder2:
     def test_a_jacobian_whose_squares_overflow_keeps_its_lower_radius_bound(self, scale):
         # ||J||_F overflowed to inf in np.linalg.norm, with a RuntimeWarning, and r_lo fell
         # to 0; the search then halved down from ||F|| / L2 and stopped after 201 solves
-        res = solve_half_step_p2(np.array([1.0, 1.0]), scale * np.eye(2), 1.0, np.zeros(2))
+        res = _as_in_run(solve_half_step_p2, np.array([1.0, 1.0]), scale * np.eye(2), 1.0, np.zeros(2))
         assert res.displacement_norm == pytest.approx(math.sqrt(2.0) / scale, rel=1e-12)
         assert res.residual_norm <= halfstep.MODEL_RTOL * math.sqrt(2.0)
-        assert res.iterations_used < 50  # 3 at 1e150; above it the secular fit's a^2 overflows and it bisects
+        # 3 at 1e150; above ~1e154 the secular fit's a * a overflowed, and every
+        # step bisected: 41 solves at 1e200 and 42 at 1e300
+        assert res.iterations_used <= 3
 
     def test_rotation_radius(self):
         # skew J: ||d(r)||^2 = 1/(r^2+1), so r^4 + r^2 = 1
@@ -329,6 +328,43 @@ class TestOrder2RadiusRoot:
             lo, hi = (mid, hi) if _gap(F, J, L2, mid) > 0 else (lo, mid)
         r = solve_half_step_p2(F, J, L2, np.zeros(d)).displacement_norm
         assert r == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+
+
+# F = (1, 1) with J = cI: the root is known in closed form for every scale of L2 and c
+_extreme_scales = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _scaled_identity_radius(norm_F, c, L2):
+    """The root r of L2 r^2 + c r - ||F|| = 0, the half-step radius for J = cI, scaled to stay in range."""
+    s = max(c, math.sqrt(L2) * math.sqrt(norm_F))
+    return 2.0 * (norm_F / s) / (c / s + math.hypot(c / s, 2.0 * (math.sqrt(L2) * math.sqrt(norm_F) / s)))
+
+
+def _check_scaled_identity_half_step(c, L2):
+    F = np.array([1.0, 1.0])
+    res = _as_in_run(solve_half_step_p2, F, c * np.eye(2), L2, np.zeros(2))
+    d = res.z_half
+    r = _scaled_identity_radius(_norm(F), c, L2)
+    assert abs(_norm(d) - r) <= GAP_RTOL * r
+    assert _norm(F + c * d + L2 * _norm(d) * d) <= MODEL_RTOL * max(1.0, _norm(F))
+    # 1/||d(r)|| is linear in r, so the first secular step is the root: hi, r_lo and that root
+    assert res.iterations_used <= 3
+
+
+@_extreme_scales
+@given(st.floats(-300.0, math.log10(1.7e308)).map(lambda e: min(10.0**e, 1.7e308)))
+@example(1e-300)
+@example(1.7e308)  # 4 L2 ||F|| overflowed, r_lo fell to 0, and 201 solves ended in ConvergenceError
+def test_the_half_step_meets_its_certificate_for_every_lipschitz_scale(L2):
+    _check_scaled_identity_half_step(1.0, L2)
+
+
+@_extreme_scales
+@given(st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+@example(1e-300)
+@example(1e300)  # the secular fit's a * a overflowed, and every step bisected: 42 solves
+def test_the_half_step_meets_its_certificate_for_every_jacobian_scale(c):
+    _check_scaled_identity_half_step(c, 1.0)
 
 
 # The trial-radius solve against LAPACK's, for d = 1..8.
