@@ -80,8 +80,9 @@ def _shaped(value, z, block: tuple):
     """
     try:
         value_shape = value.shape  # np.shape without its call overhead
-    except AttributeError:
-        value_shape = np.shape(value)
+    except AttributeError:  # a sequence: returned as an array, so that ``tolist`` serves it too
+        value = np.asarray(value)
+        value_shape = value.shape
     if value_shape != block[0]:
         raise ValueError(f"{block[1]} has shape {value_shape} at {z}, expected {block[0]}")
     return value
@@ -124,17 +125,6 @@ def _check_rows(values: np.ndarray, points: np.ndarray, block: tuple) -> None:
         raise NumericError(f"non-finite {block[2]} at {points[np.argmin(finite)]}")
 
 
-def central_difference(fn: Callable[[Vector], Vector], z: Vector) -> np.ndarray:
-    """Jacobian of fn at z by central differences with step FD_STEP in each coordinate."""
-    d = z.size
-    jac = np.empty((d, d))
-    for j in range(d):
-        step = np.zeros(d)
-        step[j] = FD_STEP
-        jac[:, j] = (fn(z + step) - fn(z - step)) / (2 * FD_STEP)
-    return jac
-
-
 @dataclass(frozen=True)
 class OperatorMode:
     """Which field the solver follows: F when alpha is None, F_alpha for a value (0 included)."""
@@ -159,6 +149,8 @@ def block_matrix(B: np.ndarray, alpha: float) -> np.ndarray:
     """M = [[I, alpha B], [-alpha B^T, I]] for one mixed Hessian B, or for a stack of them.
 
     ``B`` has shape (d_x, d_y) or (n, d_x, d_y); M has shape (d, d) or (n, d, d).
+    ``Operator.rows`` solves with the stack.  ``Operator.at`` assembles its
+    one M from lists, bit for bit this layout; tests compare it with one B.
     """
     d_x, d_y = B.shape[-2:]
     d = d_x + d_y
@@ -173,7 +165,7 @@ class Operator:
 
     The field is F(z) = (grad_x f(z), -grad_y f(z)), or F_alpha when the
     mode sets alpha: F_alpha(z) solves M u = F(z) with
-    M = ``block_matrix(B, alpha)`` and B = grad_xy f(z).  M is the identity
+    M = [[I, alpha B], [-alpha B^T, I]] and B = grad_xy f(z).  M is the identity
     plus a real skew-symmetric matrix, so its symmetric part is I and the
     solve is always well posed; in particular F_alpha and F share their zero
     set exactly.  A non-finite F, mixed Hessian or Jacobian raises
@@ -193,6 +185,7 @@ class Operator:
         self._B_block = ((problem.d_x, problem.d_y), f"mixed Hessian of {name}", f"mixed Hessian for {name}")
         self._J_block = ((problem.d, problem.d), f"Jacobian of {name}", f"Jacobian for {name}")
         self._shape = (problem.d,)
+        self._eye_x, self._eye_y = np.eye(problem.d_x).tolist(), np.eye(problem.d_y).tolist()
 
     def _point(self, z) -> Vector:
         z = np.asarray(z, dtype=float)
@@ -203,25 +196,34 @@ class Operator:
     def at(self, z) -> np.ndarray:
         """The field at one point; F_alpha is one (d, d) solve.
 
-        F is checked by ``math.isfinite`` on ``F.tolist()``: the verdict of
-        ``np.isfinite(F).all()`` at a fraction of its cost on a short F.
+        F and B are read into lists and checked by ``math.isfinite``: the
+        verdict of ``np.isfinite(...).all()`` at a fraction of its cost on a
+        short block.  M is assembled from the list of B.
         """
         problem = self.problem
         z = self._point(z)
-        F = np.concatenate([_shaped(problem.grad_x(z), z, self._x_block),
-                            -_shaped(problem.grad_y(z), z, self._y_block)])
+        F = _shaped(problem.grad_x(z), z, self._x_block).tolist()
+        F += [-v for v in _shaped(problem.grad_y(z), z, self._y_block).tolist()]
+        self._check_finite(F, z, self._x_block)
+        F = np.array(F)
+        if self.alpha is None:
+            return F
+        B = _shaped(problem.mixed_hessian(z), z, self._B_block).tolist()
+        self._check_finite([b for row in B for b in row], z, self._B_block)
+        a = self.alpha
+        M = [e + [a * b for b in row] for e, row in zip(self._eye_x, B)]
+        M += [[-a * b for b in column] + e for column, e in zip(zip(*B), self._eye_y)]
+        return np.linalg.solve(M, F)
+
+    def _check_finite(self, values: list, z, block: tuple) -> None:
+        """NumericError naming z unless every entry is finite; ``rows`` names a complex block."""
         try:
-            finite = all(map(math.isfinite, F.tolist()))
+            finite = all(map(math.isfinite, values))
         except TypeError:  # a complex entry: ``rows`` raises the ValueError naming its block
             self.rows(z[None])
             raise
         if not finite:
-            raise NumericError(f"non-finite {self._x_block[2]} at {z}")
-        if self.alpha is None:
-            return F
-        B = _real(problem.mixed_hessian(z), z, self._B_block)
-        _check_rows(B[None], z[None], self._B_block)
-        return np.linalg.solve(block_matrix(B, self.alpha), F)
+            raise NumericError(f"non-finite {block[2]} at {z}")
 
     def rows(self, Z) -> np.ndarray:
         """The field at each row of an (n, d) array, each row bit-identical to ``at``.
@@ -253,16 +255,21 @@ class Operator:
     def jacobian(self, z) -> np.ndarray:
         """Jacobian of the field at z: the problem's own for F when it has one, else differenced.
 
-        F_alpha has no analytic third derivatives, so it is always the
-        central difference of ``at``.
+        F_alpha has no analytic third derivatives, so it is always
+        differenced: column j is (F(z + h e_j) - F(z - h e_j)) / (2 h) with
+        h = FD_STEP, and the 2d stencil points are one ``rows`` call.  So,
+        as for ``rows``, each call of a block must return a new array: one
+        refilled buffer gives every point the last value, and J = 0.
         """
         problem = self.problem
         z = self._point(z)
         if self.alpha is None and problem.operator_jacobian is not None:
             jac = _real(problem.operator_jacobian(z), z, self._J_block)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):  # the check below names the point
-                jac = central_difference(self.at, z)
+            steps = FD_STEP * np.eye(problem.d)  # z - h e_j is z + (-h e_j), bit for bit
+            with np.errstate(over="ignore", invalid="ignore"):  # the checks name the point
+                R = self.rows(z + np.stack([steps, -steps], axis=1).reshape(-1, problem.d))
+                jac = ((R[0::2] - R[1::2]) / (2 * FD_STEP)).T.copy()
         _check_rows(jac[None], z[None], self._J_block)
         return jac
 

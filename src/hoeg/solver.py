@@ -218,11 +218,12 @@ def detect_cycling(log: TrajectoryLog) -> bool:
 
     Flags a cycle when the operator norm stays above CYCLE_THRESHOLD while the
     iterates revisit earlier neighborhoods: the smallest distance between
-    non-adjacent window members falls under 10% of the window's spread.
+    non-adjacent window members falls under 10% of the window's spread.  A
+    log of fewer than 3 rows has no non-adjacent pair and is not a cycle.
     """
     pts = log.z[-CYCLE_WINDOW:]
     n = len(pts)
-    if n < 2:
+    if n < 3:
         return False
     if log.op_norm_half[-CYCLE_WINDOW:].min() <= CYCLE_THRESHOLD:
         return False

@@ -7,6 +7,7 @@ optional log axes, and 2-D trajectory traces.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence, Tuple
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
@@ -31,6 +32,10 @@ def _ticks(lo, hi, log_scale, count=5):
         step = max(1, (hi_i - lo_i) // count)
         return [(t, f"1e{t}") for t in range(lo_i, hi_i + 1, step)]
     span = hi - lo or 1.0
+    if span == math.inf:
+        raise ValueError(f"cannot place ticks on [{lo:g}, {hi:g}]: its width overflows the float range")
+    if span / count < sys.float_info.min:  # a subnormal width: one tick, at lo
+        return [(lo, f"{lo:.4g}")]
     step = 10 ** math.floor(math.log10(span / count))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= count:
@@ -41,6 +46,8 @@ def _ticks(lo, hi, log_scale, count=5):
     t = start
     while t <= hi + 1e-12 * span:
         ticks.append((t, f"{t:.4g}"))
+        if t + step == t:  # a step under half the spacing of the floats at t
+            break
         t += step
     return ticks
 

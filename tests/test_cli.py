@@ -371,6 +371,51 @@ def test_run_svg_output(tmp_path):
     assert (tmp_path / "plot_trajectory.svg").exists()
 
 
+def test_an_svg_whose_axis_is_narrower_than_its_tick_step_is_written(tmp_path):
+    # from (1e10, 1e10) the trajectory's y axis is a few ulps of 1e10 wide, and
+    # its linear tick step of 5e-7 did not move t, so the tick loop never ended;
+    # a child process with a timeout turns such a hang into a failure
+    svg = tmp_path / "out.svg"
+    proc = subprocess.run(RUN + ["run", "--problem", "quadratic_monotone", "--p", "1", "--Lp", "1e15",
+                                 "--K", "1", "--z0", "1e10,1e10", "--svg", str(svg)],
+                          capture_output=True, text=True, env=child_env(), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert svg.read_text().startswith("<svg")
+    assert (tmp_path / "out_trajectory.svg").read_text().startswith("<svg")
+
+
+_TICK_CASES = """
+import json, math, sys
+from hoeg.svgplot import _ticks
+out = []
+for lo in (0.0, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, -1.0, 1e10, 1e300, -1.7e308, 1.7e308):
+    for hi in (math.nextafter(lo, math.inf), math.nextafter(math.nextafter(lo, math.inf), math.inf)):
+        if math.isfinite(hi):
+            out.append([lo, hi, [t for t, _ in _ticks(lo, hi, False)]])
+try:
+    _ticks(-1e308, 1e308, False)
+    out.append("no error")
+except ValueError as exc:
+    out.append(str(exc))
+json.dump(out, sys.stdout)
+"""
+
+
+def test_ticks_end_for_every_finite_axis():
+    # one- and two-ulp wide axes from 0 to the top of the float range, each in a
+    # child process with a timeout, since a tick loop that cannot advance hangs
+    proc = subprocess.run([sys.executable, "-c", _TICK_CASES], capture_output=True, text=True,
+                          env=child_env(), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    *cases, overflow = json.loads(proc.stdout)
+    assert len(cases) == 22
+    for lo, hi, ticks in cases:
+        span = hi - lo
+        assert 1 <= len(ticks) <= 6, (lo, hi, ticks)
+        assert all(lo - span <= t <= hi + span for t in ticks), (lo, hi, ticks)
+    assert overflow == "cannot place ticks on [-1e+308, 1e+308]: its width overflows the float range"
+
+
 def test_io_failure_exit_code(tmp_path):
     proc = invoke(["run", "--problem", "quadratic_monotone", "--Lp", "1", "--K", "10",
                    "--z0", "1,0", "--csv", str(tmp_path / "missing_dir" / "x.csv")])

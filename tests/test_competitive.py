@@ -18,7 +18,8 @@ from hoeg import (
     estimate_q_rho,
     run,
 )
-from hoeg.problems import block_matrix, central_difference
+from hoeg.problems import FD_STEP, block_matrix
+from test_problems import ALL_NAMES, _tall_block
 
 
 def test_alpha_zero_is_the_plain_operator():
@@ -154,14 +155,81 @@ def test_a_non_finite_mixed_hessian_names_the_point():
                                   operator_mode=OperatorMode(10)))
 
 
+def central_difference(fn, z):
+    """The Jacobian of fn at z by central differences with step FD_STEP, one column at a time.
+
+    The oracle of ``Operator.jacobian``, which evaluates all 2d stencil points in one ``rows`` call.
+    """
+    d = z.size
+    jac = np.empty((d, d))
+    for j in range(d):
+        step = np.zeros(d)
+        step[j] = FD_STEP
+        jac[:, j] = (fn(z + step) - fn(z - step)) / (2 * FD_STEP)
+    return jac
+
+
 @pytest.mark.parametrize("alpha", [None, 0.0, 10.0])
 def test_a_differenced_jacobian_is_the_central_difference_of_the_field(alpha):
-    problem = builtin("x2y")
-    if alpha is None:  # no analytic Jacobian: F is differenced too
-        problem = dataclasses.replace(problem, name="x2y_fd", operator_jacobian=None)
-    operator = Operator(problem, OperatorMode(alpha))
-    for z in np.random.default_rng(3).uniform(-1.0, 1.0, (20, 2)):
-        assert operator.jacobian(z).tobytes() == central_difference(operator.at, z).tobytes()
+    for name in ALL_NAMES + ["tall_block"]:
+        problem = _tall_block() if name == "tall_block" else builtin(name)
+        if alpha is None:  # no analytic Jacobian: F is differenced too
+            problem = dataclasses.replace(problem, name=name + "_fd", operator_jacobian=None)
+        _check_differenced_jacobian(Operator(problem, OperatorMode(alpha)))
+
+
+def _check_differenced_jacobian(operator):
+    problem = operator.problem
+    box = problem.sample_box
+    points = np.random.default_rng(3).uniform(box[:, 0], box[:, 1], (20, problem.d))
+    # signed zeros: z + 0.0 and z - 0.0 keep or drop the sign of a zero coordinate
+    points = np.concatenate([points, [np.zeros(problem.d), -np.zeros(problem.d), 1e150 * points[0]]])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run and simulate
+        for z in points:
+            try:
+                want = central_difference(operator.at, z)
+            except NumericError:
+                with pytest.raises(NumericError):
+                    operator.jacobian(z)
+                continue
+            if np.isfinite(want).all():
+                assert operator.jacobian(z).tobytes() == want.tobytes()
+            else:
+                message = f"non-finite Jacobian for {problem.name!r} at {z}"
+                with pytest.raises(NumericError, match=re.escape(message)):
+                    operator.jacobian(z)
+
+
+@pytest.mark.parametrize("alpha", [None, 10.0])
+def test_a_non_finite_stencil_point_is_a_numeric_error_naming_it(alpha):
+    # F is finite at z and at z - FD_STEP e_0, and infinite at z + FD_STEP e_0
+    cliff = ProblemSpec(name="cliff", d_x=1, d_y=1,
+                        grad_x=lambda z: np.array([math.inf if z[0] > 0.5 else z[0]]),
+                        grad_y=lambda z: np.array([z[1]]),
+                        mixed_hessian=lambda z: np.array([[1.0]]))
+    operator = Operator(cliff, OperatorMode(alpha))
+    z = np.array([0.5, 0.25])
+    assert np.isfinite(operator.at(z)).all()
+    point = z + np.array([FD_STEP, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match=re.escape(f"non-finite operator value for 'cliff' at {point}")):
+        operator.jacobian(z)
+
+
+def test_a_non_finite_f_is_named_before_a_non_finite_mixed_hessian_at_an_earlier_point():
+    # the stencil is z + h e_0, z - h e_0, z + h e_1, z - h e_1; B is infinite at
+    # the first point and F at the last, and rows checks F at every point before B
+    ledge = ProblemSpec(name="ledge", d_x=1, d_y=1,
+                        grad_x=lambda z: np.array([z[0]]),
+                        grad_y=lambda z: np.array([math.inf if z[1] < 0.5 else z[1]]),
+                        mixed_hessian=lambda z: np.array([[math.inf if z[0] > 0.5 else 1.0]]))
+    operator = Operator(ledge, OperatorMode(10.0))
+    z = np.array([0.5, 0.5])
+    assert np.isfinite(operator.at(z)).all()
+    point = z + np.array([0.0, -FD_STEP])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match=re.escape(f"non-finite operator value for 'ledge' at {point}")):
+        operator.jacobian(z)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.0])

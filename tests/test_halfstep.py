@@ -217,6 +217,19 @@ class TestOrder2:
         # one solve per trial radius keeps the creep towards the pole under 60 solves
         assert res.iterations_used <= 60
 
+    def test_a_root_beside_a_pole_is_pinned_by_its_bracket(self):
+        # J + L2 r I is singular at r = 0.5, and the root sits 1.07e-7 above it,
+        # where the gap moves by 2.9e-10 per double of r: no double has a gap
+        # within GAP_RTOL r = 5e-11, and the returned one is within a double of the root
+        F = np.array([0.0, 0.0, 0.5])
+        J = np.array([[-0.5, 0.0, 1.192092896e-07], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        res = solve_half_step_p2(F, J, 1.0, np.zeros(3))
+        r, d = res.displacement_norm, res.z_half
+        assert 0.5 < r < 0.5 + 2e-7
+        assert res.residual_norm <= MODEL_RTOL
+        radius = -float((d / r) @ (F + J @ d)) / r
+        assert GAP_RTOL * radius < abs(r - radius) <= _one_double_of_gap(J, 1.0, radius, d)
+
     def test_solve_count_on_modified_forsaken(self):
         # secular interpolation needs about 4 solves per half-step, one per
         # trial radius; bisection alone needs ~41
@@ -278,6 +291,16 @@ def _gap(F, J, L2, r):
         return _norm(np.linalg.solve(J + L2 * r * np.eye(len(F)), -F)) - r
     except np.linalg.LinAlgError:
         return np.inf
+
+
+def _one_double_of_gap(J, L2, r, d):
+    """How far the gap g = ||d(r)|| - r moves between r and its neighbouring double.
+
+    d'(r) = -L2 (J + L2 r I)^{-1} d, so |g'(r)| <= L2 ||(J + L2 r I)^{-1} d|| + 1.
+    Beside a pole of J + L2 r I the gap can move by more than GAP_RTOL r per
+    double, and then no double meets the gap test: the bracket pins r instead.
+    """
+    return (L2 * _norm(np.linalg.solve(J + L2 * r * np.eye(len(d)), d)) + 1.0) * math.ulp(r)
 
 
 def _first_doubling_bracket(F, J, L2):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 import re
 import warnings
 from functools import partial
@@ -159,6 +160,50 @@ def test_at_accepts_a_finite_F_whose_entries_sum_past_the_float_range(F):
     problem = ProblemSpec(name="huge", d_x=1, d_y=1,
                           grad_x=lambda z: np.array([F[0]]), grad_y=lambda z: np.array([-F[1]]))
     assert Operator(problem).at(np.zeros(2)).tolist() == list(F)
+
+
+def _counting(problem, counts, monkeypatch):
+    """``problem`` with its blocks, and numpy.linalg.solve, counting their calls into ``counts``."""
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    blocks = ("grad_x", "grad_y", "mixed_hessian")
+    return dataclasses.replace(problem, **{b: counted(b, getattr(problem, b)) for b in blocks})
+
+
+@pytest.mark.parametrize("alpha", [None, 10.0])
+def test_one_point_is_one_call_of_each_block_and_one_solve_for_f_alpha(alpha, monkeypatch):
+    # the work counts the benchmark's self-check fixes: one grad_x call per F,
+    # one mixed Hessian and one solve per F_alpha evaluation
+    counts = Counter()
+    problem = _counting(builtin("forsaken"), counts, monkeypatch)
+    operator = Operator(problem, OperatorMode(alpha))
+    points = np.random.default_rng(5).uniform(-1.5, 1.5, (7, 2))
+    counts.clear()  # building the problem evaluated F at z_star
+    for z in points:
+        operator.at(z)
+    n = len(points)
+    f_alpha = {} if alpha is None else {"mixed_hessian": n, "solve": n}
+    assert counts == Counter(grad_x=n, grad_y=n, **f_alpha)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_run_under_f_alpha_makes_the_fixed_number_of_calls(p, monkeypatch):
+    # two F_alpha evaluations per row, and at p = 2 one Jacobian whose 2d = 4
+    # stencil points are one ``rows`` call: 4 block calls and one stacked solve
+    counts = Counter()
+    problem = _counting(builtin("forsaken"), counts, monkeypatch)
+    config = SolverConfig(order_p=p, lipschitz=20.0 if p == 1 else 500.0, max_iterations=30,
+                          z0=np.array([-1.0, -1.0]), operator_mode=OperatorMode(10.0))
+    counts.clear()
+    n = len(run(problem, config))
+    evals = 2 * n + (4 * n if p == 2 else 0)
+    solves = 2 * n + (n if p == 2 else 0)
+    assert counts == Counter(grad_x=evals, grad_y=evals, mixed_hessian=evals, solve=solves)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

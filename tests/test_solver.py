@@ -303,6 +303,16 @@ class TestCycling:
         assert not detect_cycling(log)
         assert np.linalg.norm(log.z_out - p.z_star) <= 1e-2
 
+    def test_a_log_with_no_non_adjacent_pair_is_not_a_cycle(self):
+        # two rows used to end in numpy's "zero-size array to reduction operation minimum"
+        log = run(builtin("forsaken"), config(p=1, L=20.0, K=1, z0=(-1.0, -1.0)))
+        assert len(log) == 2
+        assert not detect_cycling(log)
+        log = run(builtin("quadratic_monotone"), config(K=5, z0=(0.0, 0.0)))  # stationary at row 0
+        assert len(log) == 1
+        assert not detect_cycling(log)
+
+
 def test_divergence_keeps_the_trajectory():
     # L far below the problem's L_1 = 20 makes the iterates overflow
     log = run(builtin("modified_forsaken"), config(p=1, L=0.05, K=2000, z0=(0.5, -0.5)))
