@@ -10,6 +10,8 @@ import math
 import sys
 from typing import Sequence, Tuple
 
+import numpy as np
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 _W, _H = 720, 480
@@ -17,13 +19,27 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
 def _transform(values, log_scale):
-    out = []
-    for v in values:
-        if log_scale:
-            out.append(math.log10(v) if v > 0 else None)
-        else:
-            out.append(float(v))
-    return out
+    """The plotted coordinates as floats, and which values have a place on the axis."""
+    out = np.array(values, dtype=float)
+    if not log_scale:
+        return out, np.ones(len(out), dtype=bool)
+    keep = out > 0
+    out[keep] = list(map(math.log10, out[keep].tolist()))  # np.log10 differs from it by 1 ulp at some k+1
+    return out, keep
+
+
+def _points(X, Y):
+    """A polyline's points to 0.01 px, less each repeat of the previous vertex (exact, then as written)
+    and each interior vertex between its neighbours on an axis-aligned run; rounding is monotone."""
+    keep = np.ones(len(X), dtype=bool)
+    keep[1:] = (X[1:] != X[:-1]) | (Y[1:] != Y[:-1])
+    X, Y = X[keep], Y[keep]
+    keep = np.ones(len(X), dtype=bool)
+    for a, b in ((X, Y), (Y, X)):
+        lo, hi = np.minimum(a[:-2], a[2:]), np.maximum(a[:-2], a[2:])
+        keep[1:-1] &= ~((b[:-2] == b[1:-1]) & (b[1:-1] == b[2:]) & (lo <= a[1:-1]) & (a[1:-1] <= hi))
+    written = [f"{a:.2f},{b:.2f}" for a, b in zip(X[keep].tolist(), Y[keep].tolist())]
+    return " ".join(v for v, prev in zip(written, [None] + written) if v != prev)
 
 
 def _ticks(lo, hi, log_scale, count=5):
@@ -41,15 +57,18 @@ def _ticks(lo, hi, log_scale, count=5):
         if span / (step * mult) <= count:
             step *= mult
             break
-    start = math.ceil(lo / step) * step
     ticks = []
-    t = start
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * span:
-        ticks.append((t, f"{t:.4g}"))
+        ticks.append(t)
         if t + step == t:  # a step under half the spacing of the floats at t
             break
         t += step
-    return ticks
+    for digits in range(4, 18):  # the fewest that tell ticks apart; at 17, ticks on one double merge
+        labelled = {f"{t:.{digits}g}": t for t in ticks}
+        if len(labelled) == len(ticks):
+            break
+    return [(t, label) for label, t in labelled.items()]
 
 
 def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
@@ -58,14 +77,12 @@ def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[fl
     """Write an SVG with one polyline per (label, xs, ys) series."""
     txy = []
     for label, xs, ys in series:
-        pts = [(x, y) for x, y in zip(_transform(xs, logx), _transform(ys, logy))
-               if x is not None and y is not None]
-        txy.append((label, pts))
-    all_pts = [pt for _, pts in txy for pt in pts]
-    if not all_pts:
+        (x, keep_x), (y, keep_y) = _transform(xs, logx), _transform(ys, logy)
+        txy.append((label, x[keep_x & keep_y], y[keep_x & keep_y]))
+    if not any(len(x) for _, x, _ in txy):
         raise ValueError("nothing to plot")
-    xs_all = [p[0] for p in all_pts]
-    ys_all = [p[1] for p in all_pts]
+    # Python's min and max over the points in order, so a NaN bounds the axis as it always did
+    xs_all, ys_all = (np.concatenate([points[k] for points in txy]).tolist() for k in (1, 2))
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -101,11 +118,14 @@ def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[fl
         y = py(t)
         parts.append(f'<line x1="{_ML - 5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{label}</text>')
-    for i, (label, pts) in enumerate(txy):
-        if not pts:
+    if not (x_hi - x_lo and y_hi - y_lo):  # what px and py raise on a float; numpy would not
+        raise ZeroDivisionError("float division by zero")
+    for i, (label, x, y) in enumerate(txy):
+        if not len(x):
             continue
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        with np.errstate(over="ignore"):  # an axis over 1/630 of the float range overflows, as floats do
+            coords = _points(px(x), py(y))
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 16 * i}" text-anchor="end" '
                      f'fill="{color}">{label}</text>')
@@ -116,10 +136,5 @@ def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[fl
 
 def trajectory_plot_svg(path, series, title: str = "") -> None:
     """2-D iterate traces: series of (label, points-array)."""
-    line_plot_svg(
-        path,
-        [(label, [p[0] for p in pts], [p[1] for p in pts]) for label, pts in series],
-        title=title,
-        xlabel="x",
-        ylabel="y",
-    )
+    line_plot_svg(path, [(label, *np.asarray(pts, dtype=float).reshape(len(pts), 2).T)
+                         for label, pts in series], title=title, xlabel="x", ylabel="y")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -382,6 +383,19 @@ def test_an_svg_whose_axis_is_narrower_than_its_tick_step_is_written(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert svg.read_text().startswith("<svg")
     assert (tmp_path / "out_trajectory.svg").read_text().startswith("<svg")
+
+
+def test_no_two_ticks_of_a_narrow_axis_share_a_label(tmp_path):
+    # two steps from (1e10, 1e10) span a few ulps of 1e10, where `.4g` labels
+    # three ticks of each axis 1e+10
+    svg = tmp_path / "out.svg"
+    proc = invoke(["run", "--problem", "quadratic_monotone", "--p", "1", "--Lp", "1e15",
+                   "--K", "2", "--z0", "1e10,1e10", "--svg", str(svg)])
+    assert proc.returncode == 0, proc.stderr
+    trajectory = (tmp_path / "out_trajectory.svg").read_text()
+    for axis in (r'<text x="[^"]*" y="448" text-anchor="middle">', r'<text x="62" y="[^"]*" text-anchor="end">'):
+        labels = re.findall(axis + r'([^<]*)</text>', trajectory)
+        assert len(labels) == len(set(labels)) > 1, labels
 
 
 _TICK_CASES = """
