@@ -39,7 +39,9 @@ class ProblemSpec:
     bytes.  ``solver.run`` relies on it, since it stops computing once an
     iterate repeats bit for bit and fills the remaining records from the
     last computed one.  ``Operator.rows`` stacks the values of many calls,
-    so each call must return a new array, not a buffer it overwrites.
+    so each call must return a new array, not a buffer it overwrites.  The
+    built-ins compute on Python floats, and on numpy scalars where a float
+    power overflows; a user callable may compute as it likes.
     """
 
     name: str
@@ -274,14 +276,22 @@ class Operator:
         return jac
 
 
+def _on_floats(fn):
+    """fn on a Python float: numpy's bits but a NaN's sign, at less cost (both take ``**`` from C ``pow``);
+    where a float power overflows, and numpy gives inf with its warning, fn on the numpy scalar."""
+    def on_float(t):
+        try:
+            return fn(t)
+        except OverflowError:
+            return fn(np.float64(t))
+    return on_float
+
+
 # Derivatives h1 = h' and h2 = h'' of the degree-six well
 # h(t) = t^2/4 - t^4/2 + t^6/6 shared by the two hard examples.
-def _h1(t):
-    return t / 2 - 2 * t**3 + t**5
-
-
-def _h2(t):
-    return 0.5 - 6 * t**2 + 5 * t**4
+_h1 = _on_floats(lambda t: t / 2 - 2 * t**3 + t**5)
+_h2 = _on_floats(lambda t: 0.5 - 6 * t**2 + 5 * t**4)
+_square = _on_floats(lambda t: t**2)
 
 
 def _planar(name, grad_x, grad_y, mixed_hessian, operator_jacobian, half_width,
@@ -306,14 +316,19 @@ def _planar(name, grad_x, grad_y, mixed_hessian, operator_jacobian, half_width,
 
 def _coupled_well(name, shift, z_star, half_width, constants=None):
     # f(x, y) = x (y - shift) + h(x) - h(y)
-    return _planar(
-        name,
-        lambda z: np.array([z[1] - shift + _h1(z[0])]),
-        lambda z: np.array([z[0] - _h1(z[1])]),
-        lambda z: np.array([[1.0]]),
-        lambda z: np.array([[_h2(z[0]), 1.0], [-1.0, _h2(z[1])]]),
-        half_width, z_star, constants,
-    )
+    def grad_x(z):
+        x, y = z.tolist()
+        return np.array([y - shift + _h1(x)])
+
+    def grad_y(z):
+        x, y = z.tolist()
+        return np.array([x - _h1(y)])
+
+    def jacobian(z):
+        x, y = z.tolist()
+        return np.array([[_h2(x), 1.0], [-1.0, _h2(y)]])
+
+    return _planar(name, grad_x, grad_y, lambda z: np.array([[1.0]]), jacobian, half_width, z_star, constants)
 
 
 # Linear field gamma*I + rotation: comonotone with constant gamma/(gamma^2+1).
@@ -330,32 +345,32 @@ _REGISTRY = {
         {1: 20.0, 2: 50000.0}),
     "x2y": lambda: _planar(  # f(x, y) = x^2 y
         "x2y",
-        lambda z: np.array([2 * z[0] * z[1]]),
-        lambda z: np.array([z[0] ** 2]),
-        lambda z: np.array([[2 * z[0]]]),
-        lambda z: np.array([[2 * z[1], 2 * z[0]], [-2 * z[0], 0.0]]),
+        lambda z: np.array([2 * z.item(0) * z.item(1)]),
+        lambda z: np.array([_square(z.item(0))]),
+        lambda z: np.array([[2 * z.item(0)]]),
+        lambda z: np.array([[2 * z.item(1), 2 * z.item(0)], [-2 * z.item(0), 0.0]]),
         1.0, published_constants={1: 20.0, 2: 500.0},
     ),
     "bilinear": lambda: _planar(  # f(x, y) = x y
         "bilinear",
-        lambda z: np.array([z[1]]),
-        lambda z: np.array([z[0]]),
+        lambda z: np.array([z.item(1)]),
+        lambda z: np.array([z.item(0)]),
         lambda z: np.array([[1.0]]),
         lambda z: np.array([[0.0, 1.0], [-1.0, 0.0]]),
         2.0,
     ),
     "quadratic_monotone": lambda: _planar(  # f(x, y) = (x^2 - y^2) / 2
         "quadratic_monotone",
-        lambda z: np.array([z[0]]),
-        lambda z: np.array([-z[1]]),
+        lambda z: np.array([z.item(0)]),
+        lambda z: np.array([-z.item(1)]),
         lambda z: np.array([[0.0]]),
         lambda z: np.eye(2),
         2.0,
     ),
     "comonotone_toy": lambda g=COMONOTONE_GAMMA: _planar(  # f(x, y) = g (x^2 - y^2) / 2 + x y
         "comonotone_toy",
-        lambda z: np.array([g * z[0] + z[1]]),
-        lambda z: np.array([z[0] - g * z[1]]),
+        lambda z: np.array([g * z.item(0) + z.item(1)]),
+        lambda z: np.array([z.item(0) - g * z.item(1)]),
         lambda z: np.array([[1.0]]),
         lambda z: np.array([[g, 1.0], [-1.0, g]]),
         2.0,

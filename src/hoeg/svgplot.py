@@ -18,6 +18,11 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
+def _escape(text: str) -> str:
+    """text as XML character data; ``xml.sax.saxutils.escape`` would import ``urllib.request`` with hoeg."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _transform(values, log_scale):
     """The plotted coordinates as floats, and which values have a place on the axis."""
     out = np.array(values, dtype=float)
@@ -74,7 +79,8 @@ def _ticks(lo, hi, log_scale, count=5):
 def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
                   title: str = "", xlabel: str = "", ylabel: str = "",
                   logx: bool = False, logy: bool = False) -> None:
-    """Write an SVG with one polyline per (label, xs, ys) series."""
+    """Write an SVG with one polyline per (label, xs, ys) series; every text is XML-escaped."""
+    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     txy = []
     for label, xs, ys in series:
         (x, keep_x), (y, keep_y) = _transform(xs, logx), _transform(ys, logy)
@@ -128,7 +134,7 @@ def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[fl
             coords = _points(px(x), py(y))
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 16 * i}" text-anchor="end" '
-                     f'fill="{color}">{label}</text>')
+                     f'fill="{color}">{_escape(label)}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(parts))

@@ -9,6 +9,7 @@ vertex before it, or a point inside an axis-aligned run of its neighbours.
 import math
 import re
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -295,3 +296,11 @@ def test_ticks_a_few_ulps_of_1e300_wide_get_distinct_labels():
     assert [label for _, label in oracle_ticks(1e300, hi, False)] == ["1e+300"] * 5
     assert [(float(t), label) for t, label in _ticks(1e300, hi, False)] == [
         (1e300, "1.0000000000000001e+300"), (hi, "1.0000000000000002e+300")]
+
+
+def test_titles_and_labels_are_escaped_and_the_file_parses(tmp_path):
+    texts = {"title": "F & F_alpha", "xlabel": "k < 10", "ylabel": "|F| > 0"}
+    line_plot_svg(tmp_path / "t.svg", [("x<y & z", [1.0, 2.0], [3.0, 4.0])], **texts)
+    root = ElementTree.parse(tmp_path / "t.svg").getroot()
+    written = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert set(texts.values()) | {"x<y & z"} <= set(written)
