@@ -194,11 +194,8 @@ def _below_threshold(rho: float, p: int, Lp: float) -> bool:
     """``check_rho_threshold`` for any rho; a sampled rho that overflowed to inf or nan is not below."""
     check_order(p)
     check_real(Lp, "Lp", positive=True)
-    try:
-        with np.errstate(over="raise"):  # a numpy Lp then raises where a float raises OverflowError
-            return rho <= (15.0 / 16.0) * (math.factorial(p) / Lp) ** ((p + 1) / p)
-    except (OverflowError, FloatingPointError):  # a tiny Lp: the threshold is above every finite rho
-        return rho < math.inf
+    with np.errstate(over="ignore"):  # a tiny Lp: the threshold is inf, above every finite rho
+        return bool(rho < math.inf and rho <= (15.0 / 16.0) * np.float_power(math.factorial(p) / Lp, (p + 1) / p))
 
 
 @dataclass(frozen=True)
@@ -415,7 +412,8 @@ def check_energy_bound(log: ContinuousLog, rho: float) -> EnergyReport:
 
     min_sq = np.minimum.accumulate(log.op_norm) ** 2
     t_pos = log.t[1:]
-    rate_bound = D ** (2 * p) / ((2.0 - rho) ** p * t_pos**p)
+    with np.errstate(over="ignore"):  # a power past the float range is inf
+        rate_bound = np.float_power(D, 2 * p) / (np.float_power(2.0 - rho, p) * t_pos**p)
     rate_ok, rate_first, rate_margin = _first_violation(rate_bound + slack - min_sq[1:], 0.0)
 
     return EnergyReport(
@@ -446,7 +444,9 @@ def decoupled_threshold_report(log: TrajectoryLog, report: CertReport) -> dict:
     exponent = (p + 1) / p
     if D == 0.0 and q > exponent:
         raise ValueError(f"D = 0 (the run stays at z*): D^((p+1)/p - q) is undefined for q = {q}")
-    threshold = (15.0 / 16.0) * D ** (exponent - q) * (math.factorial(p) / Lp) ** exponent
+    with np.errstate(over="ignore"):  # as in _below_threshold, a power past the float range is inf
+        threshold = float((15.0 / 16.0) * np.float_power(D, exponent - q)
+                          * np.float_power(math.factorial(p) / Lp, exponent))
     return {
         "D": D,
         "q": q,

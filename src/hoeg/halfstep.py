@@ -149,19 +149,15 @@ def solve_half_step_p2(F_k: np.ndarray, J_k: np.ndarray, L2: float, z_k: np.ndar
 
     # Below r_lo, ||d(r)|| >= ||F|| / (||J||_F + L2 r) > r, so the gap is
     # positive without a solve.  r_lo is the positive root of
-    # L2 r^2 + ||J||_F r - ||F|| = 0, written without cancellation, and
-    # scaled by ||J||_F where its square would overflow, or by
-    # sqrt(L2 ||F||) where 4 L2 ||F|| would.
+    # L2 r^2 + ||J||_F r - ||F|| = 0, written without cancellation, and in a
+    # scale-free form with hypot where ||J||_F^2 or 4 L2 ||F|| would overflow.
     norm_J = vector_norm(J_k.ravel("K"))  # the order np.linalg.norm sums in
     four_LF = 4.0 * L2 * norm_F
-    if four_LF == math.inf:
-        root_LF = math.sqrt(L2) * math.sqrt(norm_F)
-        t = norm_J / root_LF
-        r_lo = 2.0 * (norm_F / root_LF) / (t + math.hypot(t, 2.0))
-    elif norm_J < 1e150:
+    if norm_J < 1e150 and four_LF < math.inf:
         r_lo = 2.0 * norm_F / (norm_J + math.sqrt(norm_J**2 + four_LF))
     else:
-        r_lo = 2.0 * norm_F / norm_J / (1.0 + math.sqrt(1.0 + four_LF / norm_J / norm_J))
+        half_J = 0.5 * norm_J
+        r_lo = norm_F / (half_J + math.hypot(half_J, math.sqrt(L2) * math.sqrt(norm_F)))
     lo, hi = 0.0, norm_F / L2 + 1e-12
     d = None
     for _ in range(MAX_DOUBLINGS + 1):

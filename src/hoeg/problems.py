@@ -148,15 +148,15 @@ class OperatorMode:
 
 
 def block_matrix(B: np.ndarray, alpha: float) -> np.ndarray:
-    """M = [[I, alpha B], [-alpha B^T, I]] for one mixed Hessian B, or for a stack of them.
+    """M = [[I, alpha B], [-alpha B^T, I]] for each mixed Hessian B of a stack.
 
-    ``B`` has shape (d_x, d_y) or (n, d_x, d_y); M has shape (d, d) or (n, d, d).
+    ``B`` has shape (n, d_x, d_y) and M has shape (n, d, d).
     ``Operator.rows`` solves with the stack.  ``Operator.at`` assembles its
-    one M from lists, bit for bit this layout; tests compare it with one B.
+    one M from lists, bit for bit this layout.
     """
-    d_x, d_y = B.shape[-2:]
+    n, d_x, d_y = B.shape
     d = d_x + d_y
-    M = np.eye(d) if B.ndim == 2 else np.tile(np.eye(d), (len(B), 1, 1))
+    M = np.tile(np.eye(d), (n, 1, 1))
     M[..., :d_x, d_x:] = alpha * B
     M[..., d_x:, :d_x] = -alpha * B.swapaxes(-1, -2)
     return M

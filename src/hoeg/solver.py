@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, NumericError, check_array, check_count, check_order, check_real
-from .halfstep import solve_half_step_p1, solve_half_step_p2, vector_norm
+from .halfstep import _FLOAT_MIN, solve_half_step_p1, solve_half_step_p2, vector_norm
 from .problems import Operator, OperatorMode, ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
@@ -169,6 +169,9 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
                 half = solve_half_step_p1(F_k, L, z)
             else:
                 half = solve_half_step_p2(F_k, operator.jacobian(z), L, z)
+            r = half.displacement_norm
+            if p > 1 and 0.0 < r < _FLOAT_MIN:  # below the normal range, 1/r can pass the float range
+                raise NumericError(f"subnormal half-step radius {r!r} at k={k}: its step size overflows")
             F_half = operator.at(half.z_half)
         except (ConvergenceError, NumericError) as exc:
             if k == 0:
@@ -178,7 +181,6 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
             else:
                 termination = TERM_NUMERIC
             break
-        r = half.displacement_norm
         op_norm = vector_norm(F_half)
         # step size 0.5 * r^(1-p); r = 0 means z is an exact stationary point,
         # where lambda is 0.5 for p=1 and conventionally 0 otherwise (its

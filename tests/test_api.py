@@ -130,3 +130,16 @@ def test_only_errors_py_tests_for_a_bool():
                 found += [f"{name}:{number}" for number, line in enumerate(handle, 1)
                           if re.search(r"isinstance\(.*\bbool\b", line)]
     assert found == []
+
+
+def test_overflow_is_caught_only_in_the_float_fallback():
+    # a closed form past the float range is inf under np.errstate(over="ignore"); the one
+    # exception path left is problems._on_floats, which re-evaluates a power on numpy scalars
+    package = os.path.dirname(os.path.abspath(hoeg.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                found += [(name, line.strip()) for line in handle
+                          if re.search(r"except .*OverflowError|FloatingPointError|errstate\(over=.raise", line)]
+    assert found == [("problems.py", "except OverflowError:")]

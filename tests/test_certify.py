@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hoeg import (
@@ -150,6 +152,28 @@ class TestRhoThreshold:
         tiny = dataclasses.replace(builtin("quadratic_monotone"), published_constants={1: 1e-200})
         report = certify_problem(tiny, 1, n_samples=200, seed=0)
         assert report.threshold_ok and report.threshold_Lp == 1e-200
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([1, 2]), st.floats(-300.0, 300.0), st.floats(-300.0, 300.0), st.booleans())
+    def test_the_verdict_is_the_log_space_comparison(self, p, log10_Lp, log10_rho, negative):
+        Lp, rho = 10.0**log10_Lp, (-1.0 if negative else 1.0) * 10.0**log10_rho
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or underflow warning either
+            verdict = check_rho_threshold(rho, p, Lp)
+        assert verdict.__class__ is bool
+        if rho <= 0.0:
+            assert verdict
+            return
+        margin = math.log(15.0 / 16.0) + (p + 1) / p * math.log(math.factorial(p) / Lp) - math.log(rho)
+        assume(abs(margin) > 1e-12)
+        assert verdict == (margin >= 0.0)
+
+    def test_a_report_from_numpy_constants_is_json(self):
+        # threshold_ok was an np.bool_, which json.dumps rejects
+        x2y = dataclasses.replace(builtin("x2y"), published_constants={1: np.float64(20.0), 2: np.float64(500.0)})
+        report = certify_problem(x2y, 2, n_samples=500, seed=0)
+        assert report.threshold_ok.__class__ is bool
+        assert json.loads(json.dumps(report.to_dict()))["threshold_Lp"] == 500.0
 
 
 class TestSmoothness:
@@ -376,6 +400,14 @@ def test_decoupled_report_fields():
     assert report["rho_hat_q"] > 0
     assert isinstance(report["ok"], bool)
     assert "threshold_reading" in report
+
+
+def test_a_decoupled_threshold_past_the_float_range_is_inf():
+    # (p!/L_p)^2 at L_p = 1e-200 was a float power that raised OverflowError
+    log = standard_run("bilinear", 1, 1e-200, (0.5, -0.5), 1)
+    report = decoupled_threshold_report(log, certify_problem(log.problem, 1, q=1.5, n_samples=200, seed=0))
+    assert report["threshold"] == math.inf
+    assert report["ok"] is True
 
 
 def _quadratic(d_half):

@@ -69,7 +69,7 @@ def test_block_matrix_is_never_ill_conditioned():
         d_x, d_y = rng.integers(1, 4, size=2)
         B = rng.uniform(-10, 10, size=(d_x, d_y))
         alpha = rng.uniform(0, 10)
-        M = block_matrix(B, alpha)
+        M = block_matrix(B[None], alpha)[0]
         assert np.array_equal(M - np.eye(d_x + d_y), -(M - np.eye(d_x + d_y)).T)
         assert np.linalg.svd(M, compute_uv=False).min() >= 1.0 - 1e-12
 
@@ -80,7 +80,7 @@ def test_block_matrix_of_a_stack_is_the_stack_of_block_matrices():
     stacked = block_matrix(B, 2.5)
     assert stacked.shape == (5, 5, 5)
     for M, b in zip(stacked, B):
-        assert np.array_equal(M, block_matrix(b, 2.5))
+        assert np.array_equal(M, block_matrix(b[None], 2.5)[0])
 
 
 def test_small_alpha_limit():
@@ -115,7 +115,7 @@ def test_competitive_norm_is_within_the_block_matrix_bounds(name, x, y, alpha):
     # F and F_alpha vanish together.  hypot keeps the norms of tiny fields from underflowing.
     p = builtin(name)
     z = np.array([x, y])
-    M, F = block_matrix(p.mixed_hessian(z), alpha), Operator(p).at(z)
+    M, F = block_matrix(p.mixed_hessian(z)[None], alpha)[0], Operator(p).at(z)
     f_norm = math.hypot(*F)
     fa_norm = math.hypot(*Operator(p, OperatorMode(alpha)).at(z))
     # subnormal results round to a multiple of math.ulp(0.0), not to a relative 1e-12
@@ -133,7 +133,7 @@ def test_differenced_jacobian_tracks_alpha_zero_limit():
 
 def test_competitive_system_shapes():
     p = builtin("x2y")
-    M = block_matrix(p.mixed_hessian(np.array([1.0, 1.0])), 2.0)
+    M = block_matrix(p.mixed_hessian(np.array([1.0, 1.0]))[None], 2.0)[0]
     assert M.shape == (2, 2)
     assert np.allclose(M, [[1.0, 4.0], [-4.0, 1.0]])
 

@@ -402,6 +402,15 @@ class TestEnergyBound:
         assert report.integral_ok and report.rate_ok
         assert (report.rate_first_violation, report.rate_margin) == (None, np.inf)
 
+    def test_a_rate_bound_past_the_float_range_is_inf(self):
+        # D^(2p) = (sqrt(2) 1e80)^4 was a float power that raised OverflowError
+        toy = builtin("comonotone_toy")
+        log = simulate(toy, ContinuousConfig(order_p=2, t_end=0.1, dt=0.01, z0=np.array([1e80, 1e80])))
+        report = check_energy_bound(log, rho=-0.38)
+        assert report.integral_ok and report.rate_ok
+        assert report.integral_bound == pytest.approx(2e160 / 2.38, rel=1e-12)
+        assert report.rate_margin == math.inf
+
     def test_preconditions(self):
         zero = zero_field_problem()
         log = simulate(zero, ContinuousConfig(order_p=1, t_end=0.5, dt=0.1, z0=np.array([1.0, 0.0])))

@@ -117,7 +117,7 @@ def _concatenated_at(op, z):
     B = np.asarray(problem.mixed_hessian(z), dtype=float)
     if not np.isfinite(B).all():
         raise NumericError(f"non-finite mixed Hessian for {problem.name!r} at {z}")
-    return np.linalg.solve(block_matrix(B, op.alpha), F)
+    return np.linalg.solve(block_matrix(B[None], op.alpha)[0], F)
 
 
 @pytest.mark.parametrize("alpha", [None, 10.0])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hoeg import (
     NumericError,
     Operator,
     OperatorMode,
+    ProblemSpec,
     SolverConfig,
     builtin,
     detect_cycling,
@@ -320,6 +322,19 @@ def test_divergence_keeps_the_trajectory():
     assert log.records and all(np.all(np.isfinite(rec.z)) for rec in log.records)
     with pytest.raises(NumericError):
         run(builtin("modified_forsaken"), config(z0=(np.inf, 0.0)))
+
+
+def test_a_subnormal_radius_is_a_numeric_failure():
+    # lambda = 0.5 * r^-1 is a float power, which raised a bare OverflowError once 1/r passed the range
+    stiff = ProblemSpec("stiff", 1, 1, lambda z: np.array([1e20 * z[0]]), lambda z: np.array([-1e20 * z[1]]),
+                        operator_jacobian=lambda z: np.diag([1e20, 1e20]))
+    with pytest.raises(NumericError, match=r"subnormal half-step radius 1e-320 at k=0"):
+        run(stiff, config(p=2, L=1.0, K=3, z0=(1e-320, 0.0)))
+    # F = z at L_2 = 1e307 shrinks the radius row by row; the rows before the subnormal one stay
+    log = run(builtin("quadratic_monotone"), config(p=2, L=1e307, K=20, z0=(1e-307, 0.0)))
+    assert (log.termination, len(log)) == ("numeric_failure", 4)
+    assert log.displacement_norm.min() >= sys.float_info.min
+    assert np.all(np.isfinite(log.lambda_k))
 
 
 def test_config_validation():
