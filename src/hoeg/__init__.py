@@ -13,7 +13,6 @@ from .certify import (
     check_half_step_norm_bound,
     check_potential_inequality,
     check_rho_threshold,
-    estimate_q_rho,
     fit_rate,
 )
 from .dynamics import ContinuousConfig, ContinuousLog, simulate
@@ -48,7 +47,6 @@ __all__ = [
     "check_potential_inequality",
     "check_rho_threshold",
     "detect_cycling",
-    "estimate_q_rho",
     "fit_rate",
     "problem_names",
     "run",

@@ -169,21 +169,6 @@ def _rho_scan(operator: Operator, z_star, q: float, points: np.ndarray) -> RhoSc
     return RhoScan(float(ratio[worst]), points[used[worst]], len(used))
 
 
-def estimate_q_rho(problem: ProblemSpec, q: float, n_samples: int, seed: int,
-                   mode: Optional[OperatorMode] = None) -> float:
-    """Largest sampled violation of <F(z), z - z*> >= -(rho/2) ||F(z)||^q, with z* the problem's.
-
-    The order-p weak-MVI constant of the convergence theorem is q = (p+1)/p.
-    """
-    n_samples = check_count(n_samples, "n_samples")
-    check_real(q, "q")
-    seed = check_count(seed, "seed", positive=False)
-    operator = Operator(problem, mode)
-    z_star = _z_star(problem)
-    points = sample_points(_sample_box(problem), n_samples, seed, z_star)
-    return _rho_scan(operator, z_star, q, points).value
-
-
 def check_rho_threshold(rho: float, p: int, Lp: float) -> bool:
     """rho <= (15/16) (p!/L_p)^((p+1)/p), the convergence-theorem condition, for a finite rho."""
     check_real(rho, "rho")
@@ -263,7 +248,11 @@ class CertReport:
 def certify_problem(problem: ProblemSpec, p: int, q: Optional[float] = None,
                     mode: Optional[OperatorMode] = None, n_samples: int = 10000,
                     seed: int = 0) -> CertReport:
-    """Estimate the assumption constants of a problem and check the rho threshold."""
+    """Estimate the assumption constants of a problem and check the rho threshold.
+
+    rho_hat_q is the largest sampled violation of <F(z), z - z*> >= -(rho/2) ||F(z)||^q,
+    with F in ``mode`` and z* the problem's; rho_hat_p is the same at the theorem's q = (p+1)/p.
+    """
     # every argument is checked before the first F evaluation
     check_order(p)
     if q is None:
@@ -412,8 +401,12 @@ def check_energy_bound(log: ContinuousLog, rho: float) -> EnergyReport:
 
     min_sq = np.minimum.accumulate(log.op_norm) ** 2
     t_pos = log.t[1:]
-    with np.errstate(over="ignore"):  # a power past the float range is inf
+    # a power past the float range is inf, and so is the quotient where t^p underflows to 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rate_bound = np.float_power(D, 2 * p) / (np.float_power(2.0 - rho, p) * t_pos**p)
+        # inf / inf where both powers pass the float range: the same bound as one power
+        rate_bound = np.where(np.isnan(rate_bound),
+                              np.float_power(D / (math.sqrt(2.0 - rho) * np.sqrt(t_pos)), 2 * p), rate_bound)
     rate_ok, rate_first, rate_margin = _first_violation(rate_bound + slack - min_sq[1:], 0.0)
 
     return EnergyReport(

@@ -10,15 +10,16 @@ form is integrated with fixed-step classical Runge-Kutta so logs are exactly
 reproducible.  R is computed by Newton's method on the Jacobian of G_p with
 Armijo step halving; a resolvent that fails ends the log at ``failed_at``.
 
-Every resolvent solve after the first is an Euler-predictor /
-Newton-corrector step along the solution path z(v) = R(v) (Allgower & Georg,
-*Numerical Continuation Methods*, ch. 2).  Its tangent is
-dz/dv = (I + dG_p(z))^-1, the inverse P of the Newton matrix, so a solve at v
-starts from z' + P (v - v'), where (v', z') is the previous solve and P comes
-from the latest Newton step of any solve.  Newton then corrects from there
-under the same stop rule, so every logged point still meets it.  On a linear
-field at p = 1 the predictor is exact: the first solve takes the only
-Jacobian, and z carries rounding error only, not the stop rule's 1e-10.
+Every resolvent solve is an Euler-predictor / Newton-corrector step along
+the solution path z(v) = R(v) (Allgower & Georg, *Numerical Continuation
+Methods*, ch. 2).  Its tangent is dz/dv = (I + dG_p(z))^-1, the inverse P of
+the Newton matrix, so a solve at v starts from z' - P (v' - v), where
+(v', z') is the previous solve, (z0, z0) before the first, and P comes from
+the latest Newton step of any solve, I before the first.  Newton then
+corrects from there under the same stop rule, so every logged point still
+meets it.  On a linear field at p = 1 the predictor is exact: the first
+solve takes the only Jacobian, and z carries rounding error only, not the
+stop rule's 1e-10.
 """
 
 from __future__ import annotations
@@ -85,9 +86,7 @@ class ContinuousLog:
 
 @np.errstate(over="ignore")  # vector_norm falls back to hypot where F @ F overflows
 def normalized_field(F_z: np.ndarray, p: int) -> np.ndarray:
-    """F / max(||F||, NORM_FLOOR)^(1-1/p); order 1 returns the field unchanged."""
-    if p == 1:
-        return F_z
+    """F / max(||F||, NORM_FLOOR)^(1-1/p); at order 1 the power is 1.0 and the division exact."""
     return F_z / max(vector_norm(F_z), NORM_FLOOR) ** (1.0 - 1.0 / p)
 
 
@@ -96,12 +95,13 @@ class _Path:
     """What ``simulate`` carries between resolvent calls for the tangent predictor.
 
     ``v`` and ``z`` are the input and output of the last resolvent call, and
-    ``P`` is the inverse Newton matrix of the latest Newton step of any call.
+    ``P`` is the inverse Newton matrix of the latest Newton step of any call;
+    ``simulate`` seeds them with z0, z0 and I.
     """
 
-    v: Optional[np.ndarray] = None
-    z: Optional[np.ndarray] = None
-    P: Optional[np.ndarray] = None
+    v: np.ndarray
+    z: np.ndarray
+    P: np.ndarray
 
 
 def resolvent_solve(v: np.ndarray, field: Operator, p: int, *, path: _Path) -> np.ndarray:
@@ -118,11 +118,10 @@ def resolvent_solve(v: np.ndarray, field: Operator, p: int, *, path: _Path) -> n
     ||h|| <= RESOLVENT_TOL * max(1, ||v||), which may be at the start.  In
     ``simulate`` it nearly always is, so the fixed cost of a call sets its speed.
 
-    ``path`` is the caller's record of the solution path z(v) = R(v).  Once
-    it holds a previous solve (v', z') and a P, the solve starts from the
-    tangent (Euler) predictor z' + P (v - v'), since dz/dv = M^-1.  Without
-    a P, or if F is not finite at the predicted start, it starts from z', and
-    with no z' from v.  The call stores its v, its z and the P of its last
+    ``path`` is the caller's record of the solution path z(v) = R(v): a
+    previous solve (v', z') and a P.  The solve starts from the tangent
+    (Euler) predictor z' - P (v' - v), since dz/dv = M^-1, or from z' if F is
+    not finite there.  The call stores its v, its z and the P of its last
     Newton step back into ``path``.
 
     A singular Newton matrix, a step rejected down to t = 2^-29, or 500 steps
@@ -132,16 +131,12 @@ def resolvent_solve(v: np.ndarray, field: Operator, p: int, *, path: _Path) -> n
     scale = RESOLVENT_TOL * max(1.0, vector_norm(v))
     a = 1.0 - 1.0 / p
 
-    F = None
-    if path.P is not None and path.z is not None:
-        z = path.z + path.P.dot(v - path.v)
-        try:
-            F = field.at(z)
-        except NumericError:
-            pass  # F is not finite at the predicted start: start from z'
-    if F is None:
-        z = v.copy() if path.z is None else path.z.copy()
+    # written so that a seeded start z' = v' = v keeps the sign of a zero coordinate
+    z = path.z - path.P.dot(path.v - v)
+    try:
         F = field.at(z)
+    except NumericError:  # F is not finite at the predicted start: start from z'
+        z, F = path.z, field.at(path.z)
     h = z + F - v if p == 1 else z + normalized_field(F, p) - v  # h = z + G_p(z) - v; G_1 is F
     r = vector_norm(h)
     for _ in range(500):
@@ -182,16 +177,16 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     """Integrate the flow and log every step; v(0) = z0, so s(0) = 0.
 
     Every resolvent solve starts from the previous one through one shared
-    ``_Path``; the first starts from z0.  The z, v and op_norm columns are
-    allocated once for the ``n_steps + 1`` rows; a failed flow returns the
-    rows it logged.
+    ``_Path``, seeded with v' = z' = z0 and P = I, so the first starts from
+    z0.  The z, v and op_norm columns are allocated once for the
+    ``n_steps + 1`` rows; a failed flow returns the rows it logged.
     """
     p = config.order_p
     dt = config.dt
     half, sixth = 0.5 * dt, dt / 6.0
     field = Operator(problem)
-    path = _Path()
     v = check_array(config.z0, "z0", (problem.d,)).copy()
+    path = _Path(v, v, np.eye(v.size))
     n = config.n_steps + 1
     zs, vs, norms = np.empty((n, v.size)), np.empty((n, v.size)), np.empty(n)
     failed_at = None

@@ -367,12 +367,12 @@ _REGISTRY = {
         lambda z: np.eye(2),
         2.0,
     ),
-    "comonotone_toy": lambda g=COMONOTONE_GAMMA: _planar(  # f(x, y) = g (x^2 - y^2) / 2 + x y
+    "comonotone_toy": lambda: _planar(  # f(x, y) = g (x^2 - y^2) / 2 + x y, g = COMONOTONE_GAMMA
         "comonotone_toy",
-        lambda z: np.array([g * z.item(0) + z.item(1)]),
-        lambda z: np.array([z.item(0) - g * z.item(1)]),
+        lambda z: np.array([COMONOTONE_GAMMA * z.item(0) + z.item(1)]),
+        lambda z: np.array([z.item(0) - COMONOTONE_GAMMA * z.item(1)]),
         lambda z: np.array([[1.0]]),
-        lambda z: np.array([[g, 1.0], [-1.0, g]]),
+        lambda z: np.array([[COMONOTONE_GAMMA, 1.0], [-1.0, COMONOTONE_GAMMA]]),
         2.0,
     ),
 }

@@ -24,13 +24,26 @@ def _escape(text: str) -> str:
 
 
 def _transform(values, log_scale):
-    """The plotted coordinates as floats, and which values have a place on the axis."""
+    """The plotted coordinates as floats; a value with no place on a log axis becomes NaN."""
     out = np.array(values, dtype=float)
-    if not log_scale:
-        return out, np.ones(len(out), dtype=bool)
-    keep = out > 0
-    out[keep] = list(map(math.log10, out[keep].tolist()))  # np.log10 differs from it by 1 ulp at some k+1
-    return out, keep
+    if log_scale:
+        keep = out > 0
+        out[~keep] = math.nan
+        out[keep] = list(map(math.log10, out[keep].tolist()))  # np.log10 differs from it by 1 ulp at some k+1
+    return out
+
+
+def _runs(x, y):
+    """The maximal runs of vertices whose coordinates are both finite, as (x, y) slices."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], np.isfinite(x) & np.isfinite(y), [False]))))
+    return [(x[a:b], y[a:b]) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
+
+
+def _place(lo, hi, start, length):
+    """v -> start + length (v - lo) / (hi - lo).  Where length (hi - lo) passes the float range,
+    v, lo and hi are first scaled by 2^-10, exactly but in the subnormals, so no place is inf."""
+    s = 1.0 if abs(length * (hi - lo)) < math.inf else 2.0**-10
+    return lambda v: start + length * (v * s - lo * s) / (hi * s - lo * s)
 
 
 def _points(X, Y):
@@ -79,16 +92,17 @@ def _ticks(lo, hi, log_scale, count=5):
 def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
                   title: str = "", xlabel: str = "", ylabel: str = "",
                   logx: bool = False, logy: bool = False) -> None:
-    """Write an SVG with one polyline per (label, xs, ys) series; every text is XML-escaped."""
+    """Write an SVG of (label, xs, ys) series; every text is XML-escaped.
+
+    Only vertices finite on both axes (a log axis places positive values) are drawn and bound
+    the axes; each run of them is one polyline in its series' colour, under one label per series.
+    """
     title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
-    txy = []
-    for label, xs, ys in series:
-        (x, keep_x), (y, keep_y) = _transform(xs, logx), _transform(ys, logy)
-        txy.append((label, x[keep_x & keep_y], y[keep_x & keep_y]))
-    if not any(len(x) for _, x, _ in txy):
+    lines = [(label, _runs(_transform(xs, logx), _transform(ys, logy))) for label, xs, ys in series]
+    runs = [run for _, series_runs in lines for run in series_runs]
+    if not runs:
         raise ValueError("nothing to plot")
-    # Python's min and max over the points in order, so a NaN bounds the axis as it always did
-    xs_all, ys_all = (np.concatenate([points[k] for points in txy]).tolist() for k in (1, 2))
+    xs_all, ys_all = (np.concatenate([run[k] for run in runs]).tolist() for k in (0, 1))
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -96,11 +110,8 @@ def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[fl
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    def px(x):
-        return _ML + (_W - _ML - _MR) * (x - x_lo) / (x_hi - x_lo)
-
-    def py(y):
-        return _H - _MB - (_H - _MT - _MB) * (y - y_lo) / (y_hi - y_lo)
+    px = _place(x_lo, x_hi, _ML, _W - _ML - _MR)
+    py = _place(y_lo, y_hi, _H - _MB, -(_H - _MT - _MB))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -126,13 +137,13 @@ def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[fl
         parts.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{label}</text>')
     if not (x_hi - x_lo and y_hi - y_lo):  # what px and py raise on a float; numpy would not
         raise ZeroDivisionError("float division by zero")
-    for i, (label, x, y) in enumerate(txy):
-        if not len(x):
+    for i, (label, series_runs) in enumerate(lines):
+        if not series_runs:
             continue
         color = _COLORS[i % len(_COLORS)]
-        with np.errstate(over="ignore"):  # an axis over 1/630 of the float range overflows, as floats do
-            coords = _points(px(x), py(y))
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        for x, y in series_runs:
+            parts.append(f'<polyline points="{_points(px(x), py(y))}" fill="none" stroke="{color}" '
+                         'stroke-width="1.5"/>')
         parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 16 * i}" text-anchor="end" '
                      f'fill="{color}">{_escape(label)}</text>')
     parts.append("</svg>")

@@ -17,12 +17,12 @@ from hoeg import (
     OperatorMode,
     SolverConfig,
     builtin,
+    certify_problem,
     check_energy_bound,
     check_half_step_norm_bound,
     check_potential_inequality,
     check_rho_threshold,
     detect_cycling,
-    estimate_q_rho,
     fit_rate,
     run,
     simulate,
@@ -227,13 +227,13 @@ def test_criterion_8_certification_sanity():
     monotone_ok = True
     for name in ("quadratic_monotone", "bilinear"):
         problem = builtin(name)
-        monotone_ok &= estimate_q_rho(problem, 2.0, 5000, seed=7) <= 0.0
+        monotone_ok &= certify_problem(problem, 1, q=2.0, n_samples=5000, seed=7).rho_hat_q <= 0.0
 
     forsaken = builtin("forsaken")
-    rho_std = estimate_q_rho(forsaken, 2.0, 20000, seed=7)
+    rho_std = certify_problem(forsaken, 1, q=2.0, n_samples=20000, seed=7).rho_hat_q
     std_fails = not check_rho_threshold(rho_std, 1, 20.0)
-    rho_comp = estimate_q_rho(forsaken, 2.0, 20000, seed=7,
-                              mode=OperatorMode.competitive(2.0))
+    rho_comp = certify_problem(forsaken, 1, q=2.0, n_samples=20000, seed=7,
+                               mode=OperatorMode.competitive(2.0)).rho_hat_q
     comp_passes = rho_comp <= 0.0
 
     mf = builtin("modified_forsaken")
@@ -246,7 +246,7 @@ def test_criterion_8_certification_sanity():
         mask = norms > 1e-10
         inner = np.sum(vals[mask] * (col[mask] - mf.z_star), axis=1)
         oracle = max(oracle, float(np.max(-2.0 * inner / norms[mask] ** 2)))
-    sampled = estimate_q_rho(mf, 2.0, 20000, seed=7)
+    sampled = certify_problem(mf, 1, q=2.0, n_samples=20000, seed=7).rho_hat_q
     grid_ok = abs(sampled - oracle) <= 0.05 * abs(oracle)
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -273,7 +273,7 @@ def test_criterion_9_determinism():
     sims_equal = sim_bytes() == sim_bytes()
 
     rho_values = {
-        estimate_q_rho(problem, 2.0, 4000, seed=17)
+        certify_problem(problem, 1, q=2.0, n_samples=4000, seed=17).rho_hat_q
         for _ in range(3)
     }
     certs_equal = len(rho_values) == 1

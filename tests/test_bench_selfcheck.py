@@ -40,6 +40,7 @@ KNOWN_ABSENT = {
     "taylor.tau",
     "certify.estimate_smoothness",
     "certify.estimate_comonotonicity",
+    "certify.estimate_q_rho",
 }
 
 

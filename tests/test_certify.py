@@ -21,7 +21,6 @@ from hoeg import (
     check_half_step_norm_bound,
     check_potential_inequality,
     check_rho_threshold,
-    estimate_q_rho,
     fit_rate,
     problem_names,
     run,
@@ -65,40 +64,40 @@ class TestRhoEstimates:
     def test_monotone_problems_have_nonpositive_rho(self):
         for name in ("quadratic_monotone", "bilinear"):
             p = builtin(name)
-            assert estimate_q_rho(p, 2.0, 5000, seed=7) <= 0.0
+            assert certify_problem(p, 1, q=2.0, n_samples=5000, seed=7).rho_hat_q <= 0.0
 
     def test_forsaken_standard_field_fails_threshold(self):
         p = builtin("forsaken")
-        rho = estimate_q_rho(p, 2.0, 20000, seed=7)
+        rho = certify_problem(p, 1, q=2.0, n_samples=20000, seed=7).rho_hat_q
         assert rho > 0
         assert not check_rho_threshold(rho, 1, 20.0)
 
     def test_forsaken_competitive_field_satisfies_mvi(self):
         p = builtin("forsaken")
         for alpha in (2.0, 10.0):
-            rho = estimate_q_rho(p, 2.0, 20000, seed=7,
-                                 mode=OperatorMode.competitive(alpha))
+            rho = certify_problem(p, 1, q=2.0, n_samples=20000, seed=7,
+                                  mode=OperatorMode.competitive(alpha)).rho_hat_q
             assert rho <= 0.0
 
     def test_q_variant_reproduces_order_form_bitwise(self):
         p = builtin("modified_forsaken")
         for order in (1, 2):
-            a = certify_problem(p, order, n_samples=3000, seed=3).rho_hat_p
-            b = estimate_q_rho(p, (order + 1) / order, 3000, seed=3)
-            assert a == b
+            report = certify_problem(p, order, q=(order + 1) / order, n_samples=3000, seed=3)
+            assert report.rho_hat_q == report.rho_hat_p
 
     def test_quadratic_q2_nonpositive(self):
         p = builtin("quadratic_monotone")
-        assert estimate_q_rho(p, 2.0, 3000, seed=1) <= 0.0
+        assert certify_problem(p, 1, q=2.0, n_samples=3000, seed=1).rho_hat_q <= 0.0
 
     def test_monotone_in_sample_count(self):
         p = builtin("modified_forsaken")
-        values = [estimate_q_rho(p, 2.0, n, seed=11) for n in (500, 1000, 2000, 4000)]
+        values = [certify_problem(p, 1, q=2.0, n_samples=n, seed=11).rho_hat_q
+                  for n in (500, 1000, 2000, 4000)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_comonotone_toy_matches_analytic_constant(self):
         p = builtin("comonotone_toy")
-        rho = estimate_q_rho(p, 2.0, 2000, seed=0)
+        rho = certify_problem(p, 1, q=2.0, n_samples=2000, seed=0).rho_hat_q
         assert rho == pytest.approx(2 * 0.2 / 1.04, abs=1e-12)
 
     def test_degenerate_when_field_is_zero(self):
@@ -109,7 +108,7 @@ class TestRhoEstimates:
             z_star=np.zeros(2), sample_box=np.array([[-1, 1], [-1, 1]]),
         )
         with pytest.raises(DegenerateSampleError):
-            estimate_q_rho(zero, 2.0, 100, seed=0)
+            certify_problem(zero, 1, q=2.0, n_samples=100, seed=0).rho_hat_q
 
     def test_mforsaken_sampler_matches_dense_grid(self):
         # brute-force oracle: 400x400 grid of the q=2 violation ratio
@@ -125,7 +124,7 @@ class TestRhoEstimates:
                 if norm < 1e-10:
                     continue
                 best = max(best, -2.0 * float(np.sum(F * (z - z_star))) / norm**2)
-        sampled = estimate_q_rho(p, 2.0, 20000, seed=7)
+        sampled = certify_problem(p, 1, q=2.0, n_samples=20000, seed=7).rho_hat_q
         assert abs(sampled - best) <= 0.05 * abs(best)
 
 
@@ -457,7 +456,7 @@ def test_certify_validates_before_sampling():
         return lambda problem: certify_problem(problem, p, q=q, n_samples=n_samples, seed=seed)
 
     def q_rho(n_samples=200, q=2.0, seed=0):
-        return lambda problem: estimate_q_rho(problem, q, n_samples, seed=seed)
+        return lambda problem: certify_problem(problem, 1, q=q, n_samples=n_samples, seed=seed).rho_hat_q
 
     boxless = dataclasses.replace(_quadratic(1), name="boxless", sample_box=None)
     cases = [

@@ -24,7 +24,6 @@ from hoeg import (
     certify_problem,
     check_energy_bound,
     check_rho_threshold,
-    estimate_q_rho,
     run,
     simulate,
 )
@@ -124,9 +123,6 @@ TABLE = [
     ("certify_problem.q", lambda v: certify_problem(FORSAKEN, 1, q=v, n_samples=1), "q", FINITE + [(None, None)]),
     ("certify_problem.n_samples", lambda v: certify_problem(FORSAKEN, 1, n_samples=v), "n_samples", COUNT),
     ("certify_problem.seed", lambda v: certify_problem(FORSAKEN, 1, n_samples=1, seed=v), "seed", SEED),
-    ("estimate_q_rho.q", lambda v: estimate_q_rho(FORSAKEN, v, 1, 0), "q", FINITE + [(None, NOT_REAL)]),
-    ("estimate_q_rho.n_samples", lambda v: estimate_q_rho(FORSAKEN, 2.0, v, 0), "n_samples", COUNT),
-    ("estimate_q_rho.seed", lambda v: estimate_q_rho(FORSAKEN, 2.0, 1, v), "seed", SEED),
     ("check_rho_threshold.rho", lambda v: check_rho_threshold(v, 1, 1.0), "rho", FINITE + [(None, NOT_REAL)]),
     ("check_rho_threshold.p", lambda v: check_rho_threshold(0.1, v, 1.0), "p", ORDER),
     ("check_rho_threshold.Lp", lambda v: check_rho_threshold(0.1, 1, v), "Lp", POSITIVE),
@@ -207,4 +203,5 @@ def test_a_fixed_width_count_does_not_wrap():
     config = SolverConfig(1, 1.0, np.int8(127), Z0)
     assert type(config.max_iterations) is int and len(run(QUADRATIC, config)) <= 128
     assert SolverConfig(1, 1.0, np.int64(3), Z0).max_iterations == 3
-    assert estimate_q_rho(FORSAKEN, 2.0, np.uint8(200), np.uint8(3)) == estimate_q_rho(FORSAKEN, 2.0, 200, 3)
+    assert (certify_problem(FORSAKEN, 1, q=2.0, n_samples=np.uint8(200), seed=np.uint8(3)).rho_hat_q
+            == certify_problem(FORSAKEN, 1, q=2.0, n_samples=200, seed=3).rho_hat_q)

@@ -14,6 +14,7 @@ import hoeg.solver as solver_module
 from hoeg import certify as cert
 from hoeg import halfstep
 from hoeg.cli import _write_csv, build_parser, main
+from test_svgplot import assert_valid_svg
 
 RUN = [sys.executable, "-m", "hoeg.cli"]
 # the child processes import the hoeg under test, installed or not
@@ -293,6 +294,8 @@ def test_a_diverged_run_reports_finite_norms_in_strict_json(tmp_path):
                    "--svg", str(svg)])
     assert proc.returncode == 1
     assert svg.exists() and (tmp_path / "run_trajectory.svg").exists()
+    assert_valid_svg(svg)
+    assert_valid_svg(tmp_path / "run_trajectory.svg")
     summary = json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
     assert summary["termination"] == "numeric_failure"
     assert summary["min_opnorm"] == 1.414213562373095e+200
@@ -370,6 +373,8 @@ def test_run_svg_output(tmp_path):
     assert proc.returncode == 0
     assert svg.read_text().startswith("<svg")
     assert (tmp_path / "plot_trajectory.svg").exists()
+    assert_valid_svg(svg)
+    assert_valid_svg(tmp_path / "plot_trajectory.svg")
 
 
 def test_an_svg_whose_axis_is_narrower_than_its_tick_step_is_written(tmp_path):
@@ -383,6 +388,8 @@ def test_an_svg_whose_axis_is_narrower_than_its_tick_step_is_written(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert svg.read_text().startswith("<svg")
     assert (tmp_path / "out_trajectory.svg").read_text().startswith("<svg")
+    assert_valid_svg(svg)
+    assert_valid_svg(tmp_path / "out_trajectory.svg")
 
 
 def test_no_two_ticks_of_a_narrow_axis_share_a_label(tmp_path):
@@ -393,6 +400,8 @@ def test_no_two_ticks_of_a_narrow_axis_share_a_label(tmp_path):
                    "--K", "2", "--z0", "1e10,1e10", "--svg", str(svg)])
     assert proc.returncode == 0, proc.stderr
     trajectory = (tmp_path / "out_trajectory.svg").read_text()
+    assert_valid_svg(svg)
+    assert_valid_svg(tmp_path / "out_trajectory.svg")
     for axis in (r'<text x="[^"]*" y="448" text-anchor="middle">', r'<text x="62" y="[^"]*" text-anchor="end">'):
         labels = re.findall(axis + r'([^<]*)</text>', trajectory)
         assert len(labels) == len(set(labels)) > 1, labels

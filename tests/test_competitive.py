@@ -15,7 +15,7 @@ from hoeg import (
     ProblemSpec,
     SolverConfig,
     builtin,
-    estimate_q_rho,
+    certify_problem,
     run,
 )
 from hoeg.problems import FD_STEP, block_matrix
@@ -46,12 +46,12 @@ def test_missing_mixed_hessian_is_capability_error():
     p = builtin("x2y")
     stripped = ProblemSpec(
         name="nohess", d_x=1, d_y=1, grad_x=p.grad_x, grad_y=p.grad_y,
-        sample_box=p.sample_box,
+        z_star=p.z_star, sample_box=p.sample_box,
     )
     with pytest.raises(CapabilityError):
         Operator(stripped, OperatorMode(1.0))
     with pytest.raises(CapabilityError):
-        estimate_q_rho(stripped, 2.0, 200, seed=0, mode=OperatorMode(1.0))
+        certify_problem(stripped, 1, q=2.0, n_samples=200, seed=0, mode=OperatorMode(1.0)).rho_hat_q
 
 
 def test_alpha_alone_names_the_mode():

@@ -44,8 +44,9 @@ def linear_problem(A, analytic=True):
 
 
 def resolve(v, field, p):
-    """One resolvent solve with no previous solve to start from, as simulate's first."""
-    return resolvent_solve(np.array(v, dtype=float), field, p, path=_Path())
+    """One resolvent solve from a path seeded at v, as simulate's first."""
+    v = np.array(v, dtype=float)
+    return resolvent_solve(v, field, p, path=_Path(v, v, np.eye(v.size)))
 
 
 class TestNormalizedField:
@@ -342,7 +343,7 @@ class TestTangentPredictor:
         assert path.z is z and np.array_equal(path.v, v)
         assert np.array_equal(path.P, 0.5 * np.eye(2))
         with pytest.raises(NumericError):
-            resolvent_solve(v, Operator(problem), 1, path=_Path(z=np.array([20.5, 0.0])))
+            resolvent_solve(v, Operator(problem), 1, path=_Path(v=v, z=np.array([20.5, 0.0]), P=np.eye(2)))
 
 
 class TestEnergyBound:
@@ -410,6 +411,18 @@ class TestEnergyBound:
         assert report.integral_ok and report.rate_ok
         assert report.integral_bound == pytest.approx(2e160 / 2.38, rel=1e-12)
         assert report.rate_margin == math.inf
+        # t^2 = 1e-400 underflows to 0, and D^4 / 0 warned of a division by zero
+        tiny = simulate(toy, ContinuousConfig(order_p=2, t_end=1e-200, dt=1e-200, z0=np.array([1.0, 1.0])))
+        assert check_energy_bound(tiny, rho=0.0).rate_margin == math.inf
+
+    def test_a_rate_bound_of_two_overflowed_powers_is_still_checked(self):
+        # D^4 = 4e320 and (2 - rho)^2 = 1e600 both overflow, and inf / inf was a
+        # nan margin with an invalid-value warning; the bound is 4e-276 at t = 0.01
+        toy = builtin("comonotone_toy")
+        log = simulate(toy, ContinuousConfig(order_p=2, t_end=0.1, dt=0.01, z0=np.array([1e80, 1e80])))
+        report = check_energy_bound(log, rho=-1e300)
+        assert not report.rate_ok and report.rate_first_violation == 0.01
+        assert report.rate_margin == pytest.approx(-2.08e160, rel=1e-12)
 
     def test_preconditions(self):
         zero = zero_field_problem()

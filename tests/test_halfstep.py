@@ -326,7 +326,11 @@ class TestOrder2RadiusRoot:
         radius = -float((step / norm_d) @ (F + J @ step)) / (L2 * norm_d)
         rounding = 64 * np.finfo(float).eps * (
             _norm(F) + (np.linalg.norm(J) + L2 * norm_d) * norm_d) / (L2 * norm_d)
-        assert abs(norm_d - radius) <= 1e-10 * radius + rounding
+        if abs(norm_d - radius) > 1e-10 * radius + rounding:
+            # beside a pole no double may meet the gap test, and the bracket pins r
+            # (test_a_root_beside_a_pole_is_pinned_by_its_bracket); r is then within a double
+            one_double = _one_double_of_gap(J, L2, radius, step)
+            assert GAP_RTOL * radius < one_double and abs(norm_d - radius) <= one_double
 
     @_DIMS
     @_property

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ import pytest
 import hoeg
 from hoeg import SolverConfig, builtin, run
 from hoeg.recipes import RECIPES, axis_endpoints, converge_to_star, cycling, run_recipe
+from test_svgplot import assert_valid_svg
 
 
 def test_recipe_names():
@@ -29,7 +29,7 @@ def test_forsaken_cycle_recipe_outputs(tmp_path):
     assert verdict["cycles"] == [True, True]
     for name in ("forsaken_F_p1_trajectories.svg", "forsaken_F_p2_trajectories.svg",
                  "forsaken_F_min_opnorm.svg"):
-        ET.parse(tmp_path / name)  # well-formed XML
+        assert_valid_svg(tmp_path / name)
     saved = json.loads((tmp_path / "forsaken_F_verdict.json").read_text())
     assert saved == {"recipe": "forsaken_F", **verdict} or saved == verdict
 

@@ -63,15 +63,27 @@ def oracle_ticks(lo, hi, log_scale, count=5):
     return ticks
 
 
+def _oracle_runs(xs, ys):
+    """The maximal runs of points whose coordinates both have a finite place on their axes."""
+    runs, run = [], []
+    for x, y in zip(xs, ys):
+        if x is not None and y is not None and math.isfinite(x) and math.isfinite(y):
+            run.append((x, y))
+        elif run:
+            runs, run = runs + [run], []
+    return runs + [run] if run else runs
+
+
 def oracle_line_plot_svg(path, series, title="", xlabel="", ylabel="", logx=False, logy=False,
                          ticks=_ticks):
-    """The per-point writer; `ticks` is the module's own, so only the polylines can differ."""
-    txy = []
-    for label, xs, ys in series:
-        pts = [(x, y) for x, y in zip(_oracle_transform(xs, logx), _oracle_transform(ys, logy))
-               if x is not None and y is not None]
-        txy.append((label, pts))
-    all_pts = [pt for _, pts in txy for pt in pts]
+    """The per-point writer; `ticks` is the module's own, so only the polylines can differ.
+
+    Each run of finite points is one polyline, and only those points bound the
+    axes; an axis whose pixel span would overflow is placed in units of 2^10.
+    """
+    txy = [(label, _oracle_runs(_oracle_transform(xs, logx), _oracle_transform(ys, logy)))
+           for label, xs, ys in series]
+    all_pts = [pt for _, runs in txy for run in runs for pt in run]
     if not all_pts:
         raise ValueError("nothing to plot")
     xs_all = [p[0] for p in all_pts]
@@ -83,11 +95,14 @@ def oracle_line_plot_svg(path, series, title="", xlabel="", ylabel="", logx=Fals
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
+    sx = 1.0 if math.isfinite((_W - _ML - _MR) * (x_hi - x_lo)) else 2.0**-10
+    sy = 1.0 if math.isfinite((_H - _MT - _MB) * (y_hi - y_lo)) else 2.0**-10
+
     def px(x):
-        return _ML + (_W - _ML - _MR) * (x - x_lo) / (x_hi - x_lo)
+        return _ML + (_W - _ML - _MR) * (x * sx - x_lo * sx) / (x_hi * sx - x_lo * sx)
 
     def py(y):
-        return _H - _MB - (_H - _MT - _MB) * (y - y_lo) / (y_hi - y_lo)
+        return _H - _MB - (_H - _MT - _MB) * (y * sy - y_lo * sy) / (y_hi * sy - y_lo * sy)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -111,12 +126,13 @@ def oracle_line_plot_svg(path, series, title="", xlabel="", ylabel="", logx=Fals
         y = py(t)
         parts.append(f'<line x1="{_ML - 5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{label}</text>')
-    for i, (label, pts) in enumerate(txy):
-        if not pts:
+    for i, (label, runs) in enumerate(txy):
+        if not runs:
             continue
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        for pts in runs:
+            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 16 * i}" text-anchor="end" '
                      f'fill="{color}">{label}</text>')
     parts.append("</svg>")
@@ -125,6 +141,15 @@ def oracle_line_plot_svg(path, series, title="", xlabel="", ylabel="", logx=Fals
 
 
 _POINTS = re.compile(r'points="([^"]*)"')
+_NUMBER = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"  # the SVG grammar's number: no nan or inf
+_PAIRS = re.compile(rf"{_NUMBER},{_NUMBER}(?: {_NUMBER},{_NUMBER})*")
+
+
+def assert_valid_svg(path):
+    """The file parses as XML, and the points of each polyline are number,number pairs."""
+    root = ElementTree.parse(path).getroot()
+    for line in root.iter("{http://www.w3.org/2000/svg}polyline"):
+        assert _PAIRS.fullmatch(line.get("points")), line.get("points")
 
 
 def _vertex(text):
@@ -164,11 +189,12 @@ def assert_thinned(oracle_svg, svg):
 
 
 def _outcome(write, path, *args, **kwargs):
-    """The file `write` makes, or the type and message of what it raises."""
+    """The file `write` makes, checked as valid SVG, or the type and message of what it raises."""
     try:
         write(path, *args, **kwargs)
     except Exception as exc:  # compared by type and message, whatever it is
         return type(exc), str(exc)
+    assert_valid_svg(path)
     return path.read_text(encoding="utf-8")
 
 
@@ -198,14 +224,15 @@ _NAN, _INF = math.nan, math.inf
     ([("a", [1.0, 2.0, 3.0], [-1.746630289381022e16] * 3)], {}),  # ... and that has no tick
     ([("a", [-1.746630289381022e16] * 2, [1.0, 2.0])], {}),
     ([("a", [1.0, 2.0, 3.0], [1e300, 1e300, 1e300])], {"logy": True}),
-    ([("a", [_NAN, 1.0, 2.0], [1.0, 2.0, 3.0])], {}),  # NaN first bounds the axis with NaN
-    ([("a", [1.0, _NAN, 2.0, 3.0], [1.0, 2.0, 2.0, 2.0])], {}),  # a NaN later is drawn as nan
+    ([("a", [_NAN, 1.0, 2.0], [1.0, 2.0, 3.0])], {}),  # a NaN is not drawn and bounds no axis
+    ([("a", [1.0, _NAN, 2.0, 3.0], [1.0, 2.0, 2.0, 2.0])], {}),  # ... and splits the line
     ([("a", [1.0, _NAN, _NAN, 3.0], [2.0, 2.0, 2.0, 2.0])], {}),
     ([("a", [1.0, 2.0], [1.0, _INF])], {}),
     ([("a", [-_INF, 2.0], [1.0, 2.0])], {}),
     ([("a", [_INF, _INF], [1.0, 2.0])], {}),
     ([("a", [1.0, 2.0, 3.0], [_NAN, 1.0, _INF])], {"logy": True}),  # NaN drops on a log axis
     ([("a", [-1e306, 0.0, 1e306], [1.0, 1.0, 2.0])], {}),  # 630 times the width overflows
+    ([("a", [1.0, 2.0, 3.0], [1.0, _INF, 3.0]), ("b", [_NAN], [1.0])], {}),
 ])
 def test_degenerate_input_matches_the_oracle(tmp_path, series, kwargs):
     assert_same_as_oracle(tmp_path, series, **kwargs)
@@ -216,10 +243,20 @@ def test_a_flat_run_keeps_its_ends_and_a_repeat_is_dropped(tmp_path):
     assert _POINTS.findall(svg) == ["70.00,430.00 542.50,430.00 700.00,40.00"]
 
 
+def test_a_non_finite_vertex_splits_the_line_and_bounds_no_axis(tmp_path):
+    line_plot_svg(tmp_path / "t.svg", [("a", [0.0, 1.0, _NAN, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 2.0, _INF, 3.0])])
+    assert_valid_svg(tmp_path / "t.svg")
+    svg = (tmp_path / "t.svg").read_text()
+    assert _POINTS.findall(svg) == ["70.00,430.00 227.50,300.00", "385.00,170.00", "700.00,40.00"]
+    assert re.findall(r'<polyline [^>]*stroke="([^"]*)"', svg) == [_COLORS[0]] * 3
+    assert svg.count(">a</text>") == 1
+
+
 def test_trajectory_plot_takes_an_empty_trace_and_rejects_a_plot_of_nothing(tmp_path):
     with pytest.raises(ValueError, match="nothing to plot"):
         trajectory_plot_svg(tmp_path / "t.svg", [("a", [])])
     trajectory_plot_svg(tmp_path / "t.svg", [("a", []), ("b", np.array([[0.0, 1.0], [2.0, 3.0]]))])
+    assert_valid_svg(tmp_path / "t.svg")
     assert _POINTS.findall((tmp_path / "t.svg").read_text()) == ["70.00,430.00 700.00,40.00"]
 
 
@@ -268,6 +305,7 @@ def test_recipe_svgs_thin_the_oracle_svgs(tmp_path, monkeypatch):
     for name in names:
         oracle, new = ((tmp_path / side / name).read_text() for side in ("oracle", "new"))
         if name.endswith(".svg"):
+            assert_valid_svg(tmp_path / "new" / name)
             assert_thinned(oracle, new)
             assert len(new) < len(oracle)
         else:
@@ -301,6 +339,7 @@ def test_ticks_a_few_ulps_of_1e300_wide_get_distinct_labels():
 def test_titles_and_labels_are_escaped_and_the_file_parses(tmp_path):
     texts = {"title": "F & F_alpha", "xlabel": "k < 10", "ylabel": "|F| > 0"}
     line_plot_svg(tmp_path / "t.svg", [("x<y & z", [1.0, 2.0], [3.0, 4.0])], **texts)
+    assert_valid_svg(tmp_path / "t.svg")
     root = ElementTree.parse(tmp_path / "t.svg").getroot()
     written = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
     assert set(texts.values()) | {"x<y & z"} <= set(written)
