@@ -401,12 +401,9 @@ def check_energy_bound(log: ContinuousLog, rho: float) -> EnergyReport:
 
     min_sq = np.minimum.accumulate(log.op_norm) ** 2
     t_pos = log.t[1:]
-    # a power past the float range is inf, and so is the quotient where t^p underflows to 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rate_bound = np.float_power(D, 2 * p) / (np.float_power(2.0 - rho, p) * t_pos**p)
-        # inf / inf where both powers pass the float range: the same bound as one power
-        rate_bound = np.where(np.isnan(rate_bound),
-                              np.float_power(D / (math.sqrt(2.0 - rho) * np.sqrt(t_pos)), 2 * p), rate_bound)
+    # one power of a positive quotient: past the float range it is inf, never inf / inf
+    with np.errstate(over="ignore"):
+        rate_bound = np.float_power(D / (math.sqrt(2.0 - rho) * np.sqrt(t_pos)), 2 * p)
     rate_ok, rate_first, rate_margin = _first_violation(rate_bound + slack - min_sq[1:], 0.0)
 
     return EnergyReport(

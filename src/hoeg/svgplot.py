@@ -39,13 +39,6 @@ def _runs(x, y):
     return [(x[a:b], y[a:b]) for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
 
 
-def _place(lo, hi, start, length):
-    """v -> start + length (v - lo) / (hi - lo).  Where length (hi - lo) passes the float range,
-    v, lo and hi are first scaled by 2^-10, exactly but in the subnormals, so no place is inf."""
-    s = 1.0 if abs(length * (hi - lo)) < math.inf else 2.0**-10
-    return lambda v: start + length * (v * s - lo * s) / (hi * s - lo * s)
-
-
 def _points(X, Y):
     """A polyline's points to 0.01 px, less each repeat of the previous vertex (exact, then as written)
     and each interior vertex between its neighbours on an axis-aligned run; rounding is monotone."""
@@ -60,14 +53,19 @@ def _points(X, Y):
     return " ".join(v for v, prev in zip(written, [None] + written) if v != prev)
 
 
+def _check_width(lo, hi, length=1.0):
+    """Raise if length (hi - lo), an axis's width in pixels, passes the float range."""
+    if length * (hi - lo) == math.inf:
+        raise ValueError(f"cannot place ticks on [{lo:g}, {hi:g}]: its width overflows the float range")
+
+
 def _ticks(lo, hi, log_scale, count=5):
     if log_scale:
         lo_i, hi_i = math.floor(lo), math.ceil(hi)
         step = max(1, (hi_i - lo_i) // count)
         return [(t, f"1e{t}") for t in range(lo_i, hi_i + 1, step)]
+    _check_width(lo, hi)
     span = hi - lo or 1.0
-    if span == math.inf:
-        raise ValueError(f"cannot place ticks on [{lo:g}, {hi:g}]: its width overflows the float range")
     if span / count < sys.float_info.min:  # a subnormal width: one tick, at lo
         return [(lo, f"{lo:.4g}")]
     step = 10 ** math.floor(math.log10(span / count))
@@ -110,8 +108,15 @@ def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[fl
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    px = _place(x_lo, x_hi, _ML, _W - _ML - _MR)
-    py = _place(y_lo, y_hi, _H - _MB, -(_H - _MT - _MB))
+    # every drawn x and y is in [lo, hi], so neither place below overflows
+    _check_width(x_lo, x_hi, _W - _ML - _MR)
+    _check_width(y_lo, y_hi, _H - _MT - _MB)
+
+    def px(x):
+        return _ML + (_W - _ML - _MR) * (x - x_lo) / (x_hi - x_lo)
+
+    def py(y):
+        return _H - _MB - (_H - _MT - _MB) * (y - y_lo) / (y_hi - y_lo)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

@@ -4,6 +4,7 @@ A new option or export shows up here as a test edit, so it is reviewed as one.
 """
 
 import argparse
+import ast
 import dataclasses
 import glob
 import inspect
@@ -78,14 +79,17 @@ def test_exported_names():
     assert hoeg.__all__ == EXPORTS
 
 
+def _name(node):
+    """The name a Name or an Attribute node ends in, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def _called_names(path):
-    """The names written as `name(` or `name.` in a file, less each def or class line's own name."""
-    called = set()
+    """The names a file's code calls (`name(...)`) or reads an attribute of (`name.attr`)."""
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            own = re.match(r"\s*(?:def|class) (\w+)", line)
-            called |= set(re.findall(r"(?<!\w)(\w+)[(.]", line)) - {own and own.group(1)}
-    return called
+        tree = ast.parse(handle.read(), path)
+    return ({_name(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            | {_name(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
 def test_every_export_is_called_outside_the_tests():

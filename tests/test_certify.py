@@ -79,12 +79,6 @@ class TestRhoEstimates:
                                   mode=OperatorMode.competitive(alpha)).rho_hat_q
             assert rho <= 0.0
 
-    def test_q_variant_reproduces_order_form_bitwise(self):
-        p = builtin("modified_forsaken")
-        for order in (1, 2):
-            report = certify_problem(p, order, q=(order + 1) / order, n_samples=3000, seed=3)
-            assert report.rho_hat_q == report.rho_hat_p
-
     def test_quadratic_q2_nonpositive(self):
         p = builtin("quadratic_monotone")
         assert certify_problem(p, 1, q=2.0, n_samples=3000, seed=1).rho_hat_q <= 0.0
@@ -109,6 +103,20 @@ class TestRhoEstimates:
         )
         with pytest.raises(DegenerateSampleError):
             certify_problem(zero, 1, q=2.0, n_samples=100, seed=0).rho_hat_q
+
+    def test_a_field_constant_off_z_star_has_a_rho_but_no_report(self):
+        # the rho scan gives -2 max(-x) over the points; certify_problem also needs
+        # a pair whose field difference reaches SKIP_NORM, and this field has none
+        step = ProblemSpec(
+            name="step", d_x=1, d_y=1,
+            grad_x=lambda z: np.array([float(z.any())]), grad_y=lambda z: np.zeros(1),
+            z_star=np.zeros(2), sample_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+        )
+        points = sample_points(step.sample_box, 100, 0, step.z_star)
+        scan = _rho_scan(Operator(step), step.z_star, 2.0, points)
+        assert scan.value == float(np.max(-2.0 * points[points.any(axis=1), 0])) > 0
+        with pytest.raises(DegenerateSampleError, match="no pair produced a usable field difference"):
+            certify_problem(step, 1, q=2.0, n_samples=100, seed=0)
 
     def test_mforsaken_sampler_matches_dense_grid(self):
         # brute-force oracle: 400x400 grid of the q=2 violation ratio
@@ -455,9 +463,6 @@ def test_certify_validates_before_sampling():
     def certify(p=1, n_samples=200, q=None, seed=0):
         return lambda problem: certify_problem(problem, p, q=q, n_samples=n_samples, seed=seed)
 
-    def q_rho(n_samples=200, q=2.0, seed=0):
-        return lambda problem: certify_problem(problem, 1, q=q, n_samples=n_samples, seed=seed).rho_hat_q
-
     boxless = dataclasses.replace(_quadratic(1), name="boxless", sample_box=None)
     cases = [
         (boxless, certify(), r"'boxless' has no sample_box"),
@@ -468,12 +473,12 @@ def test_certify_validates_before_sampling():
     # True used to reach the Halton sampler's bare TypeError
     for n_samples, rule in ((0, "a positive integer"), (-5, "a positive integer"), (True, "an integer")):
         message = f"n_samples must be {rule}, got {n_samples}"
-        cases += [(_quadratic(1), call(n_samples=n_samples), message) for call in (certify, q_rho)]
+        cases.append((_quadratic(1), certify(n_samples=n_samples), message))
     for q in (math.nan, math.inf):
-        cases += [(_quadratic(1), call(q=q), f"q must be finite, got {q}") for call in (certify, q_rho)]
+        cases.append((_quadratic(1), certify(q=q), f"q must be finite, got {q}"))
     for seed, rule in ((-5, "a non-negative integer"), (2.5, "an integer")):  # numpy's own errors named no argument
         message = re.escape(f"seed must be {rule}, got {seed}")
-        cases += [(_quadratic(1), call(seed=seed), message) for call in (certify, q_rho)]
+        cases.append((_quadratic(1), certify(seed=seed), message))
     for problem, call, message in cases:
         problem, calls = _counting(problem)
         with pytest.raises(ValueError, match=message):

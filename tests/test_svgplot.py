@@ -79,7 +79,7 @@ def oracle_line_plot_svg(path, series, title="", xlabel="", ylabel="", logx=Fals
     """The per-point writer; `ticks` is the module's own, so only the polylines can differ.
 
     Each run of finite points is one polyline, and only those points bound the
-    axes; an axis whose pixel span would overflow is placed in units of 2^10.
+    axes; an axis whose width in pixels would overflow is refused.
     """
     txy = [(label, _oracle_runs(_oracle_transform(xs, logx), _oracle_transform(ys, logy)))
            for label, xs, ys in series]
@@ -95,14 +95,15 @@ def oracle_line_plot_svg(path, series, title="", xlabel="", ylabel="", logx=Fals
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    sx = 1.0 if math.isfinite((_W - _ML - _MR) * (x_hi - x_lo)) else 2.0**-10
-    sy = 1.0 if math.isfinite((_H - _MT - _MB) * (y_hi - y_lo)) else 2.0**-10
+    for lo, hi, length in ((x_lo, x_hi, _W - _ML - _MR), (y_lo, y_hi, _H - _MT - _MB)):
+        if not math.isfinite(length * (hi - lo)):
+            raise ValueError(f"cannot place ticks on [{lo:g}, {hi:g}]: its width overflows the float range")
 
     def px(x):
-        return _ML + (_W - _ML - _MR) * (x * sx - x_lo * sx) / (x_hi * sx - x_lo * sx)
+        return _ML + (_W - _ML - _MR) * (x - x_lo) / (x_hi - x_lo)
 
     def py(y):
-        return _H - _MB - (_H - _MT - _MB) * (y * sy - y_lo * sy) / (y_hi * sy - y_lo * sy)
+        return _H - _MB - (_H - _MT - _MB) * (y - y_lo) / (y_hi - y_lo)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -231,7 +232,7 @@ _NAN, _INF = math.nan, math.inf
     ([("a", [-_INF, 2.0], [1.0, 2.0])], {}),
     ([("a", [_INF, _INF], [1.0, 2.0])], {}),
     ([("a", [1.0, 2.0, 3.0], [_NAN, 1.0, _INF])], {"logy": True}),  # NaN drops on a log axis
-    ([("a", [-1e306, 0.0, 1e306], [1.0, 1.0, 2.0])], {}),  # 630 times the width overflows
+    ([("a", [-1e306, 0.0, 1e306], [1.0, 1.0, 2.0])], {}),  # 630 times the width overflows: refused
     ([("a", [1.0, 2.0, 3.0], [1.0, _INF, 3.0]), ("b", [_NAN], [1.0])], {}),
 ])
 def test_degenerate_input_matches_the_oracle(tmp_path, series, kwargs):
