@@ -19,11 +19,18 @@ the latest Newton step of any solve, I before the first.  Newton then
 corrects from there under the same stop rule, so every logged point still
 meets it.  On a linear field at p = 1 the predictor is exact: the first
 solve takes the only Jacobian, and z carries rounding error only, not the
-stop rule's 1e-10.
+stop rule's 1e-10.  So nearly every solve at p = 1 returns at its start,
+and the fixed cost of a call sets the flow's speed: the RK4 stages, F at the
+start and, at p = 1, h are Python floats (numpy's bits, elementwise), and
+that start is accepted on a float norm 1e-9 inside the stop rule, or else
+checked exactly with numpy.  numpy stays where BLAS sets the bits: P (v' - v), the
+logged ||F||, G_p at p > 1 (where most starts take a Newton step) and the
+Newton loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,19 +111,28 @@ class _Path:
     P: np.ndarray
 
 
+def _within_tolerance(h: list, v: list) -> bool:
+    """||h|| <= RESOLVENT_TOL * max(1, ||v||) less a 1e-9 margin, on floats: ``math.hypot`` is within
+    an ulp of a norm at any scale and ``vector_norm`` within a few, so the stop rule then holds."""
+    return math.hypot(*h) <= RESOLVENT_TOL * max(1.0, math.hypot(*v)) * (1.0 - 1e-9)
+
+
 def resolvent_solve(v: np.ndarray, field: Operator, p: int, *, path: _Path) -> np.ndarray:
     """Solve z + G_p(z) = v by Newton's method from v, or from the caller's path.
 
     Internal to ``simulate``, which checked p, passes v as floats and holds
-    numpy's over/invalid state.  F is ``field.at`` and G_p its normalized
-    form.  The Newton matrix is
+    numpy's over/invalid state.  F is ``field.at`` (at the start ``_floats``, the
+    same F: ``field`` has no mode) and G_p its normalized form.  The Newton matrix is
     M = I + (J - a F (F^T J) / n^2) / n^a with J = ``field.jacobian``,
     a = 1 - 1/p and n = max(||F||, NORM_FLOOR); below the floor the F F^T
     term drops.  Each step forms P = M^-1 and takes
     dz = -P h, halved until h = z + G_p(z) - v meets
     ||h(z + t dz)|| <= (1 - 1e-4 t) ||h(z)||.  The call returns as soon as
     ||h|| <= RESOLVENT_TOL * max(1, ||v||), which may be at the start.  In
-    ``simulate`` it nearly always is, so the fixed cost of a call sets its speed.
+    ``simulate`` at p = 1 it nearly always is, so the fixed cost of a call sets
+    its speed: F and h there are floats, accepted by ``_within_tolerance`` with
+    a 1e-9 margin; a start it refuses is checked exactly, on arrays, as every
+    start at p > 1 is.
 
     ``path`` is the caller's record of the solution path z(v) = R(v): a
     previous solve (v', z') and a P.  The solve starts from the tangent
@@ -128,16 +144,24 @@ def resolvent_solve(v: np.ndarray, field: Operator, p: int, *, path: _Path) -> n
     raise ``ConvergenceError`` with the residual reached; a non-finite F
     raises ``NumericError``.
     """
-    scale = RESOLVENT_TOL * max(1.0, vector_norm(v))
-    a = 1.0 - 1.0 / p
-
     # written so that a seeded start z' = v' = v keeps the sign of a zero coordinate
     z = path.z - path.P.dot(path.v - v)
     try:
-        F = field.at(z)
+        F = field._floats(z)
     except NumericError:  # F is not finite at the predicted start: start from z'
-        z, F = path.z, field.at(path.z)
-    h = z + F - v if p == 1 else z + normalized_field(F, p) - v  # h = z + G_p(z) - v; G_1 is F
+        z, F = path.z, field._floats(path.z)
+    if p == 1:  # h = z + G_1(z) - v = z + F - v on floats, numpy's bits
+        v_floats = v.tolist()
+        h = [zi + fi - vi for zi, fi, vi in zip(z.tolist(), F, v_floats)]
+        if _within_tolerance(h, v_floats):
+            path.v, path.z = v, z
+            return z
+        F, h = np.array(F), np.array(h)
+    else:  # G_p on an array, where BLAS sets the bits of ||F||
+        F = np.array(F)
+        h = z + normalized_field(F, p) - v
+    scale = RESOLVENT_TOL * max(1.0, vector_norm(v))
+    a = 1.0 - 1.0 / p
     r = vector_norm(h)
     for _ in range(500):
         if r <= scale:
@@ -192,20 +216,19 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     failed_at = None
     z = resolvent_solve(v, field, p, path=path)  # a failure here has nothing integrated yet: it propagates
     zs[0], vs[0], norms[0] = z, v, vector_norm(field.at(z))
+    v = v.tolist()  # the RK4 stages are floats, added elementwise as numpy adds arrays
+
+    def slope(w):  # k = R(w) - w at a stage point w
+        return [zi - wi for wi, zi in zip(w, resolvent_solve(np.array(w), field, p, path=path).tolist())]
+
     for i in range(1, n):
         try:
-            k1 = z - v
-            v2 = v + half * k1
-            z2 = resolvent_solve(v2, field, p, path=path)
-            k2 = z2 - v2
-            v3 = v + half * k2
-            z3 = resolvent_solve(v3, field, p, path=path)
-            k3 = z3 - v3
-            v4 = v + dt * k3
-            z4 = resolvent_solve(v4, field, p, path=path)
-            k4 = z4 - v4
-            v = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            z = resolvent_solve(v, field, p, path=path)
+            k1 = [zi - vi for vi, zi in zip(v, z.tolist())]
+            k2 = slope([vi + half * k for vi, k in zip(v, k1)])
+            k3 = slope([vi + half * k for vi, k in zip(v, k2)])
+            k4 = slope([vi + dt * k for vi, k in zip(v, k3)])
+            v = [vi + sixth * (a + 2 * b + 2 * c + d) for vi, a, b, c, d in zip(v, k1, k2, k3, k4)]
+            z = resolvent_solve(np.array(v), field, p, path=path)
         except (ConvergenceError, NumericError):
             failed_at = i * dt
             zs, vs, norms = zs[:i], vs[:i], norms[:i]

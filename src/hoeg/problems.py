@@ -196,18 +196,11 @@ class Operator:
         return z
 
     def at(self, z) -> np.ndarray:
-        """The field at one point; F_alpha is one (d, d) solve.
-
-        F and B are read into lists and checked by ``math.isfinite``: the
-        verdict of ``np.isfinite(...).all()`` at a fraction of its cost on a
-        short block.  M is assembled from the list of B.
-        """
+        """The field at one point: F is ``_floats``, and F_alpha one (d, d) solve with M
+        assembled from the list of B, checked as F is."""
         problem = self.problem
         z = self._point(z)
-        F = _shaped(problem.grad_x(z), z, self._x_block).tolist()
-        F += [-v for v in _shaped(problem.grad_y(z), z, self._y_block).tolist()]
-        self._check_finite(F, z, self._x_block)
-        F = np.array(F)
+        F = np.array(self._floats(z))
         if self.alpha is None:
             return F
         B = _shaped(problem.mixed_hessian(z), z, self._B_block).tolist()
@@ -216,6 +209,15 @@ class Operator:
         M = [e + [a * b for b in row] for e, row in zip(self._eye_x, B)]
         M += [[-a * b for b in column] + e for column, e in zip(zip(*B), self._eye_y)]
         return np.linalg.solve(M, F)
+
+    def _floats(self, z: Vector) -> list:
+        """F (never F_alpha) at a float vector z of length d, as a list of floats checked by
+        ``math.isfinite``: the verdict of ``np.isfinite(...).all()`` at a fraction of its cost."""
+        problem = self.problem
+        F = _shaped(problem.grad_x(z), z, self._x_block).tolist()
+        F += [-v for v in _shaped(problem.grad_y(z), z, self._y_block).tolist()]
+        self._check_finite(F, z, self._x_block)
+        return F
 
     def _check_finite(self, values: list, z, block: tuple) -> None:
         """NumericError naming z unless every entry is finite; ``rows`` names a complex block."""

@@ -93,7 +93,8 @@ def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[fl
     """Write an SVG of (label, xs, ys) series; every text is XML-escaped.
 
     Only vertices finite on both axes (a log axis places positive values) are drawn and bound
-    the axes; each run of them is one polyline in its series' colour, under one label per series.
+    the axes; each run of them is one polyline in its series' colour, or a dot where the run is
+    one vertex at 0.01 px, under one label per series.
     """
     title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     lines = [(label, _runs(_transform(xs, logx), _transform(ys, logy))) for label, xs, ys in series]
@@ -147,8 +148,12 @@ def line_plot_svg(path, series: Sequence[Tuple[str, Sequence[float], Sequence[fl
             continue
         color = _COLORS[i % len(_COLORS)]
         for x, y in series_runs:
-            parts.append(f'<polyline points="{_points(px(x), py(y))}" fill="none" stroke="{color}" '
-                         'stroke-width="1.5"/>')
+            points = _points(px(x), py(y))
+            if " " in points:
+                parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+            else:  # a polyline of one vertex draws nothing: mark it with a dot
+                cx, cy = points.split(",")
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="{color}"/>')
         parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 16 * i}" text-anchor="end" '
                      f'fill="{color}">{_escape(label)}</text>')
     parts.append("</svg>")

@@ -89,6 +89,17 @@ def recipe_outcomes(names):
     return outcomes
 
 
+def flow_outcomes(flows):
+    """Per (problem, p, t_end, dt) flow from (1, 1): its row count, failed_at and op_norm column."""
+    import numpy as np
+    from hoeg import ContinuousConfig, builtin, simulate
+    outcomes = []
+    for name, p, t_end, dt in flows:
+        log = simulate(builtin(name), ContinuousConfig(p, t_end, dt, np.array([1.0, 1.0])))
+        outcomes.append((len(log.t), log.failed_at, log.op_norm.tolist()))
+    return outcomes
+
+
 def openblas_is_dynamic_arch():
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -103,17 +114,25 @@ def test_verdicts_and_stops_do_not_depend_on_the_blas_kernel():
     # The last bits of a trajectory depend on the OpenBLAS kernel, and with
     # them the row at which a run reaches the roundoff floor and its out_index;
     # the termination, z_out to 1e-12 and the verdict must not.  forsaken_F
-    # and the x2y recipes are left out to keep the suite short.
+    # and the x2y recipes are left out to keep the suite short.  The flow's
+    # tangent predictor and logged norms are BLAS dots too: its rows, failed_at
+    # and op_norm to 1e-12 must not depend on the kernel either.
     names = ["mforsaken", "forsaken_Falpha"]
+    flows = [("comonotone_toy", 1, 1.0, 1e-3), ("comonotone_toy", 2, 2.0, 1e-2)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(hoeg.__file__)))
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = inspect.getsource(recipe_outcomes) + f"import json; print(json.dumps(recipe_outcomes({names!r})))"
+    code = (inspect.getsource(recipe_outcomes) + inspect.getsource(flow_outcomes)
+            + f"import json; print(json.dumps([recipe_outcomes({names!r}), flow_outcomes({flows!r})]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    child = json.loads(proc.stdout)
+    child, child_flows = json.loads(proc.stdout)
     for name, here in recipe_outcomes(names).items():
         assert child[name]["ok"] == here["ok"], name
         for (term_child, z_child), (term, z_out) in zip(child[name]["runs"], here["runs"]):
             assert term_child == term, name
             assert np.max(np.abs(np.subtract(z_child, z_out))) <= 1e-12, name
+    for flow, (rows_child, failed_child, norms_child), (rows, failed, norms) in zip(
+            flows, child_flows, flow_outcomes(flows), strict=True):
+        assert (rows_child, failed_child) == (rows, failed), flow
+        assert np.max(np.abs(np.subtract(norms_child, norms))) <= 1e-12, flow

@@ -6,6 +6,7 @@ may only leave out vertices that do not change the drawing: a repeat of the
 vertex before it, or a point inside an axis-aligned run of its neighbours.
 """
 
+import html
 import math
 import re
 import sys
@@ -78,9 +79,11 @@ def oracle_line_plot_svg(path, series, title="", xlabel="", ylabel="", logx=Fals
                          ticks=_ticks):
     """The per-point writer; `ticks` is the module's own, so only the polylines can differ.
 
-    Each run of finite points is one polyline, and only those points bound the
-    axes; an axis whose width in pixels would overflow is refused.
+    Each run of finite points is one polyline, or a dot where all its points are
+    written alike, and only those points bound the axes; an axis whose width in
+    pixels would overflow is refused.  Texts are escaped by `html.escape`.
     """
+    title, xlabel, ylabel = (html.escape(text, quote=False) for text in (title, xlabel, ylabel))
     txy = [(label, _oracle_runs(_oracle_transform(xs, logx), _oracle_transform(ys, logy)))
            for label, xs, ys in series]
     all_pts = [pt for _, runs in txy for run in runs for pt in run]
@@ -132,10 +135,15 @@ def oracle_line_plot_svg(path, series, title="", xlabel="", ylabel="", logx=Fals
             continue
         color = _COLORS[i % len(_COLORS)]
         for pts in runs:
-            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+            coords = [f"{px(x):.2f},{py(y):.2f}" for x, y in pts]
+            if len(set(coords)) > 1:
+                parts.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" '
+                             'stroke-width="1.5"/>')
+            else:
+                cx, cy = coords[0].split(",")
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="{color}"/>')
         parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 16 * i}" text-anchor="end" '
-                     f'fill="{color}">{label}</text>')
+                     f'fill="{color}">{html.escape(label, quote=False)}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(parts))
@@ -147,10 +155,14 @@ _PAIRS = re.compile(rf"{_NUMBER},{_NUMBER}(?: {_NUMBER},{_NUMBER})*")
 
 
 def assert_valid_svg(path):
-    """The file parses as XML, and the points of each polyline are number,number pairs."""
+    """The file parses as XML, the points of each polyline are number,number pairs of
+    at least two vertices, and each dot's centre is two numbers."""
     root = ElementTree.parse(path).getroot()
     for line in root.iter("{http://www.w3.org/2000/svg}polyline"):
-        assert _PAIRS.fullmatch(line.get("points")), line.get("points")
+        assert _PAIRS.fullmatch(line.get("points")) and " " in line.get("points"), line.get("points")
+    for dot in root.iter("{http://www.w3.org/2000/svg}circle"):
+        assert re.fullmatch(_NUMBER, dot.get("cx")) and re.fullmatch(_NUMBER, dot.get("cy")), dot.attrib
+    return root
 
 
 def _vertex(text):
@@ -248,9 +260,20 @@ def test_a_non_finite_vertex_splits_the_line_and_bounds_no_axis(tmp_path):
     line_plot_svg(tmp_path / "t.svg", [("a", [0.0, 1.0, _NAN, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 2.0, _INF, 3.0])])
     assert_valid_svg(tmp_path / "t.svg")
     svg = (tmp_path / "t.svg").read_text()
-    assert _POINTS.findall(svg) == ["70.00,430.00 227.50,300.00", "385.00,170.00", "700.00,40.00"]
-    assert re.findall(r'<polyline [^>]*stroke="([^"]*)"', svg) == [_COLORS[0]] * 3
+    assert _POINTS.findall(svg) == ["70.00,430.00 227.50,300.00"]
+    assert re.findall(r'<polyline [^>]*stroke="([^"]*)"', svg) == [_COLORS[0]]
     assert svg.count(">a</text>") == 1
+
+
+def test_a_run_of_one_vertex_is_a_dot_at_its_pixel(tmp_path):
+    # x = 2 and x = 4 are alone between non-finite values; x = 0..1 spans 630 px
+    # over [0, 4] and y = 0..3 spans 390 px, so they sit at (385, 170) and (700, 40)
+    line_plot_svg(tmp_path / "t.svg", [("a", [0.0, 1.0, _NAN, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 2.0, _INF, 3.0]),
+                                       ("b", [_NAN, 1.0, _NAN], [0.0, 1.5, 0.0])])
+    root = assert_valid_svg(tmp_path / "t.svg")
+    dots = [(float(c.get("cx")), float(c.get("cy")), c.get("fill"))
+            for c in root.iter("{http://www.w3.org/2000/svg}circle")]
+    assert dots == [(385.0, 170.0, _COLORS[0]), (700.0, 40.0, _COLORS[0]), (227.5, 235.0, _COLORS[1])]
 
 
 def test_trajectory_plot_takes_an_empty_trace_and_rejects_a_plot_of_nothing(tmp_path):
@@ -279,21 +302,37 @@ def _column(draw, n, value):
     return out[:n]
 
 
+# label text: the characters XML must escape, and others it must keep as they are
+_TEXT = st.text(st.sampled_from("<>&;#'\" a1_|"), max_size=8)
+
+
 @st.composite
 def _series(draw):
     """One to three series; one plot in four may hold huge, infinite or NaN values."""
     value = _WILD if draw(st.integers(0, 3)) == 0 else _PLAIN
     plots = []
-    for i in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 300))
-        plots.append((f"s{i}", draw(_column(n, value)), draw(_column(n, value))))
+        plots.append((draw(_TEXT), draw(_column(n, value)), draw(_column(n, value))))
     return plots
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_series(), st.booleans(), st.booleans())
-def test_the_array_writer_thins_the_oracle_and_changes_nothing_else(tmp_path_factory, series, logx, logy):
-    assert_same_as_oracle(tmp_path_factory.mktemp("svg"), series, logx=logx, logy=logy, title="t")
+@given(_series(), st.booleans(), st.booleans(), _TEXT, _TEXT, _TEXT)
+def test_the_array_writer_thins_the_oracle_and_changes_nothing_else(tmp_path_factory, series, logx, logy,
+                                                                    title, xlabel, ylabel):
+    svg = assert_same_as_oracle(tmp_path_factory.mktemp("svg"), series, logx=logx, logy=logy,
+                                title=title, xlabel=xlabel, ylabel=ylabel)
+    if isinstance(svg, tuple):  # both writers raised alike
+        return
+    # every label round-trips: the title and axis labels when given, and each series' label
+    # when the series draws anything; ticks are the texts that follow the axis labels
+    drawn = [label for label, xs, ys in series
+             if _oracle_runs(_oracle_transform(xs, logx), _oracle_transform(ys, logy))]
+    written = [node.text or "" for node in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    given_texts = [text for text in (title, xlabel, ylabel) if text]
+    assert written[:len(given_texts)] == given_texts
+    assert written[len(written) - len(drawn):] == drawn
 
 
 def test_recipe_svgs_thin_the_oracle_svgs(tmp_path, monkeypatch):
