@@ -104,7 +104,7 @@ def _run_summary(log: TrajectoryLog) -> dict:
         "out_index": log.out_index,
         "termination": log.termination,
         "failure_residual": _finite_or_none(log.failure_residual),
-        "min_opnorm": float(log.op_norm_half.min()),
+        "min_opnorm": _finite_or_none(log.op_norm_half.min()),
         "fitted_slope": slope,
         "records": len(log),
     }

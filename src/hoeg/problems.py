@@ -188,6 +188,9 @@ class Operator:
         self._J_block = ((problem.d, problem.d), f"Jacobian of {name}", f"Jacobian for {name}")
         self._shape = (problem.d,)
         self._eye_x, self._eye_y = np.eye(problem.d_x).tolist(), np.eye(problem.d_y).tolist()
+        # the differenced Jacobian's offsets h e_1, -h e_1, h e_2, ...: z - h e_j is z + (-h e_j), bit for bit
+        steps = FD_STEP * np.eye(problem.d)
+        self._stencil = np.stack([steps, -steps], axis=1).reshape(-1, problem.d)
 
     def _point(self, z) -> Vector:
         z = np.asarray(z, dtype=float)
@@ -270,9 +273,8 @@ class Operator:
         if self.alpha is None and problem.operator_jacobian is not None:
             jac = _real(problem.operator_jacobian(z), z, self._J_block)
         else:
-            steps = FD_STEP * np.eye(problem.d)  # z - h e_j is z + (-h e_j), bit for bit
             with np.errstate(over="ignore", invalid="ignore"):  # the checks name the point
-                R = self.rows(z + np.stack([steps, -steps], axis=1).reshape(-1, problem.d))
+                R = self.rows(z + self._stencil)
                 jac = ((R[0::2] - R[1::2]) / (2 * FD_STEP)).T.copy()
         _check_rows(jac[None], z[None], self._J_block)
         return jac

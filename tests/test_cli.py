@@ -301,6 +301,18 @@ def test_a_diverged_run_reports_finite_norms_in_strict_json(tmp_path):
     assert summary["min_opnorm"] == 1.414213562373095e+200
 
 
+def test_an_overflowing_min_opnorm_is_null_in_strict_json(tmp_path):
+    # every F is finite, but ||F|| = hypot(1.3e308, 1.3e308) passes the float range
+    out = tmp_path / "run.json"
+    proc = invoke(["run", "--problem", "bilinear", "--p", "1", "--Lp", "20", "--K", "1",
+                   "--z0", "1.3e308,1.3e308", "--json", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    for text in (proc.stdout, out.read_text()):
+        summary = json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
+        assert summary["min_opnorm"] is None
+        assert summary["termination"] == "budget_exhausted"
+
+
 def test_certify_q_scans_each_exponent_once(monkeypatch, capsys):
     scans = []
     rho_scan = cert._rho_scan

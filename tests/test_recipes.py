@@ -113,11 +113,11 @@ def openblas_is_dynamic_arch():
 def test_verdicts_and_stops_do_not_depend_on_the_blas_kernel():
     # The last bits of a trajectory depend on the OpenBLAS kernel, and with
     # them the row at which a run reaches the roundoff floor and its out_index;
-    # the termination, z_out to 1e-12 and the verdict must not.  forsaken_F
-    # and the x2y recipes are left out to keep the suite short.  The flow's
+    # the termination, z_out to 1e-12 and the verdict must not.  x2y_Falpha
+    # (about 2.2 s a process) is left out to keep the suite short.  The flow's
     # tangent predictor and logged norms are BLAS dots too: its rows, failed_at
     # and op_norm to 1e-12 must not depend on the kernel either.
-    names = ["mforsaken", "forsaken_Falpha"]
+    names = ["mforsaken", "forsaken_Falpha", "forsaken_F", "x2y_F"]
     flows = [("comonotone_toy", 1, 1.0, 1e-3), ("comonotone_toy", 2, 2.0, 1e-2)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(hoeg.__file__)))
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
