@@ -20,12 +20,10 @@ corrects from there under the same stop rule, so every logged point still
 meets it.  On a linear field at p = 1 the predictor is exact: the first
 solve takes the only Jacobian, and z carries rounding error only, not the
 stop rule's 1e-10.  So nearly every solve at p = 1 returns at its start,
-and the fixed cost of a call sets the flow's speed: the RK4 stages, F at the
-start and, at p = 1, h are Python floats (numpy's bits, elementwise), and
-that start is accepted on a float norm 1e-9 inside the stop rule, or else
-checked exactly with numpy.  numpy stays where BLAS sets the bits: P (v' - v), the
-logged ||F||, G_p at p > 1 (where most starts take a Newton step) and the
-Newton loop.
+and the fixed cost of a call sets the flow's speed.  At d = 2 a BLAS or
+LAPACK call costs more than its arithmetic, and its last bits depend on the
+kernel, so the flow makes none: v, z, P and the RK4 stages are lists of
+floats, every norm is ``math.hypot`` and every product sums in index order.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, NumericError, check_array, check_order, check_real
-from .halfstep import vector_norm
+from .halfstep import _shifted_solve
 from .problems import Operator, ProblemSpec
 
 RESOLVENT_TOL = 1e-10  # a resolvent solve stops at ||h|| <= RESOLVENT_TOL * max(1, ||v||)
@@ -49,7 +47,7 @@ class ContinuousConfig:
     """A flow of order p from z0 over [0, t_end] in RK4 steps of dt.
 
     dt must divide t_end (to a relative 1e-9), so the last step ends at t_end;
-    no dt above t_end does.
+    no dt above t_end does, and no t_end / dt past the float range does.
     Every resolvent solve uses the fixed ``RESOLVENT_TOL`` and ``NORM_FLOOR``.
     """
 
@@ -62,6 +60,8 @@ class ContinuousConfig:
         check_order(self.order_p)
         check_real(self.t_end, "t_end", positive=True)
         check_real(self.dt, "dt", positive=True)
+        if float(self.t_end) / float(self.dt) == math.inf:  # Python floats: numpy scalars would warn
+            raise ValueError(f"t_end / dt = {self.t_end!r} / {self.dt!r} is past the float range: no step count")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"dt = {self.dt!r} does not divide t_end = {self.t_end!r}")
         object.__setattr__(self, "z0", check_array(self.z0, "z0"))
@@ -91,48 +91,54 @@ class ContinuousLog:
     failed_at: Optional[float] = None
 
 
-@np.errstate(over="ignore")  # vector_norm falls back to hypot where F @ F overflows
-def normalized_field(F_z: np.ndarray, p: int) -> np.ndarray:
-    """F / max(||F||, NORM_FLOOR)^(1-1/p); at order 1 the power is 1.0 and the division exact."""
-    return F_z / max(vector_norm(F_z), NORM_FLOOR) ** (1.0 - 1.0 / p)
+def normalized_field(F: list, p: int) -> list:
+    """F / max(||F||, NORM_FLOOR)^(1-1/p) on floats; at order 1 the power is 1.0 and the division exact."""
+    scale = max(math.hypot(*F), NORM_FLOOR) ** (1.0 - 1.0 / p)
+    return [f / scale for f in F]
+
+
+def _mat_vec(A, x: list) -> list:
+    """A x for the rows of A, each entry the products of a row added in index order."""
+    out = []
+    for row in A:
+        s = row[0] * x[0]
+        for a, x_j in zip(row[1:], x[1:]):
+            s += a * x_j
+        out.append(s)
+    return out
+
+
+def _predict(path: _Path, v: list) -> list:
+    """z' - P (v' - v) with P (v' - v) as ``_mat_vec``; at d = 2 unrolled, the same operations."""
+    # z' - P w, not z' + P (v - v'), so that a seeded start z' = v' = v keeps the sign of a zero coordinate
+    if len(v) == 2:
+        (y0, y1), (u0, u1), ((p00, p01), (p10, p11)) = path.z, path.v, path.P
+        w0, w1 = u0 - v[0], u1 - v[1]
+        return [y0 - (p00 * w0 + p01 * w1), y1 - (p10 * w0 + p11 * w1)]
+    return [y - s for y, s in zip(path.z, _mat_vec(path.P, [u - v_i for u, v_i in zip(path.v, v)]))]
 
 
 @dataclass
 class _Path:
-    """What ``simulate`` carries between resolvent calls for the tangent predictor.
+    """The tangent predictor's state, as floats: the input v and output z of the last resolvent call, and
+    the inverse Newton matrix P (a list of rows) of the latest Newton step; ``simulate`` seeds z0, z0, I."""
 
-    ``v`` and ``z`` are the input and output of the last resolvent call, and
-    ``P`` is the inverse Newton matrix of the latest Newton step of any call;
-    ``simulate`` seeds them with z0, z0 and I.
-    """
-
-    v: np.ndarray
-    z: np.ndarray
-    P: np.ndarray
+    v: list
+    z: list
+    P: list
 
 
-def _within_tolerance(h: list, v: list) -> bool:
-    """||h|| <= RESOLVENT_TOL * max(1, ||v||) less a 1e-9 margin, on floats: ``math.hypot`` is within
-    an ulp of a norm at any scale and ``vector_norm`` within a few, so the stop rule then holds."""
-    return math.hypot(*h) <= RESOLVENT_TOL * max(1.0, math.hypot(*v)) * (1.0 - 1e-9)
+def resolvent_solve(v: list, field: Operator, p: int, *, path: _Path) -> list:
+    """Solve z + G_p(z) = v, on lists of floats, by Newton's method from the caller's path.
 
-
-def resolvent_solve(v: np.ndarray, field: Operator, p: int, *, path: _Path) -> np.ndarray:
-    """Solve z + G_p(z) = v by Newton's method from v, or from the caller's path.
-
-    Internal to ``simulate``, which checked p, passes v as floats and holds
-    numpy's over/invalid state.  F is ``field.at`` (at the start ``_floats``, the
-    same F: ``field`` has no mode) and G_p its normalized form.  The Newton matrix is
-    M = I + (J - a F (F^T J) / n^2) / n^a with J = ``field.jacobian``,
-    a = 1 - 1/p and n = max(||F||, NORM_FLOOR); below the floor the F F^T
-    term drops.  Each step forms P = M^-1 and takes
-    dz = -P h, halved until h = z + G_p(z) - v meets
-    ||h(z + t dz)|| <= (1 - 1e-4 t) ||h(z)||.  The call returns as soon as
-    ||h|| <= RESOLVENT_TOL * max(1, ||v||), which may be at the start.  In
-    ``simulate`` at p = 1 it nearly always is, so the fixed cost of a call sets
-    its speed: F and h there are floats, accepted by ``_within_tolerance`` with
-    a 1e-9 margin; a start it refuses is checked exactly, on arrays, as every
-    start at p > 1 is.
+    Internal to ``simulate``, which checked p and holds numpy's over/invalid
+    state.  F is ``field._floats`` (``field`` has no mode) and G_p its
+    normalized form.  The Newton matrix is M = I + (J - a F (F^T J) / n^2) / n^a
+    with J = ``field.jacobian``, a = 1 - 1/p and n = max(||F||, NORM_FLOOR);
+    below the floor the F F^T term drops.  Each step forms P = M^-1 by
+    ``_shifted_solve`` on the columns of I and takes dz = -P h, halved until
+    h = z + G_p(z) - v meets ||h(z + t dz)|| <= (1 - 1e-4 t) ||h(z)||.  The call
+    returns once ||h|| <= RESOLVENT_TOL * max(1, ||v||), which may be at the start.
 
     ``path`` is the caller's record of the solution path z(v) = R(v): a
     previous solve (v', z') and a P.  The solve starts from the tangent
@@ -144,49 +150,41 @@ def resolvent_solve(v: np.ndarray, field: Operator, p: int, *, path: _Path) -> n
     raise ``ConvergenceError`` with the residual reached; a non-finite F
     raises ``NumericError``.
     """
-    # written so that a seeded start z' = v' = v keeps the sign of a zero coordinate
-    z = path.z - path.P.dot(path.v - v)
+    z = _predict(path, v)
     try:
-        F = field._floats(z)
+        F = field._floats(np.array(z))
     except NumericError:  # F is not finite at the predicted start: start from z'
-        z, F = path.z, field._floats(path.z)
-    if p == 1:  # h = z + G_1(z) - v = z + F - v on floats, numpy's bits
-        v_floats = v.tolist()
-        h = [zi + fi - vi for zi, fi, vi in zip(z.tolist(), F, v_floats)]
-        if _within_tolerance(h, v_floats):
-            path.v, path.z = v, z
-            return z
-        F, h = np.array(F), np.array(h)
-    else:  # G_p on an array, where BLAS sets the bits of ||F||
-        F = np.array(F)
-        h = z + normalized_field(F, p) - v
-    scale = RESOLVENT_TOL * max(1.0, vector_norm(v))
+        z, F = path.z, field._floats(np.array(path.z))
+    G = F if p == 1 else normalized_field(F, p)
+    h = [zi + gi - vi for zi, gi, vi in zip(z, G, v)]
+    scale = RESOLVENT_TOL * max(1.0, math.hypot(*v))
     a = 1.0 - 1.0 / p
-    r = vector_norm(h)
+    r = math.hypot(*h)
     for _ in range(500):
         if r <= scale:
             path.v, path.z = v, z
             return z
-        jac = field.jacobian(z)
+        jac = field.jacobian(np.array(z)).tolist()
         if p > 1:
-            norm = vector_norm(F)
+            norm = math.hypot(*F)
             if norm > NORM_FLOOR:
-                u = F / norm  # F F^T / n^2 is u u^T, whose parts stay finite where F @ F overflows
-                jac = jac - a * np.outer(u, u @ jac)
-            jac = jac / max(norm, NORM_FLOOR) ** a
-        try:
-            P = np.linalg.inv(np.eye(z.size) + jac)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(f"singular resolvent Newton matrix (residual {r:.3e})",
-                                   residual=r) from None
-        path.P = P
-        dz = -(P @ h)
+                u = [f / norm for f in F]  # F F^T / n^2 is u u^T, whose parts stay finite where F . F overflows
+                uJ = _mat_vec(list(zip(*jac)), u)
+                jac = [[j - a * (u_i * c) for j, c in zip(row, uJ)] for u_i, row in zip(u, jac)]
+            n_a = max(norm, NORM_FLOOR) ** a
+            jac = [[j / n_a for j in row] for row in jac]
+        columns = [_shifted_solve(jac, e, 1.0) for e in np.eye(len(z)).tolist()]
+        if None in columns:
+            raise ConvergenceError(f"singular resolvent Newton matrix (residual {r:.3e})", residual=r)
+        path.P = [list(row) for row in zip(*columns)]
+        Ph = _mat_vec(path.P, h)  # dz = -P h
         t = 1.0
         for _ in range(30):
-            z_try = z + t * dz
-            F_try = field.at(z_try)
-            h_try = z_try + F_try - v if p == 1 else z_try + normalized_field(F_try, p) - v
-            r_try = vector_norm(h_try)
+            z_try = [zi - t * x for zi, x in zip(z, Ph)]
+            F_try = field._floats(np.array(z_try))
+            G = F_try if p == 1 else normalized_field(F_try, p)
+            h_try = [zi + gi - vi for zi, gi, vi in zip(z_try, G, v)]
+            r_try = math.hypot(*h_try)
             if r_try <= (1.0 - 1e-4 * t) * r:
                 break
             t *= 0.5
@@ -209,31 +207,30 @@ def simulate(problem: ProblemSpec, config: ContinuousConfig) -> ContinuousLog:
     dt = config.dt
     half, sixth = 0.5 * dt, dt / 6.0
     field = Operator(problem)
-    v = check_array(config.z0, "z0", (problem.d,)).copy()
-    path = _Path(v, v, np.eye(v.size))
+    v = check_array(config.z0, "z0", (problem.d,)).tolist()
+    path = _Path(v, v, np.eye(problem.d).tolist())
     n = config.n_steps + 1
-    zs, vs, norms = np.empty((n, v.size)), np.empty((n, v.size)), np.empty(n)
+    zs, vs, norms = np.empty((n, problem.d)), np.empty((n, problem.d)), np.empty(n)
     failed_at = None
     z = resolvent_solve(v, field, p, path=path)  # a failure here has nothing integrated yet: it propagates
-    zs[0], vs[0], norms[0] = z, v, vector_norm(field.at(z))
-    v = v.tolist()  # the RK4 stages are floats, added elementwise as numpy adds arrays
+    zs[0], vs[0], norms[0] = z, v, math.hypot(*field._floats(np.array(z)))
 
     def slope(w):  # k = R(w) - w at a stage point w
-        return [zi - wi for wi, zi in zip(w, resolvent_solve(np.array(w), field, p, path=path).tolist())]
+        return [zi - wi for wi, zi in zip(w, resolvent_solve(w, field, p, path=path))]
 
     for i in range(1, n):
         try:
-            k1 = [zi - vi for vi, zi in zip(v, z.tolist())]
+            k1 = [zi - vi for vi, zi in zip(v, z)]
             k2 = slope([vi + half * k for vi, k in zip(v, k1)])
             k3 = slope([vi + half * k for vi, k in zip(v, k2)])
             k4 = slope([vi + dt * k for vi, k in zip(v, k3)])
             v = [vi + sixth * (a + 2 * b + 2 * c + d) for vi, a, b, c, d in zip(v, k1, k2, k3, k4)]
-            z = resolvent_solve(np.array(v), field, p, path=path)
+            z = resolvent_solve(v, field, p, path=path)
         except (ConvergenceError, NumericError):
             failed_at = i * dt
             zs, vs, norms = zs[:i], vs[:i], norms[:i]
             break
-        zs[i], vs[i], norms[i] = z, v, vector_norm(field.at(z))
+        zs[i], vs[i], norms[i] = z, v, math.hypot(*field._floats(np.array(z)))
 
     m = len(norms)
     s = vs - config.z0

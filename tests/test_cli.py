@@ -170,6 +170,8 @@ def test_unsupported_certify_order_is_usage_error():
     (["certify", "--problem", "x2y", "--samples", "200", "--q", "nan"], "q must be finite, got nan"),
     (["simulate", "--problem", "comonotone_toy", "--t-end", "1", "--dt", "0.3"],
      "dt = 0.3 does not divide t_end = 1.0"),
+    (["simulate", "--problem", "comonotone_toy", "--t-end", "1e308", "--dt", "1e-308"],
+     "t_end / dt = 1e+308 / 1e-308 is past the float range"),
     (["run", "--problem", "modified_forsaken", "--p", "1", "--Lp", "inf", "--K", "50"],
      "lipschitz must be positive and finite, got inf"),
     (["run", "--problem", "modified_forsaken", "--p", "2", "--Lp", "inf", "--K", "50"],

@@ -44,28 +44,28 @@ def linear_problem(A, analytic=True):
 
 
 def resolve(v, field, p):
-    """One resolvent solve from a path seeded at v, as simulate's first."""
-    v = np.array(v, dtype=float)
-    return resolvent_solve(v, field, p, path=_Path(v, v, np.eye(v.size)))
+    """One resolvent solve from a path seeded at v, as simulate's first, as an array."""
+    v = np.array(v, dtype=float).tolist()
+    return np.array(resolvent_solve(v, field, p, path=_Path(v, v, np.eye(len(v)).tolist())))
 
 
 class TestNormalizedField:
     def test_order1_passthrough(self):
         F = np.array([3.0, 4.0])
-        assert np.array_equal(normalized_field(F, 1), F)
+        assert np.array_equal(normalized_field(F.tolist(), 1), F)
 
     def test_order2_divides_by_sqrt_norm(self):
-        out = normalized_field(np.array([3.0, 4.0]), 2)
+        out = normalized_field([3.0, 4.0], 2)
         assert np.allclose(out, np.array([3.0, 4.0]) / np.sqrt(5.0))
 
     def test_zero_field_maps_to_zero(self):
         for p in (1, 2):
-            assert np.array_equal(normalized_field(np.zeros(2), p), np.zeros(2))
+            assert np.array_equal(normalized_field([0.0, 0.0], p), np.zeros(2))
 
     def test_a_field_whose_square_overflows_is_normalized_without_a_warning(self):
         # F(1e78, 1e78) of x2y has entries near 1e156, so F @ F overflows; the suite errors on the warning
         F = Operator(builtin("x2y")).at((1e78, 1e78))
-        assert np.array_equal(normalized_field(F, 2), F / math.hypot(*F) ** 0.5)
+        assert np.array_equal(normalized_field(F.tolist(), 2), F / math.hypot(*F) ** 0.5)
 
 
 class TestResolvent:
@@ -89,7 +89,7 @@ class TestResolvent:
         for _ in range(20):
             v = rng.uniform(-2, 2, 2)
             z = resolve(v, Operator(p), 1)
-            res = np.linalg.norm(z + normalized_field(Operator(p).at(z), 1) - v)
+            res = np.linalg.norm(z + normalized_field(Operator(p).at(z).tolist(), 1) - v)
             assert res <= 1e-10 * max(1.0, np.linalg.norm(v))
 
     def test_singular_newton_matrix_is_a_typed_failure(self):
@@ -159,7 +159,7 @@ class TestResolventProperties:
         except ConvergenceError as exc:
             assert np.isfinite(exc.residual)
             return
-        residual = z + normalized_field(Operator(problem).at(z), p) - v
+        residual = z + normalized_field(Operator(problem).at(z).tolist(), p) - v
         assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(v))
 
 
@@ -229,6 +229,12 @@ class TestSimulate:
         for t_end, dt in ((1.0, 0.1), (4.0, 0.2), (50.0, 1e-3), (0.02, 1e-3), (10.0, 1e-2)):
             log = simulate(zero_field_problem(), ContinuousConfig(1, t_end, dt, np.array([1.0, 1.0])))
             assert log.t[-1] == pytest.approx(t_end, rel=1e-9)
+
+    @pytest.mark.parametrize("t_end, dt", [(1e308, 1e-308), (1.0, 5e-324)])
+    def test_a_step_count_past_the_float_range_is_a_value_error(self, t_end, dt):
+        # t_end / dt overflows to inf, which round() cannot make a step count of
+        with pytest.raises(ValueError, match=r"^t_end / dt = .* is past the float range: no step count$"):
+            ContinuousConfig(order_p=1, t_end=t_end, dt=dt, z0=np.array([1.0, 1.0]))
 
     def test_step_halving_is_fourth_order(self):
         p = builtin("comonotone_toy")
@@ -336,14 +342,15 @@ class TestTangentPredictor:
             grad_y=lambda z: -z[1:],
             operator_jacobian=lambda z: np.eye(2),
         )
-        path = _Path(v=np.array([1.0, 0.0]), z=np.array([0.5, 0.0]), P=100.0 * np.eye(2))
+        path = _Path(v=[1.0, 0.0], z=[0.5, 0.0], P=(100.0 * np.eye(2)).tolist())
         v = np.array([1.2, 0.0])
-        z = resolvent_solve(v, Operator(problem), 1, path=path)
+        z = resolvent_solve(v.tolist(), Operator(problem), 1, path=path)
         assert np.linalg.norm(z - v / 2.0) <= 1e-10
         assert path.z is z and np.array_equal(path.v, v)
         assert np.array_equal(path.P, 0.5 * np.eye(2))
         with pytest.raises(NumericError):
-            resolvent_solve(v, Operator(problem), 1, path=_Path(v=v, z=np.array([20.5, 0.0]), P=np.eye(2)))
+            resolvent_solve(v.tolist(), Operator(problem), 1,
+                            path=_Path(v=v.tolist(), z=[20.5, 0.0], P=np.eye(2).tolist()))
 
 
 class TestEnergyBound:

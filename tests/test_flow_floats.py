@@ -1,12 +1,15 @@
-"""The flow's float fast path against the numpy-only flow it replaced.
+"""The flow on Python floats against the numpy flow it replaced.
 
 `oracle_flow` is that flow: RK4 stages on arrays and a resolvent that forms
-F, h and the stop test with numpy.  `simulate` computes the stages, h and the
-accept-at-start test on Python floats, so its logs must equal the oracle's bit
-for bit; `_within_tolerance` must accept only where the numpy test holds.
+F, h, the norms, the tangent predictor and the Newton matrix's inverse with
+numpy (BLAS dots, LAPACK's inverse).  `simulate` does all of it on floats:
+`math.hypot` norms, index-order matrix-vector products and a column-by-column
+elimination.  So its logs may differ from the oracle's in the last bits, and
+must agree with it to FLOW_RTOL, with equal row counts and `failed_at`.
 """
 
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,9 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoeg import ContinuousConfig, ConvergenceError, NumericError, Operator, builtin, problem_names, simulate
-from hoeg.dynamics import NORM_FLOOR, RESOLVENT_TOL, _within_tolerance, normalized_field
+from hoeg import (ContinuousConfig, ConvergenceError, NumericError, Operator, ProblemSpec, builtin, problem_names,
+                  simulate)
+from hoeg.dynamics import NORM_FLOOR, RESOLVENT_TOL, _Path, _predict, resolvent_solve
 from hoeg.halfstep import vector_norm
+
+# |float - numpy| <= FLOW_RTOL * max(1, |numpy|) on every z, v and op_norm entry;
+# the largest seen on the flows below is 1.3e-15 (the p = 1 benchmark flow to t = 5)
+FLOW_RTOL = 1e-13
+
+
+@np.errstate(over="ignore")
+def oracle_normalized(F, p):
+    return F / max(vector_norm(F), NORM_FLOOR) ** (1.0 - 1.0 / p)
 
 
 def oracle_resolvent(v, field, p, path):
@@ -27,7 +40,7 @@ def oracle_resolvent(v, field, p, path):
         F = field.at(z)
     except NumericError:
         z, F = path.z, field.at(path.z)
-    h = z + F - v if p == 1 else z + normalized_field(F, p) - v
+    h = z + F - v if p == 1 else z + oracle_normalized(F, p) - v
     r = vector_norm(h)
     for _ in range(500):
         if r <= scale:
@@ -46,7 +59,7 @@ def oracle_resolvent(v, field, p, path):
         for _ in range(30):
             z_try = z + t * dz
             F_try = field.at(z_try)
-            h_try = z_try + F_try - v if p == 1 else z_try + normalized_field(F_try, p) - v
+            h_try = z_try + F_try - v if p == 1 else z_try + oracle_normalized(F_try, p) - v
             r_try = vector_norm(h_try)
             if r_try <= (1.0 - 1e-4 * t) * r:
                 break
@@ -86,63 +99,112 @@ def oracle_flow(problem, config):
     return np.array(zs), np.array(vs), np.array(norms), failed_at
 
 
-def assert_bit_identical(name, config):
-    log = simulate(builtin(name), config)
-    zs, vs, norms, failed_at = oracle_flow(builtin(name), config)
+def assert_close_to_the_numpy_flow(problem, config):
+    log = simulate(problem, config)
+    zs, vs, norms, failed_at = oracle_flow(problem, config)
     assert log.failed_at == failed_at
     for got, want in ((log.z, zs), (log.v, vs), (log.op_norm, norms)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= FLOW_RTOL * np.maximum(1.0, np.abs(want)))
+    return log
 
 
 @pytest.mark.parametrize("p, t_end, dt", [(1, 5.0, 1e-3), (2, 10.0, 1e-2)], ids=["p1", "p2"])
-def test_the_benchmark_flows_match_the_numpy_flow_bit_for_bit(p, t_end, dt):
+def test_the_benchmark_flows_match_the_numpy_flow(p, t_end, dt):
     # the benchmark's p=1 flow runs to t = 50; its first tenth keeps the suite short
-    assert_bit_identical("comonotone_toy", ContinuousConfig(p, t_end, dt, np.array([1.0, 1.0])))
+    assert_close_to_the_numpy_flow(builtin("comonotone_toy"), ContinuousConfig(p, t_end, dt, np.array([1.0, 1.0])))
 
 
 @pytest.mark.parametrize("name", problem_names())
 @pytest.mark.parametrize("p", [1, 2])
-def test_every_builtin_flow_matches_the_numpy_flow_bit_for_bit(name, p):
-    assert_bit_identical(name, ContinuousConfig(p, 2.0, 1e-2, np.array([1.0, 1.0])))
+def test_every_builtin_flow_matches_the_numpy_flow(name, p):
+    assert_close_to_the_numpy_flow(builtin(name), ContinuousConfig(p, 2.0, 1e-2, np.array([1.0, 1.0])))
 
 
-def test_a_failing_flow_matches_the_numpy_flow_bit_for_bit():
+def test_a_failing_flow_matches_the_numpy_flow():
     # modified_forsaken from (-1, -1) fails at t = 1.9
-    assert_bit_identical("modified_forsaken", ContinuousConfig(1, 5.0, 1e-2, np.array([-1.0, -1.0])))
+    log = assert_close_to_the_numpy_flow(builtin("modified_forsaken"),
+                                         ContinuousConfig(1, 5.0, 1e-2, np.array([-1.0, -1.0])))
+    assert len(log.t) == 190
 
 
-def _scaled(direction, norm):
-    """The direction's entries scaled so that their norm is about ``norm``."""
-    length = math.hypot(*direction)
-    return [x * (norm / length) for x in direction] if length else direction
+def oracle_predict(path, v):
+    """z' - P (v' - v) by the loop: each entry of P (v' - v) the products of a row of P,
+    added in index order from the first."""
+    w = [u - v_i for u, v_i in zip(path.v, v)]
+    out = []
+    for y, row in zip(path.z, path.P):
+        s = row[0] * w[0]
+        for j in range(1, len(w)):
+            s += row[j] * w[j]
+        out.append(y - s)
+    return out
 
 
-_ULPS = st.integers(-4, 4).map(lambda k: 1.0 + k * 2.0**-52)
-_MAGNITUDE = st.sampled_from((0.0, 5e-324, 1e-310, 1e-160, 1e-3, 1.0, 3.0, 1e150, 1e154, 1e200, 1e308))
+def bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+_SPECIAL = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, math.inf, -math.inf, math.nan))
+_ENTRY = st.floats() | _SPECIAL
 
 
 @st.composite
-def _residual_and_point(draw):
-    """h and v at d = 2..8: h's norm within a few ulps of RESOLVENT_TOL max(1, ||v||), or any size."""
-    d = draw(st.integers(2, 8))
-    unit = st.floats(-1.0, 1.0, allow_nan=False)
-    size = draw(_MAGNITUDE | st.floats(0.5, 2.0))  # at 1e308, ||v|| may overflow
-    v = [x * size * draw(_ULPS) for x in draw(st.lists(unit, min_size=d, max_size=d))]
-    if draw(st.booleans()):  # at the threshold, to within a few ulps of its norm
-        bound = RESOLVENT_TOL * max(1.0, math.hypot(*v))
-        h = _scaled(draw(st.lists(unit, min_size=d, max_size=d)), bound * draw(_ULPS))
-    else:  # subnormal, overflowing and ordinary sums of squares
-        h = _scaled(draw(st.lists(unit, min_size=d, max_size=d)), draw(_MAGNITUDE))
-    return h, v
+def _path_and_point(draw):
+    """A path (v', z', P) and a point v at d = 2..5, of any floats, or v = v' as on a seeded path."""
+    d = draw(st.integers(2, 5))
+    vector = st.lists(_ENTRY, min_size=d, max_size=d)
+    path = _Path(v=draw(vector), z=draw(vector), P=draw(st.lists(vector, min_size=d, max_size=d)))
+    return path, (list(path.v) if draw(st.booleans()) else draw(vector))
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(_residual_and_point())
-@np.errstate(over="ignore")  # v @ v may overflow, and vector_norm then takes hypot
-def test_the_float_stop_rule_accepts_only_where_the_numpy_rule_holds(h_and_v):
-    h, v = h_and_v
-    norm_h, norm_v = vector_norm(np.array(h)), vector_norm(np.array(v))
-    if _within_tolerance(h, v):
-        assert norm_h <= RESOLVENT_TOL * max(1.0, norm_v)
-    else:  # the margin is 1e-9: twice it inside the rule, the floats accept
-        assert not norm_h <= RESOLVENT_TOL * max(1.0, norm_v) * (1.0 - 2e-9)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_path_and_point())
+def test_the_predictor_is_the_index_order_loop_bit_for_bit(path_and_point):
+    # at d = 2 the unrolled predictor against the loop, signed zeros and NaN places included
+    path, v = path_and_point
+    assert bits(_predict(path, v)) == bits(oracle_predict(path, v))
+
+
+def linear_problem_3d(A):
+    """F(z) = A z on R^3 with d_x = 2, d_y = 1, and its Jacobian A."""
+    A = np.array(A, dtype=float)
+    return ProblemSpec(
+        name="linear_3d", d_x=2, d_y=1,
+        grad_x=lambda z: (A @ z)[:2], grad_y=lambda z: -(A @ z)[2:],
+        operator_jacobian=lambda z: A,
+    )
+
+
+# symmetric part diag(0.5, 0.3, 0.2): monotone, with rotation in both planes
+MONOTONE_3D = [[0.5, 1.0, 0.0], [-1.0, 0.3, 0.5], [0.0, -0.5, 0.2]]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_three_dimensional_flow_matches_the_numpy_flow(p):
+    # d = 3 takes the loop mat-vec and the loop elimination, which no built-in reaches
+    config = ContinuousConfig(p, 5.0, 1e-2, np.array([1.0, -0.5, 2.0]))
+    log = assert_close_to_the_numpy_flow(linear_problem_3d(MONOTONE_3D), config)
+    assert log.failed_at is None and len(log.t) == 501
+
+
+def test_a_three_dimensional_linear_flow_matches_its_closed_form():
+    # F = A z, so z(t) = exp(-t (I+A)^-1 A) (I+A)^-1 z0
+    A, z0 = np.array(MONOTONE_3D), np.array([1.0, -0.5, 2.0])
+    log = simulate(linear_problem_3d(A), ContinuousConfig(1, 5.0, 1e-2, z0))
+    I = np.eye(3)
+    w, V = np.linalg.eig(np.linalg.solve(I + A, A))
+    z_start = np.linalg.solve(I + A, z0)
+    for i in (0, 100, 250, 500):
+        z_t = (V @ np.diag(np.exp(-log.t[i] * w)) @ np.linalg.inv(V)).real @ z_start
+        assert np.linalg.norm(log.z[i] - z_t) <= 1e-8 * np.linalg.norm(z_t)
+
+
+def test_a_singular_three_dimensional_newton_matrix_is_a_typed_failure():
+    # I + A has two proportional rows; elimination meets an exactly zero pivot at the last column
+    A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]) - np.eye(3)
+    v = [1.0, 2.0, 2.0]
+    with pytest.raises(ConvergenceError, match="singular") as singular:
+        resolvent_solve(v, Operator(linear_problem_3d(A)), 1, path=_Path(v, v, np.eye(3).tolist()))
+    F = A @ v
+    assert singular.value.residual == math.hypot(*F.tolist())

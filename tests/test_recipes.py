@@ -90,14 +90,28 @@ def recipe_outcomes(names):
 
 
 def flow_outcomes(flows):
-    """Per (problem, p, t_end, dt) flow from (1, 1): its row count, failed_at and op_norm column."""
+    """Per (problem, p, t_end, dt, z0) flow: its row count, failed_at, op_norm column and the
+    SHA-256 of all its columns' bytes."""
+    import hashlib
     import numpy as np
     from hoeg import ContinuousConfig, builtin, simulate
     outcomes = []
-    for name, p, t_end, dt in flows:
-        log = simulate(builtin(name), ContinuousConfig(p, t_end, dt, np.array([1.0, 1.0])))
-        outcomes.append((len(log.t), log.failed_at, log.op_norm.tolist()))
+    for name, p, t_end, dt, z0 in flows:
+        log = simulate(builtin(name), ContinuousConfig(p, t_end, dt, np.array(z0)))
+        columns = (log.t, log.z, log.v, log.op_norm, log.energy, log.running_integral)
+        digest = hashlib.sha256(b"".join(column.tobytes() for column in columns)).hexdigest()
+        outcomes.append([len(log.t), log.failed_at, log.op_norm.tolist(), digest])
     return outcomes
+
+
+def outcomes_under(coretype, code):
+    """The JSON that ``code`` prints, run in a child process on the OpenBLAS kernel ``coretype``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hoeg.__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def openblas_is_dynamic_arch():
@@ -114,25 +128,25 @@ def test_verdicts_and_stops_do_not_depend_on_the_blas_kernel():
     # The last bits of a trajectory depend on the OpenBLAS kernel, and with
     # them the row at which a run reaches the roundoff floor and its out_index;
     # the termination, z_out to 1e-12 and the verdict must not.  x2y_Falpha
-    # (about 2.2 s a process) is left out to keep the suite short.  The flow's
-    # tangent predictor and logged norms are BLAS dots too: its rows, failed_at
-    # and op_norm to 1e-12 must not depend on the kernel either.
+    # (about 2.2 s a process) is left out to keep the suite short.  The flow
+    # makes no BLAS or LAPACK call, so every flow log, the benchmark's, every
+    # built-in's at p = 1 and 2 and a failing one, has the same bytes under
+    # Haswell and Sandybridge as here.
     names = ["mforsaken", "forsaken_Falpha", "forsaken_F", "x2y_F"]
-    flows = [("comonotone_toy", 1, 1.0, 1e-3), ("comonotone_toy", 2, 2.0, 1e-2)]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hoeg.__file__)))
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flows = [("comonotone_toy", 1, 1.0, 1e-3, (1.0, 1.0)), ("comonotone_toy", 2, 2.0, 1e-2, (1.0, 1.0)),
+             ("modified_forsaken", 1, 5.0, 1e-2, (-1.0, -1.0))]
+    flows += [(name, p, 2.0, 1e-2, (1.0, 1.0)) for name in hoeg.problem_names() for p in (1, 2)]
     code = (inspect.getsource(recipe_outcomes) + inspect.getsource(flow_outcomes)
             + f"import json; print(json.dumps([recipe_outcomes({names!r}), flow_outcomes({flows!r})]))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    child, child_flows = json.loads(proc.stdout)
+    child, child_flows = outcomes_under("Haswell", code)
     for name, here in recipe_outcomes(names).items():
         assert child[name]["ok"] == here["ok"], name
         for (term_child, z_child), (term, z_out) in zip(child[name]["runs"], here["runs"]):
             assert term_child == term, name
             assert np.max(np.abs(np.subtract(z_child, z_out))) <= 1e-12, name
-    for flow, (rows_child, failed_child, norms_child), (rows, failed, norms) in zip(
-            flows, child_flows, flow_outcomes(flows), strict=True):
-        assert (rows_child, failed_child) == (rows, failed), flow
-        assert np.max(np.abs(np.subtract(norms_child, norms))) <= 1e-12, flow
+    sandybridge_flows = outcomes_under("Sandybridge", inspect.getsource(flow_outcomes)
+                                       + f"import json; print(json.dumps(flow_outcomes({flows!r})))")
+    here_flows = flow_outcomes(flows)
+    for kernel_flows in (child_flows, sandybridge_flows):
+        for flow, there, here in zip(flows, kernel_flows, here_flows, strict=True):
+            assert there == here, flow
