@@ -47,6 +47,8 @@ def check_real(x, name: str, low=None, positive: bool = False) -> None:
             raise ValueError(f"{name} must be a number, not the bool {x}")
         if not isinstance(x, (int, float, np.integer, np.floating)):
             raise ValueError(f"{name} must be a real number, got {x!r}")
+        if isinstance(x, int) and abs(x) >= 2**1024 - 2**970:  # compares as finite, but rounds to inf as a float
+            raise ValueError(f"{name} must be finite, got an integer of {x.bit_length()} bits")
     if positive:
         if not 0 < x < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {x}")

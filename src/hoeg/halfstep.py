@@ -1,8 +1,8 @@
 """Half-step subproblem solvers: roots z' of the regularized Taylor model
 tau_{p-1}(z', z_k) + (2 L_p / p!) ||z' - z_k||^{p-1} (z' - z_k), where tau_{p-1}
 expands F around z_k to degree p - 1.  Only orders 1 and 2 are supported.
-Both are internal to ``solver.run``, which checked L_p, passes F and J as float
-arrays from ``Operator`` and holds numpy's over/invalid state.
+Both are internal to ``solver.run``, which checked L_p, passes F, J and z_k as
+lists of floats from ``Operator`` and holds numpy's over/invalid state.
 
 Order 1 has the closed form z' = z_k - F(z_k) / (2 L1).  Order 2 reduces to a
 scalar root-find on the step radius: with d(r) = -(J + L2 r I)^{-1} F, find a
@@ -22,10 +22,11 @@ may hold several roots and any one of them may be returned.
 Each trial radius is one solve of (J + L2 r I) d = -F by Gaussian elimination
 with partial pivoting (LAPACK's dgesv) in Python floats, free of numpy's per-call
 overhead; at d = 2 the elimination is unrolled, the same operations in the same
-order.  F is read once as floats, while J d and ||J||_F stay numpy products, since
-BLAS sets their bits.  Against the same half-step with each trial solved by
-numpy.linalg.solve, a call on random models takes 0.24 of the time at d = 2, 0.62
-at d = 3, 0.78 at d = 4, 1.1 at d = 6 and 1.7 at d = 8 (2-core Xeon, OpenBLAS).
+order.  F, J and z_k come as lists of floats, and so does z_half: J d is an
+index-order sum (``_mat_vec``) and every norm, ||J||_F included, is ``math.hypot``,
+so no BLAS call sets a bit.  Against the same half-step with each trial solved by
+numpy.linalg.solve, a call on random models takes 0.20 of the time at d = 2, 0.7
+at d = 3, 0.85 at d = 4, 1.25 at d = 6 and 1.8 at d = 8 (2-core Xeon, OpenBLAS).
 """
 
 from __future__ import annotations
@@ -34,29 +35,24 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError
 
 MAX_DOUBLINGS = 60   # grid points hi0 * 2^k, k <= 60, tried for a sign change
 GAP_RTOL = 1e-10     # accepted radii satisfy | ||d|| - r | <= GAP_RTOL * r
-MODEL_RTOL = 1e-10   # and a model residual <= MODEL_RTOL * max(1, ||F_k||)
+MODEL_RTOL = 1e-10   # and a model residual <= MODEL_RTOL * max(1, ||F||)
 MAX_TRIALS = 200     # interpolation/bisection trials inside the doubling bracket
 _FLOAT_MIN = sys.float_info.min  # smallest positive normal double
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm that stays positive for entries below 1e-154, whose squares underflow."""
-    return math.hypot(*v)
-
-
-def vector_norm(v: np.ndarray) -> float:
-    """sqrt(v . v), or ``_norm`` where the sum of squares underflows the normal range or overflows.
-
-    ``v.dot(v)`` is the BLAS dot of ``v @ v``, bit for bit, without its ufunc dispatch.
-    """
-    sq = v.dot(v)
-    return math.sqrt(sq) if _FLOAT_MIN <= sq < math.inf else _norm(v)
+def _mat_vec(A, x: list) -> list:
+    """A x for the rows of A, each entry the products of a row added in index order."""
+    out = []
+    for row in A:
+        s = row[0] * x[0]
+        for a, x_j in zip(row[1:], x[1:]):
+            s += a * x_j
+        out.append(s)
+    return out
 
 
 def _shifted_solve(A: list, b: list, shift: float):
@@ -82,7 +78,22 @@ def _shifted_solve(A: list, b: list, shift: float):
             return None
         x1 = b1 / a11
         return [(b0 - x1 * a01) / a00, x1]
-    rows = [row + [b_i] for row, b_i in zip(A, b)]
+    x = _eliminate(A, [b], shift)
+    return None if x is None else x[0]
+
+
+def _shifted_inverse(A: list, shift: float):
+    """(A + shift I)^-1 as rows, each column ``_shifted_solve`` on that column of I (at d = 2 its unrolled solve)."""
+    eye = [[float(i == j) for j in range(len(A))] for i in range(len(A))]
+    columns = [_shifted_solve(A, e, shift) for e in eye] if len(A) == 2 else _eliminate(A, eye, shift)
+    return None if columns is None or None in columns else [list(row) for row in zip(*columns)]
+
+
+def _eliminate(A: list, columns: list, shift: float):
+    """The x with (A + shift I) x = b for each b of ``columns``, by one elimination; None at a zero pivot.
+    Pivots and multipliers depend on A alone, so each x has the bits of a solve with its b alone."""
+    n = len(A)
+    rows = [row + list(b) for row, b in zip(A, zip(*columns))]
     for i in range(n):
         rows[i][i] += shift
     for k in range(n):
@@ -96,14 +107,15 @@ def _shifted_solve(A: list, b: list, shift: float):
             return None
         for row in rows[k + 1:]:
             f = row[k] / top[k]
-            for j in range(k + 1, n + 1):
+            for j in range(k + 1, len(row)):
                 row[j] -= f * top[j]
-    x = [row[n] for row in rows]
-    for k in range(n - 1, -1, -1):   # column-oriented back substitution, as dtrsv
-        x[k] /= rows[k][k]
-        for i in range(k):
-            x[i] -= x[k] * rows[i][k]
-    return x
+    solutions = [[row[c] for row in rows] for c in range(n, len(rows[0]))]
+    for x in solutions:
+        for k in range(n - 1, -1, -1):   # column-oriented back substitution, as dtrsv
+            x[k] /= rows[k][k]
+            for i in range(k):
+                x[i] -= x[k] * rows[i][k]
+    return solutions
 
 
 @dataclass(frozen=True)
@@ -114,37 +126,36 @@ class HalfStepResult:
     the closed-form order-1 step).
     """
 
-    z_half: np.ndarray
+    z_half: list
     displacement_norm: float
     residual_norm: float
     iterations_used: int
 
 
-def solve_half_step_p1(F_k: np.ndarray, L1: float, z_k: np.ndarray) -> HalfStepResult:
-    """Closed-form order-1 half-step z' = z_k - F_k / (2 L1)."""
-    d = -F_k / (2.0 * L1)
-    g = F_k + 2.0 * L1 * d
-    return HalfStepResult(z_k + d, vector_norm(d), vector_norm(g), 0)
+def solve_half_step_p1(F: list, L1: float, z_k: list) -> HalfStepResult:
+    """Closed-form order-1 half-step z' = z_k - F / (2 L1)."""
+    two_L = 2.0 * L1
+    d = [-f / two_L for f in F]
+    g = [f + two_L * x for f, x in zip(F, d)]
+    return HalfStepResult([z + x for z, x in zip(z_k, d)], math.hypot(*d), math.hypot(*g), 0)
 
 
-def solve_half_step_p2(F_k: np.ndarray, J_k: np.ndarray, L2: float, z_k: np.ndarray) -> HalfStepResult:
-    """Order-2 half-step: solve F_k + J_k d + L2 ||d|| d = 0 for d.
+def solve_half_step_p2(F: list, J: list, L2: float, z_k: list) -> HalfStepResult:
+    """Order-2 half-step: solve F + J d + L2 ||d|| d = 0 for d, with J a list of rows.
 
-    Stops once the model residual is <= MODEL_RTOL * max(1, ||F_k||) and r is
+    Stops once the model residual is <= MODEL_RTOL * max(1, ||F||) and r is
     pinned to GAP_RTOL r, by the gap | ||d|| - r | or by the width of the
     bracket around r.  Raises ConvergenceError, carrying the last model
-    residual, when ||F_k|| or an entry of J_k is not finite, when no sign
+    residual, when ||F|| or an entry of J is not finite, when no sign
     change of the gap appears within MAX_DOUBLINGS doublings, when the gap
     is not finite, or when MAX_TRIALS interpolation/bisection trials do not
     meet the stopping rule.
     """
-    F = F_k.tolist()
-    norm_F = math.hypot(*F)
-    J, neg_F = J_k.tolist(), [-x for x in F]
-    if not (math.isfinite(norm_F) and all(map(math.isfinite, [x for row in J for x in row]))):
-        raise ConvergenceError("half-step model is not finite (||F_k|| or an entry of J_k)", residual=math.inf)
+    norm_F, entries, neg_F = math.hypot(*F), [x for row in J for x in row], [-x for x in F]
+    if not (math.isfinite(norm_F) and all(map(math.isfinite, entries))):
+        raise ConvergenceError("half-step model is not finite (||F|| or an entry of J)", residual=math.inf)
     if norm_F == 0.0:
-        return HalfStepResult(z_k.copy(), 0.0, 0.0, 0)
+        return HalfStepResult(list(z_k), 0.0, 0.0, 0)
 
     scale = MODEL_RTOL * max(1.0, norm_F)
     solved = []   # (r, 1 / ||d(r)||) of every solve in order; 1/inf = 0 at a singular radius
@@ -152,8 +163,8 @@ def solve_half_step_p2(F_k: np.ndarray, J_k: np.ndarray, L2: float, z_k: np.ndar
     def residual_of(d) -> float:
         if d is None:
             return math.inf
-        d = np.array(d)
-        return math.hypot(*(F_k + J_k @ d + L2 * math.hypot(*d.tolist()) * d).tolist())
+        c = L2 * math.hypot(*d)
+        return math.hypot(*[f + Jd + c * x for f, Jd, x in zip(F, _mat_vec(J, d), d)])
 
     def pinned(gap: float, r: float) -> bool:
         # the gap test alone can be out of reach when J + L2 r I is badly
@@ -163,7 +174,7 @@ def solve_half_step_p2(F_k: np.ndarray, J_k: np.ndarray, L2: float, z_k: np.ndar
     def trial(r: float):
         """(d(r), ||d(r)||); d is None at a singular radius, where ||d|| counts as +inf."""
         d = _shifted_solve(J, neg_F, L2 * r)
-        norm_d = math.inf if d is None else _norm(d)
+        norm_d = math.inf if d is None else math.hypot(*d)
         if d is not None and not math.isfinite(norm_d):
             raise ConvergenceError(f"half-step radius gap is not finite at r = {r:.3e}",
                                    residual=math.inf)
@@ -174,7 +185,7 @@ def solve_half_step_p2(F_k: np.ndarray, J_k: np.ndarray, L2: float, z_k: np.ndar
     # positive without a solve.  r_lo is the positive root of
     # L2 r^2 + ||J||_F r - ||F|| = 0, written without cancellation, and in a
     # scale-free form with hypot where ||J||_F^2 or 4 L2 ||F|| would overflow.
-    norm_J = vector_norm(J_k.ravel("K"))  # the order np.linalg.norm sums in
+    norm_J = math.hypot(*entries)
     four_LF = 4.0 * L2 * norm_F
     if norm_J < 1e150 and four_LF < math.inf:
         r_lo = 2.0 * norm_F / (norm_J + math.sqrt(norm_J**2 + four_LF))
@@ -209,7 +220,7 @@ def solve_half_step_p2(F_k: np.ndarray, J_k: np.ndarray, L2: float, z_k: np.ndar
         step = math.nan
         if d is not None and norm_d > 0.0:   # d underflows to 0 only for subnormal F
             if pinned(norm_d - r, r) and (residual := residual_of(d)) <= scale:
-                return HalfStepResult(z_k + d, norm_d, residual, len(solved))
+                return HalfStepResult([z + x for z, x in zip(z_k, d)], norm_d, residual, len(solved))
             if len(solved) > 1:
                 (r0, q0), (r1, q1) = solved[-2:]
                 b = (q1 - q0) / (r1 - r0)
@@ -238,15 +249,14 @@ def solve_half_step_p2(F_k: np.ndarray, J_k: np.ndarray, L2: float, z_k: np.ndar
     # r = lo + t (hi - lo) the model residual is L2 t (1-t) (hi - lo) ||d_hi - d_lo||
     # once ||d|| = r, and ||d|| - r is convex in t, so bisect t for its one root.
     if d_lo is not None:
-        d_lo, d_hi = np.array(d_lo), np.array(d_hi)
         t_lo, t_hi = 0.0, 1.0
         for _ in range(53):
             t = 0.5 * (t_lo + t_hi)
-            d, r = d_lo + t * (d_hi - d_lo), lo + t * (hi - lo)
-            norm_d = _norm(d)
+            d, r = [a + t * (b - a) for a, b in zip(d_lo, d_hi)], lo + t * (hi - lo)
+            norm_d = math.hypot(*d)
             t_lo, t_hi = (t, t_hi) if norm_d > r else (t_lo, t)
     residual = residual_of(d)
     if pinned(norm_d - r, r) and residual <= scale:
-        return HalfStepResult(z_k + d, norm_d, residual, len(solved))
+        return HalfStepResult([z + x for z, x in zip(z_k, d)], norm_d, residual, len(solved))
     raise ConvergenceError(f"half-step radius search stopped after {len(solved)} solves "
                            f"(residual {residual:.3e}, tolerance {scale:.3e})", residual=residual)

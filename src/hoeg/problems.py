@@ -199,11 +199,14 @@ class Operator:
         return z
 
     def at(self, z) -> np.ndarray:
-        """The field at one point: F is ``_floats``, and F_alpha one (d, d) solve with M
-        assembled from the list of B, checked as F is."""
+        """The field at one point, as ``_field`` gives it."""
+        return np.array(self._field(self._point(z)))
+
+    def _field(self, z: Vector) -> list:
+        """The field at a float vector z of length d, as a list of floats: F is ``_floats``, and
+        F_alpha one (d, d) solve with M assembled from the list of B, checked as F is."""
         problem = self.problem
-        z = self._point(z)
-        F = np.array(self._floats(z))
+        F = self._floats(z)
         if self.alpha is None:
             return F
         B = _shaped(problem.mixed_hessian(z), z, self._B_block).tolist()
@@ -211,7 +214,7 @@ class Operator:
         a = self.alpha
         M = [e + [a * b for b in row] for e, row in zip(self._eye_x, B)]
         M += [[-a * b for b in column] + e for column, e in zip(zip(*B), self._eye_y)]
-        return np.linalg.solve(M, F)
+        return np.linalg.solve(M, F).tolist()
 
     def _floats(self, z: Vector) -> list:
         """F (never F_alpha) at a float vector z of length d, as a list of floats checked by
@@ -276,7 +279,7 @@ class Operator:
             with np.errstate(over="ignore", invalid="ignore"):  # the checks name the point
                 R = self.rows(z + self._stencil)
                 jac = ((R[0::2] - R[1::2]) / (2 * FD_STEP)).T.copy()
-        _check_rows(jac[None], z[None], self._J_block)
+        self._check_finite(jac.ravel().tolist(), z, self._J_block)
         return jac
 
 

@@ -7,6 +7,10 @@ The returned point is the recorded half-step iterate with the smallest
 operator norm.  A run stops early at an exactly stationary point, on a
 failure, or once its half-steps have been still to roundoff for FLOOR_ROWS
 rows.
+
+The iterate is Python floats from z0 to the last row, written to the columns
+_CHUNK rows at a time: at d = 2 a numpy call costs more than its arithmetic, and
+a BLAS product's bits depend on the kernel, so on F a run makes no BLAS call.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, NumericError, check_array, check_count, check_order, check_real
-from .halfstep import _FLOAT_MIN, solve_half_step_p1, solve_half_step_p2, vector_norm
+from .halfstep import _FLOAT_MIN, solve_half_step_p1, solve_half_step_p2
 from .problems import Operator, OperatorMode, ProblemSpec
 
 TERM_BUDGET = "budget_exhausted"
@@ -32,6 +36,7 @@ CYCLE_WINDOW = 500      # detect_cycling looks at this many trailing iterates
 CYCLE_THRESHOLD = 1e-3  # a window whose operator norm dips to this is not a cycle
 FLOOR_ROWS = 50         # run stops after this many consecutive rows of a still z_half
 FLOOR_TOL = 4.0 * float(np.finfo(float).eps)  # a coordinate is still if it moves by <= this share of itself
+_CHUNK = 256            # rows held as Python floats before they are written to the columns
 
 
 @dataclass(frozen=True)
@@ -145,34 +150,33 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
     """
     operator = Operator(problem, config.operator_mode)
     p = config.order_p
-    L = config.lipschitz
+    L = float(config.lipschitz)
     full_step_coef = math.factorial(p) / (2.0 * L)
 
-    z = check_array(config.z0, "z0", (problem.d,)).copy()
+    z = check_array(config.z0, "z0", (problem.d,)).tolist()
     budget = config.max_iterations + 1
-    zs = np.empty((budget, problem.d))
-    z_halves = np.empty((budget, problem.d))
-    lams, radii, op_norms, residuals = (np.empty(budget) for _ in range(4))
-    iters = np.empty(budget, dtype=np.int64)
-    columns = (zs, z_halves, lams, radii, op_norms, residuals, iters)
-    n = 0
+    columns = (np.empty((budget, problem.d)), np.empty((budget, problem.d)),
+               *(np.empty(budget) for _ in range(4)), np.empty(budget, dtype=np.int64))
+    rows, n = [], 0   # (z, z_half, lambda, r, ||F(z_half)||, residual, iterations) of the iterates from row n
     still_rows, last_z_half = 0, None
     termination = TERM_BUDGET
     failure_residual = None
 
     for k in range(budget):
+        if len(rows) == _CHUNK:
+            n = _store(rows, columns, n)
         try:
-            if not all(map(math.isfinite, z.tolist())):
+            if not all(map(math.isfinite, z)):
                 raise NumericError(f"non-finite iterate at k={k}")
-            F_k = operator.at(z)
+            F_k = operator._field(np.array(z))
             if p == 1:
                 half = solve_half_step_p1(F_k, L, z)
             else:
-                half = solve_half_step_p2(F_k, operator.jacobian(z), L, z)
+                half = solve_half_step_p2(F_k, operator.jacobian(np.array(z)).tolist(), L, z)
             r = half.displacement_norm
             if p > 1 and 0.0 < r < _FLOAT_MIN:  # below the normal range, 1/r can pass the float range
                 raise NumericError(f"subnormal half-step radius {r!r} at k={k}: its step size overflows")
-            F_half = operator.at(half.z_half)
+            F_half = operator._field(np.array(half.z_half))
         except (ConvergenceError, NumericError) as exc:
             if k == 0:
                 raise
@@ -181,38 +185,44 @@ def run(problem: ProblemSpec, config: SolverConfig) -> TrajectoryLog:
             else:
                 termination = TERM_NUMERIC
             break
-        op_norm = vector_norm(F_half)
         # step size 0.5 * r^(1-p); r = 0 means z is an exact stationary point,
         # where lambda is 0.5 for p=1 and conventionally 0 otherwise (its
         # limit contribution vanishes)
         lam = 0.5 * r ** (1 - p) if r > 0.0 or p == 1 else 0.0
-        zs[k] = z
-        z_halves[k] = half.z_half
-        lams[k], radii[k], op_norms[k] = lam, r, op_norm
-        residuals[k], iters[k] = half.residual_norm, half.iterations_used
-        n = k + 1
+        rows.append((z, half.z_half, lam, r, math.hypot(*F_half), half.residual_norm, half.iterations_used))
         if r == 0.0:
             termination = TERM_STATIONARY
             break
-        z_next = z - (full_step_coef * lam) * F_half
-        if z_next.tobytes() == z.tobytes():  # bytes, since -0.0 == 0.0
+        step = full_step_coef * lam
+        z_next = [a - step * f for a, f in zip(z, F_half)]
+        if z_next == z and np.array(z_next).tobytes() == np.array(z).tobytes():  # bytes, since -0.0 == 0.0
+            n = _store(rows, columns, n)
             for column in columns:
-                column[n:] = column[k]
+                column[n:] = column[n - 1]
             n = budget
             break
-        z_half = half.z_half.tolist()
-        still = k > 0 and all(abs(a - b) <= FLOOR_TOL * abs(b) for a, b in zip(z_half, last_z_half))
-        still_rows, last_z_half = (still_rows + 1 if still else 0), z_half
+        still = k > 0 and all(abs(a - b) <= FLOOR_TOL * abs(b) for a, b in zip(half.z_half, last_z_half))
+        still_rows, last_z_half = (still_rows + 1 if still else 0), half.z_half
         if still_rows == FLOOR_ROWS:
             termination = TERM_FLOOR
             break
         z = z_next
 
-    out_index = int(np.argmin(op_norms[:n]))
-    z_out = z_halves[out_index].copy()
+    n = _store(rows, columns, n)
+    out_index = int(np.argmin(columns[4][:n]))
+    z_out = columns[1][out_index].copy()
     if n < budget:
         columns = tuple(column[:n].copy() for column in columns)
     return TrajectoryLog(problem, config, *columns, z_out, out_index, termination, failure_residual)
+
+
+def _store(rows: list, columns: tuple, n: int) -> int:
+    """Write ``rows`` into ``columns`` from row n and empty it; returns the row after them."""
+    for column, values in zip(columns, zip(*rows)):
+        column[n:n + len(rows)] = values
+    n += len(rows)
+    rows.clear()
+    return n
 
 
 def detect_cycling(log: TrajectoryLog) -> bool:
@@ -229,7 +239,7 @@ def detect_cycling(log: TrajectoryLog) -> bool:
         return False
     if log.op_norm_half[-CYCLE_WINDOW:].min() <= CYCLE_THRESHOLD:
         return False
-    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    dists = np.sqrt(np.square(pts[:, None, :] - pts[None, :, :]).sum(axis=2))  # numpy's norm, bit for bit
     idx = np.arange(n)
     nonadjacent = np.abs(idx[:, None] - idx[None, :]) >= 2
     spread = float(dists.max())

@@ -153,7 +153,9 @@ class TestRhoThreshold:
         for p, L in ((1, 1e-200), (2, 1e-300), (1, 5e-324), (1, np.float64(1e-310)), (2, np.float32(1e-30))):
             assert check_rho_threshold(0.1, p, L)
             assert check_rho_threshold(-1e308, p, L)
-        assert not check_rho_threshold(0.1, 1, 10**400)  # and a huge one at 0
+        assert not check_rho_threshold(0.1, 1, 2**1024 - 2**970 - 1)  # and a huge one at 0
+        with pytest.raises(ValueError, match="^Lp must be finite"):  # an int past the float range is not finite
+            check_rho_threshold(0.1, 1, 10**400)
         assert not certify_module._below_threshold(math.inf, 1, 1e-200)
         assert not certify_module._below_threshold(math.nan, 1, 1e-200)
         tiny = dataclasses.replace(builtin("quadratic_monotone"), published_constants={1: 1e-200})

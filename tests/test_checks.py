@@ -48,12 +48,17 @@ def _reals(rule, out_of_range, valid):
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"))
+# Python ints past the float range: each compares as finite, and its first use as a float raised OverflowError
+PAST_FLOATS = [(10**400, "{name} must be finite, got an integer of 1329 bits"),
+               (-2**1024, "{name} must be finite, got an integer of 1025 bits")]
 VALID = (np.float64(2.0), np.int64(3), np.float32(0.5), 2, 0.5)
 POSITIVE = _reals("{name} must be positive and finite, got {value}",
                   (0, 0.0, -0.0, -1.0, -5, np.int64(-1), np.float64(0.0)) + NON_FINITE, VALID) + [(None, NOT_REAL)]
-FINITE = _reals("{name} must be finite, got {value}", NON_FINITE, VALID + (0, -1.0, np.float64(1.5), np.int64(1)))
+POSITIVE += PAST_FLOATS
+FINITE = _reals("{name} must be finite, got {value}", NON_FINITE,
+                VALID + (0, -1.0, np.float64(1.5), np.int64(1))) + PAST_FLOATS
 NOT_NEGATIVE = _reals("{name} must be finite and >= 0", (-1.0, -1e-300, np.int64(-1)) + NON_FINITE,
-                      VALID + (0, 0.0, -0.0))
+                      VALID + (0, 0.0, -0.0)) + PAST_FLOATS
 
 
 def _counts(rule, too_small, valid):
@@ -196,6 +201,15 @@ def test_a_count_is_a_positive_integer_and_nothing_else(n):
     integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
     rule = NOT_INTEGER if not integer else None if n >= 1 else "{name} must be a positive integer, got {value!r}"
     _check(lambda v: SolverConfig(1, 1.0, v, Z0), "max_iterations", n, rule)
+
+
+def test_the_largest_int_below_the_float_range_is_a_real_value():
+    # 2**1024 - 2**970 is the least integer that float() rounds to inf, and raises on
+    largest = 2**1024 - 2**970 - 1
+    assert SolverConfig(1, largest, 5, Z0).lipschitz == largest
+    assert OperatorMode.competitive(largest).alpha == float(largest)
+    _check(lambda v: SolverConfig(1, v, 5, Z0), "lipschitz", largest + 1,
+           "{name} must be finite, got an integer of 1024 bits")
 
 
 def test_a_fixed_width_count_does_not_wrap():

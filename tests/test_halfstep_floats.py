@@ -3,8 +3,10 @@
 ``oracle_solve`` is that loop: Gaussian elimination with partial pivoting on
 lists of Python floats, for any n.  ``halfstep._shifted_solve`` runs the same
 operations in the same order on named floats when n = 2, so it must return the
-oracle's bits, and None exactly where the oracle does.  A NaN compares by its
-place, not its bytes, as in ``test_builtin_floats.py``.
+oracle's bits, and None exactly where the oracle does.  ``_shifted_inverse``
+eliminates once with all the columns of I, and each column must have the bits
+of the oracle's solve with that column alone.  A NaN compares by its place, not
+its bytes, as in ``test_builtin_floats.py``.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoeg import builtin, halfstep, run
-from hoeg.halfstep import _shifted_solve
+from hoeg.halfstep import _shifted_inverse, _shifted_solve
 from hoeg.recipes import RECIPES
 
 
@@ -105,6 +107,39 @@ def test_larger_systems_keep_the_loop():
         A = [[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)]
         b = [rng.gauss(0, 1) for _ in range(n)]
         assert _bits(_shifted_solve(A, b, 0.5)) == _bits(oracle_solve(A, b, 0.5))
+
+
+def oracle_inverse(A, shift):
+    """(A + shift I)^-1 as rows, one ``oracle_solve`` per column of I; None where any is None."""
+    n = len(A)
+    columns = [oracle_solve(A, [float(i == j) for i in range(n)], shift) for j in range(n)]
+    return None if None in columns else [list(row) for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_the_inverse_is_the_per_column_loop_bit_for_bit(d):
+    # pivots and multipliers depend on the matrix alone, so one elimination with
+    # all d columns of I gives each column the bits of its own solve
+    rng = random.Random(d)
+    singular = 0
+    for _ in range(300):
+        A = [[rng.choice(SPECIAL) if rng.random() < 0.02 else rng.uniform(-10, 10) for _ in range(d)]
+             for _ in range(d)]
+        k = rng.randrange(d)
+        if rng.random() < 0.2:   # a zero row or column: an exactly zero pivot when the shift is 0
+            for i in range(d):
+                A[i][k] = 0.0
+        elif rng.random() < 0.25:
+            A[k] = [0.0] * d
+        A_before = [row[:] for row in A]
+        shift = rng.choice([0.0, 1.0, rng.uniform(-3, 3)])
+        got, want = _shifted_inverse(A, shift), oracle_inverse(A, shift)
+        assert (got is None) == (want is None), (A, shift)
+        singular += got is None
+        if got is not None:
+            assert [_bits(row) for row in got] == [_bits(row) for row in want], (A, shift)
+        assert [_bits(row) for row in A] == [_bits(row) for row in A_before]
+    assert singular > 0
 
 
 ORDER_2_PRESETS = [(name, preset) for name, recipe in RECIPES.items()

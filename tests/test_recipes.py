@@ -77,15 +77,22 @@ def test_near_origin_verdict():
 
 
 def recipe_outcomes(names):
-    """Per recipe: the verdict's ok, and each run's termination and z_out."""
+    """Per recipe: the verdict's ok, and each run's termination, z_out and the SHA-256 of all its
+    columns' bytes."""
+    import hashlib
     from hoeg import builtin, run
     from hoeg.recipes import RECIPES
     outcomes = {}
     for name in names:
         recipe = RECIPES[name]
         logs = [run(builtin(preset.problem), preset.config()) for preset in recipe.runs]
-        outcomes[name] = {"ok": recipe.verdict(logs)["ok"],
-                          "runs": [(log.termination, log.z_out.tolist()) for log in logs]}
+        runs = []
+        for log in logs:
+            columns = (log.z, log.z_half, log.lambda_k, log.displacement_norm, log.op_norm_half,
+                       log.subproblem_residual, log.subproblem_iters, log.z_out)
+            digest = hashlib.sha256(b"".join(column.tobytes() for column in columns)).hexdigest()
+            runs.append([log.termination, log.z_out.tolist(), digest])
+        outcomes[name] = {"ok": recipe.verdict(logs)["ok"], "runs": runs}
     return outcomes
 
 
@@ -125,28 +132,34 @@ def openblas_is_dynamic_arch():
 @pytest.mark.skipif(not openblas_is_dynamic_arch(),
                     reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so its kernel cannot be chosen")
 def test_verdicts_and_stops_do_not_depend_on_the_blas_kernel():
-    # The last bits of a trajectory depend on the OpenBLAS kernel, and with
-    # them the row at which a run reaches the roundoff floor and its out_index;
-    # the termination, z_out to 1e-12 and the verdict must not.  x2y_Falpha
-    # (about 2.2 s a process) is left out to keep the suite short.  The flow
-    # makes no BLAS or LAPACK call, so every flow log, the benchmark's, every
-    # built-in's at p = 1 and 2 and a failing one, has the same bytes under
-    # Haswell and Sandybridge as here.
-    names = ["mforsaken", "forsaken_Falpha", "forsaken_F", "x2y_F"]
+    # Only the competitive operator's F_alpha makes a LAPACK call (its one solve
+    # per evaluation), so only its last bits depend on the OpenBLAS kernel, and
+    # with them the row at which a run reaches the roundoff floor and its
+    # out_index; under Haswell its terminations, z_out to 1e-12 and verdict must
+    # not.  x2y_Falpha (about 2.2 s a process) is left out to keep the suite
+    # short.  The standard-field recipes and the flow make no BLAS or LAPACK
+    # call, so each of their logs, the benchmark's flows, every built-in's at
+    # p = 1 and 2 and a failing one, has the same bytes under Haswell and
+    # Sandybridge as here.
+    standard, competitive = ["mforsaken", "forsaken_F", "x2y_F"], "forsaken_Falpha"
     flows = [("comonotone_toy", 1, 1.0, 1e-3, (1.0, 1.0)), ("comonotone_toy", 2, 2.0, 1e-2, (1.0, 1.0)),
              ("modified_forsaken", 1, 5.0, 1e-2, (-1.0, -1.0))]
     flows += [(name, p, 2.0, 1e-2, (1.0, 1.0)) for name in hoeg.problem_names() for p in (1, 2)]
-    code = (inspect.getsource(recipe_outcomes) + inspect.getsource(flow_outcomes)
-            + f"import json; print(json.dumps([recipe_outcomes({names!r}), flow_outcomes({flows!r})]))")
-    child, child_flows = outcomes_under("Haswell", code)
-    for name, here in recipe_outcomes(names).items():
-        assert child[name]["ok"] == here["ok"], name
-        for (term_child, z_child), (term, z_out) in zip(child[name]["runs"], here["runs"]):
-            assert term_child == term, name
-            assert np.max(np.abs(np.subtract(z_child, z_out))) <= 1e-12, name
-    sandybridge_flows = outcomes_under("Sandybridge", inspect.getsource(flow_outcomes)
-                                       + f"import json; print(json.dumps(flow_outcomes({flows!r})))")
-    here_flows = flow_outcomes(flows)
-    for kernel_flows in (child_flows, sandybridge_flows):
+    source = inspect.getsource(recipe_outcomes) + inspect.getsource(flow_outcomes)
+    haswell = outcomes_under("Haswell", source + "import json; print(json.dumps([recipe_outcomes("
+                             f"{standard + [competitive]!r}), flow_outcomes({flows!r})]))")
+    sandybridge = outcomes_under("Sandybridge", source + "import json; print(json.dumps([recipe_outcomes("
+                                 f"{standard!r}), flow_outcomes({flows!r})]))")
+    here_recipes, here_flows = recipe_outcomes(standard + [competitive]), flow_outcomes(flows)
+    there, here = haswell[0][competitive], here_recipes.pop(competitive)
+    assert there["ok"] == here["ok"]
+    for (term_there, z_there, _), (term, z_out, _) in zip(there["runs"], here["runs"], strict=True):
+        assert term_there == term
+        assert np.max(np.abs(np.subtract(z_there, z_out))) <= 1e-12
+    for kernel_recipes, kernel_flows in (haswell, sandybridge):
+        for name in standard:
+            assert kernel_recipes[name]["ok"] == here_recipes[name]["ok"], name
+            for there, here in zip(kernel_recipes[name]["runs"], here_recipes[name]["runs"], strict=True):
+                assert there == here, name
         for flow, there, here in zip(flows, kernel_flows, here_flows, strict=True):
             assert there == here, flow

@@ -20,7 +20,7 @@ from hoeg import (
     run,
 )
 from hoeg.cli import _fmt
-from hoeg.halfstep import solve_half_step_p1, solve_half_step_p2, vector_norm
+from hoeg.halfstep import solve_half_step_p1, solve_half_step_p2
 from hoeg.recipes import GRID5, RECIPES
 
 COLUMNS = ("z", "z_half", "lambda_k", "displacement_norm", "op_norm_half",
@@ -140,14 +140,14 @@ def reference_run(problem, cfg):
     for _ in range(cfg.max_iterations + 1):
         F_k = operator.at(z)
         if p == 1:
-            half = solve_half_step_p1(F_k, L, z)
+            half = solve_half_step_p1(F_k.tolist(), L, z.tolist())
         else:
-            half = solve_half_step_p2(F_k, operator.jacobian(z), L, z)
+            half = solve_half_step_p2(F_k.tolist(), operator.jacobian(z).tolist(), L, z.tolist())
         F_half = operator.at(half.z_half)
         r = half.displacement_norm
         assert r > 0.0
         lam = 0.5 * r ** (1 - p)
-        rows.append((z, half.z_half, lam, r, vector_norm(F_half),
+        rows.append((z, half.z_half, lam, r, math.hypot(*F_half),
                      half.residual_norm, half.iterations_used))
         z = z - (coef * lam) * F_half
     columns = dict(zip(COLUMNS, (np.array(column) for column in zip(*rows))))
